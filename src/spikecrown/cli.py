@@ -64,6 +64,16 @@ class JobConfig:
     out: str = "."
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+        if self.h_divisor <= 0:
+            raise ConfigError(f"h_divisor must be positive, got {self.h_divisor}")
+        if self.form not in ("leading", "psi_numeric"):
+            raise ConfigError(f"unknown form {self.form!r}")
+        if not isinstance(self.out, str):
+            raise ConfigError("out must be a path string")
+
 
 def _as_float_tuple(key, val):
     if not isinstance(val, (list, tuple)):
@@ -98,16 +108,7 @@ def config_from_dict(raw):
             if isinstance(data[key], bool) or data[key] != int(data[key]):
                 raise ConfigError(f"{key} must be an integer")
             data[key] = int(data[key])
-    cfg = JobConfig(**data)
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ConfigError(f"seed must fit in 64 bits, got {cfg.seed}")
-    if cfg.h_divisor <= 0:
-        raise ConfigError(f"h_divisor must be positive, got {cfg.h_divisor}")
-    if cfg.form not in ("leading", "psi_numeric"):
-        raise ConfigError(f"unknown form {cfg.form!r}")
-    if not isinstance(cfg.out, str):
-        raise ConfigError("out must be a path string")
-    return cfg
+    return JobConfig(**data)
 
 
 def parse_config(path):
@@ -259,7 +260,7 @@ def run_pack(cfg, out_dir, dom=None):
                 {"k": k, "delta_star": delta_star, "eta": eta,
                  "sup_phi_boundary": sup_phi, "gap": gap,
                  "n_samples": 10_000, "seed": cfg.seed, **_stamp(cfg)})
-    return dom, k, delta_star, eta, crown
+    return k, delta_star, eta, crown
 
 
 def _load_or_make_pack(cfg, out_dir, dom):
@@ -274,7 +275,7 @@ def _load_or_make_pack(cfg, out_dir, dom):
         if len(pts) == meta.get("k") and (cfg.k is None or cfg.k == meta["k"]):
             crown = pk.make_configuration(dom, pts, signs)
             return meta["k"], meta["delta_star"], meta["eta"], crown
-    return run_pack(cfg, out_dir, dom)[1:]
+    return run_pack(cfg, out_dir, dom)
 
 
 def _eps_list(cfg, delta_star):
@@ -300,13 +301,21 @@ def _quiet_grid(dom, h):
         return pde.discretize(dom, h)
 
 
-def run_reduce(cfg, out_dir):
+def _planar_inputs(cfg, out_dir, command):
+    """Domain, crown, scale list and profile that reduce and solve share,
+    each loaded from out_dir or computed there."""
     if cfg.N != 2:
-        raise ConfigError("reduce works on planar domains; config N must be 2")
+        raise ConfigError(f"{command} works on planar domains; config N must be 2")
     dom = _domain_from_config(cfg)
     k, delta_star, eta, crown = _load_or_make_pack(cfg, out_dir, dom)
     eps_list = _eps_list(cfg, delta_star)
     profile = _load_or_make_profile(cfg, out_dir)
+    return dom, k, delta_star, eta, crown, eps_list, profile
+
+
+def run_reduce(cfg, out_dir):
+    dom, _, delta_star, eta, crown, eps_list, profile = _planar_inputs(
+        cfg, out_dir, "reduce")
 
     def one(item):
         idx, eps = item
@@ -345,7 +354,7 @@ def run_reduce(cfg, out_dir):
     jobs = _map_jobs(one, list(enumerate(eps_list)))
     _write_json(os.path.join(out_dir, "reduce.json"),
                 {"jobs": jobs, **_stamp(cfg)})
-    return dom, profile, k, delta_star, eta, crown, eps_list, jobs
+    return jobs
 
 
 def _minimized_configs(cfg, out_dir, dom, eps_list):
@@ -366,12 +375,7 @@ def _minimized_configs(cfg, out_dir, dom, eps_list):
 
 
 def run_solve(cfg, out_dir, continuation=False):
-    if cfg.N != 2:
-        raise ConfigError("solve works on planar domains; config N must be 2")
-    dom = _domain_from_config(cfg)
-    k, delta_star, eta, crown = _load_or_make_pack(cfg, out_dir, dom)
-    eps_list = _eps_list(cfg, delta_star)
-    profile = _load_or_make_profile(cfg, out_dir)
+    dom, k, _, _, _, eps_list, profile = _planar_inputs(cfg, out_dir, "solve")
     configs = _minimized_configs(cfg, out_dir, dom, eps_list)
     if configs is None:
         run_reduce(cfg, out_dir)
@@ -519,17 +523,20 @@ def _dihedral_defect(grid, fld):
     """Sup over the 7 nontrivial square-lattice symmetries of
     |v(T(node)) - v(node)|; the maps permute the node set exactly on a
     centered disk, and an alternating crown is invariant under all of
-    them (each map shifts the peak index by an even amount)."""
-    ij = grid.abs_index()
-    lut = {(int(i), int(j)): r for r, (i, j) in enumerate(ij)}
-    maps = (lambda i, j: (-j, i), lambda i, j: (-i, -j), lambda i, j: (j, -i),
-            lambda i, j: (i, -j), lambda i, j: (-i, j),
-            lambda i, j: (j, i), lambda i, j: (-j, -i))
+    them (each map shifts the peak index by an even amount). A map that
+    sends a node off the node set raises NumericalError."""
+    i, j = grid.abs_index().T
+    maps = ((-j, i), (-i, -j), (j, -i), (i, -j), (-i, j), (j, i), (-j, -i))
+    nx, ny = grid.shape
     v = fld.values
     worst = 0.0
-    for T in maps:
-        perm = np.fromiter((lut[T(int(i), int(j))] for i, j in ij),
-                           dtype=np.int64, count=len(ij))
+    for ti, tj in maps:
+        li, lj = ti - grid.i0, tj - grid.j0
+        if not ((li >= 0) & (li < nx) & (lj >= 0) & (lj < ny)).all():
+            raise NumericalError("symmetry map sends a node outside the grid")
+        perm = grid.index[li, lj]
+        if (perm < 0).any():
+            raise NumericalError("symmetry map sends a node off the node set")
         worst = max(worst, float(np.abs(v[perm] - v).max()))
     return worst
 
@@ -750,7 +757,7 @@ def verification_report(seed=0, echo=None):
 
 # ----------------------------------------------------------- commands
 
-def cmd_ground_state(cfg, out_dir, continuation=False):
+def cmd_ground_state(cfg, out_dir):
     t0 = time.perf_counter()
     profile, e1, gamma = run_ground_state(cfg, out_dir)
     print(f"w0 = {profile.w0:.17g}")
@@ -761,9 +768,9 @@ def cmd_ground_state(cfg, out_dir, continuation=False):
     return 0
 
 
-def cmd_pack(cfg, out_dir, continuation=False):
+def cmd_pack(cfg, out_dir):
     t0 = time.perf_counter()
-    _, k, delta_star, eta, _ = run_pack(cfg, out_dir)
+    k, delta_star, eta, _ = run_pack(cfg, out_dir)
     print(f"k = {k}")
     print(f"delta_star = {delta_star:.17g}")
     print(f"eta = {eta:.17g}")
@@ -771,9 +778,9 @@ def cmd_pack(cfg, out_dir, continuation=False):
     return 0
 
 
-def cmd_reduce(cfg, out_dir, continuation=False):
+def cmd_reduce(cfg, out_dir):
     t0 = time.perf_counter()
-    jobs = run_reduce(cfg, out_dir)[-1]
+    jobs = run_reduce(cfg, out_dir)
     for job in jobs:
         print(f"eps = {job['eps']:.6g}: log_M = {job['log_M']:.6g} "
               f"after {job['iterations']} iterations")
@@ -791,7 +798,7 @@ def cmd_solve(cfg, out_dir, continuation=False):
     return 0
 
 
-def cmd_verify(cfg, out_dir, continuation=False):
+def cmd_verify(cfg, out_dir):
     report = verification_report(seed=cfg.seed, echo=print)
     doc = dict(report)
     doc.update(_stamp(cfg))
@@ -842,21 +849,22 @@ def main(argv=None):
                        help="output directory (default: the config's out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--continuation", action="store_true",
-                       help="solve the eps list in descending order, seeding "
-                            "each run with the previous peak locations")
+        if name == "solve":
+            p.add_argument("--continuation", action="store_true",
+                           help="solve the eps list in descending order, "
+                                "seeding each run with the previous peak "
+                                "locations")
     args = ap.parse_args(argv)
     out_dir = args.out or "."
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ConfigError(f"seed must fit in 64 bits, got {args.seed}")
             cfg = dataclasses.replace(cfg, seed=args.seed)
         out_dir = args.out or cfg.out
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir,
-                                       continuation=args.continuation)
+        if args.command == "solve":
+            return cmd_solve(cfg, out_dir, continuation=args.continuation)
+        return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         _emit_error(out_dir, exc, 2)
@@ -869,7 +877,3 @@ def main(argv=None):
         print(f"failure: {exc}", file=sys.stderr)
         _emit_error(out_dir, exc, 3)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -296,11 +296,6 @@ class ConvexCurve:
             self._diameter = float(np.sqrt(d2.max()))
         return self._diameter
 
-    @property
-    def reach(self):
-        """Depth to which inward projection is guaranteed unique."""
-        return 0.9 / self.kappa_max
-
 
 # -- constructors -------------------------------------------------------------
 
@@ -461,16 +456,9 @@ class PlanarDomain:
         out = np.where(side >= 0.0, dist, -dist)
         return float(out[0]) if scalar else out
 
-    def contains(self, x):
-        return self.signed_distance(x) < 0.0
-
     @property
     def centroid(self):
         return self.boundary._centroid.copy()
-
-    @property
-    def max_curvature(self):
-        return self.boundary.kappa_max
 
     @property
     def inradius(self):
@@ -484,23 +472,12 @@ class PlanarDomain:
             self._inradius = float(-res.fun)
         return self._inradius
 
-    def inner_curve(self, delta):
-        return inner_parallel_curve(self.boundary, delta)
-
 
 def make_domain(spec, n_table=_TABLE_N):
     return PlanarDomain(make_curve(spec, n_table))
 
 
 # -- module-level operations --------------------------------------------------
-
-
-def signed_distance(dom, x):
-    return dom.signed_distance(x)
-
-
-def curve_length(curve):
-    return curve.total_length
 
 
 def project_to_curve(curve, x):
@@ -595,7 +572,7 @@ def _pair_scan(P, N, delta_sep, chunk=256):
     return best, best_pair
 
 
-def check_strict_convexity(curve, delta_sep, refine=True):
+def check_strict_convexity(curve, delta_sep):
     """Minimum of nu_P.(P-Q) over boundary pairs with |P-Q| >= delta_sep.
 
     Positive margin quantifies strict convexity at separation delta_sep.
@@ -611,7 +588,7 @@ def check_strict_convexity(curve, delta_sep, refine=True):
     margin, (i0, j0) = _pair_scan(P, N, delta_sep)
     if not np.isfinite(margin):
         return np.inf  # delta_sep exceeds the diameter: empty pair set
-    if not refine or delta_sep == 0.0:
+    if delta_sep == 0.0:
         return margin
     tp0 = curve.t_nodes[stride * i0]
     tq0 = curve.t_nodes[stride * j0]

@@ -30,6 +30,8 @@ from .nonlinearity import Nonlinearity
 _R_MATCH = 10.0
 _R_BACK = 24.0
 _R_SERIES = 1e-3
+_R_MAX = 20.0  # shots run to here; the table ends here too
+_SHOOT_TOL = 1e-12  # w(0) bracket width that ends the bisection
 
 
 def _rhs(r, y, nl):
@@ -43,7 +45,7 @@ def _series_start(nl, w0, r0=_R_SERIES):
     return [w0 + a * r0 * r0, 2.0 * a * r0]
 
 
-def _classify(nl, w0, r_max, rtol):
+def _classify(nl, w0, rtol):
     def hit_zero(r, y, nl):
         return y[0]
 
@@ -58,7 +60,7 @@ def _classify(nl, w0, r_max, rtol):
 
     sol = solve_ivp(
         _rhs,
-        (_R_SERIES, r_max),
+        (_R_SERIES, _R_MAX),
         _series_start(nl, w0),
         args=(nl,),
         method="DOP853",
@@ -72,8 +74,8 @@ def _classify(nl, w0, r_max, rtol):
         w_at = sol.y_events[1][0][0]
         if w_at > 1e-12:
             return "turn", sol.t_events[1][0], w_at
-        return "decay", r_max, abs(sol.y[0, -1])
-    return "decay", r_max, abs(sol.y[0, -1])
+        return "decay", _R_MAX, abs(sol.y[0, -1])
+    return "decay", _R_MAX, abs(sol.y[0, -1])
 
 
 def _tail_value_deriv(p, dim_n, A, r):
@@ -199,20 +201,18 @@ def _check_radius(r):
     return r
 
 
-def shoot(nl: Nonlinearity, tol: float = 1e-12, h_r: float = 0.005, r_max: float = 20.0):
+def shoot(nl: Nonlinearity, h_r: float = 0.005):
     """Compute the decaying radial profile by bisection shooting.
 
     Bisects w(0) between shots that cross zero and shots that turn back
-    up, until a shot decays monotonically through r_max or the bracket
-    is below tol. The returned table is forward-integrated on the core
+    up, until a shot decays monotonically through r = 20 or the bracket
+    is below 1e-12. The returned table is forward-integrated on the core
     and backward-integrated from the asymptotic series on the far side,
     matched at r = 10, which pins the decay constant to ~1e-8.
     """
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
     lo, hi = 0.1, 10.0
-    kind_lo = _classify(nl, lo, r_max, rtol=1e-11)[0]
-    kind_hi = _classify(nl, hi, r_max, rtol=1e-11)[0]
+    kind_lo = _classify(nl, lo, rtol=1e-11)[0]
+    kind_hi = _classify(nl, hi, rtol=1e-11)[0]
     if kind_lo == "decay":
         w_star = lo
     elif kind_hi == "decay":
@@ -221,7 +221,7 @@ def shoot(nl: Nonlinearity, tol: float = 1e-12, h_r: float = 0.005, r_max: float
         if kind_lo != "turn" or kind_hi != "cross":
             # scan for a valid bracket before giving up
             grid = np.geomspace(0.05, 50.0, 40)
-            kinds = [_classify(nl, w, r_max, rtol=1e-9)[0] for w in grid]
+            kinds = [_classify(nl, w, rtol=1e-9)[0] for w in grid]
             bracket = None
             for i in range(len(grid) - 1):
                 if kinds[i] == "turn" and kinds[i + 1] == "cross":
@@ -235,7 +235,7 @@ def shoot(nl: Nonlinearity, tol: float = 1e-12, h_r: float = 0.005, r_max: float
         w_star = None
         for _ in range(220):
             mid = 0.5 * (lo + hi)
-            kind, r_ev, w_ev = _classify(nl, mid, r_max, rtol=1e-12)
+            kind, r_ev, w_ev = _classify(nl, mid, rtol=1e-12)
             if kind == "decay":
                 w_star = mid
                 break
@@ -243,13 +243,13 @@ def shoot(nl: Nonlinearity, tol: float = 1e-12, h_r: float = 0.005, r_max: float
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < tol:
+            if hi - lo < _SHOOT_TOL:
                 # bracket resolved; accept a shot that survives far out
                 # at tiny amplitude even if an event fires eventually
                 if r_ev >= 16.0 and w_ev < 1e-4:
                     w_star = mid
                     break
-                if hi - lo < max(tol * 1e-3, 1e-15):
+                if hi - lo < max(_SHOOT_TOL * 1e-3, 1e-15):
                     w_star = mid
                     break
         if w_star is None:
@@ -270,7 +270,7 @@ def shoot(nl: Nonlinearity, tol: float = 1e-12, h_r: float = 0.005, r_max: float
         A *= w_f / bw.y[0, -1]
     bw = _backward_solve(nl, A)
 
-    r_grid = np.round(np.arange(0.0, r_max + 0.5 * h_r, h_r), 12)
+    r_grid = np.round(np.arange(0.0, _R_MAX + 0.5 * h_r, h_r), 12)
     w = np.empty_like(r_grid)
     wp = np.empty_like(r_grid)
     w[0], wp[0] = w_star, 0.0

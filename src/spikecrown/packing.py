@@ -173,7 +173,7 @@ def _defect(curve, k, chord, t0, big=1e9):
         return big
 
 
-def close_polygon(curve, k, t0=0.0, c_bracket=None, check_monotone=True):
+def close_polygon(curve, k, t0=0.0, check_monotone=True):
     """Chord c* whose k-step equal-chord march closes, and its polygon.
 
     Returns (points, ts, c_star). The closure defect is continuous and
@@ -184,17 +184,14 @@ def close_polygon(curve, k, t0=0.0, c_bracket=None, check_monotone=True):
     if k < 3:
         raise ConfigError(f"closure needs k >= 3, got {k}")
     ell = curve.total_length
-    if c_bracket is not None:
-        c_lo, c_hi = c_bracket
-    else:
-        c_lo = 0.25 * ell / k
-        c_hi = min(1.2 * ell / k, 0.98 * curve.diameter)
+    c_lo = 0.25 * ell / k
+    c_hi = min(1.2 * ell / k, 0.98 * curve.diameter)
+    d_hi = _defect(curve, k, c_hi, t0)
+    tries = 0
+    while d_hi < 0.0 and tries < 12:
+        c_hi = min(1.35 * c_hi, 0.98 * curve.diameter)
         d_hi = _defect(curve, k, c_hi, t0)
-        tries = 0
-        while d_hi < 0.0 and tries < 12:
-            c_hi = min(1.35 * c_hi, 0.98 * curve.diameter)
-            d_hi = _defect(curve, k, c_hi, t0)
-            tries += 1
+        tries += 1
     d_lo = _defect(curve, k, c_lo, t0)
     d_hi = _defect(curve, k, c_hi, t0)
     if not (d_lo < 0.0 < d_hi):
@@ -256,7 +253,7 @@ def _min_defect_over_t0(curve, k, delta, t0_hint=None, coarse=16, xatol=1e-9):
     return best_v, best_t
 
 
-def _critical_delta(dom, k, t0_samples=16, xtol=1e-12):
+def _critical_delta(dom, k, t0_samples=16):
     """Root of min_t0 defect(delta, t0, chord=2*delta) in delta; returns
     (delta_star, points, ts). Accepts any k >= 3; evenness is enforced
     by the public wrapper."""
@@ -291,7 +288,7 @@ def _critical_delta(dom, k, t0_samples=16, xtol=1e-12):
             f"no critical offset for k={k}: defect spans "
             f"{g_lo:.3e} .. {g_hi:.3e} on ({d_lo:.4g}, {d_hi:.4g})"
         )
-    delta_star = brentq(g, d_lo, d_hi, xtol=xtol, rtol=8.9e-16, maxiter=200)
+    delta_star = brentq(g, d_lo, d_hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
     gamma = inner_parallel_curve(bd, delta_star)
     _, t0 = _min_defect_over_t0(
         gamma, k, delta_star, t0_hint=state["t0"], coarse=t0_samples, xatol=1e-12

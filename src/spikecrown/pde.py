@@ -37,6 +37,10 @@ _LEG_DIR = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
 _LEG_SHIFT = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 _OPP = [1, 0, 3, 2]
 
+# newton_solve converges below this sup residual, within _NEWTON_MAX_ITER
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 50
+
 
 class Grid2D:
     """Cut-cell lattice over a convex domain.
@@ -60,8 +64,6 @@ class Grid2D:
         self.theta = theta
         self.is_adjacent = (nbr < 0).any(axis=1)
         self.n_nodes = len(xy)
-        self.n_adjacent = int(self.is_adjacent.sum())
-        self.n_interior = self.n_nodes - self.n_adjacent
         self._op_cache = {}
 
     def abs_index(self):
@@ -236,8 +238,8 @@ class _Operator:
             self._lu = spla.splu(self.A.tocsc())
         return self._lu
 
-    def solve(self, b, rtol=1e-11, what="linear solve"):
-        return _refine_solve(self.lu, self.A, b, rtol, what)
+    def solve(self, b, what="linear solve"):
+        return _refine_solve(self.lu, self.A, b, 1e-11, what)
 
 
 def _refine_solve(lu, A, b, rtol, what):
@@ -260,10 +262,6 @@ def _refine_solve(lu, A, b, rtol, what):
             return x
         x = x + lu.solve(r)
     raise LinearSolveError(f"{what}: backward error {rel:.2e} > {rtol:.0e}")
-
-
-def _solve_sparse(A, b, rtol, what):
-    return _refine_solve(spla.splu(A.tocsc()), A, b, rtol, what)
 
 
 def _require_resolution(grid, eps):
@@ -361,7 +359,7 @@ def residual_norm(grid, nl, eps, fld):
     return sup, l2
 
 
-def newton_solve(grid, nl, eps, init, tol=1e-10, max_iter=50):
+def newton_solve(grid, nl, eps, init):
     """Damped Newton for the discrete spike equation.
 
     Jacobian = eps^2*Lap_h - I + diag(f'(v)). A spike cluster has
@@ -396,7 +394,8 @@ def newton_solve(grid, nl, eps, init, tol=1e-10, max_iter=50):
     at any step length.
 
     Stage 2 escalates mu when both fail, shortening the step toward
-    steepest descent. All linear solves carry iterative refinement to
+    steepest descent; it starts at 8x the stage-0 mu, whose step was
+    just rejected. All linear solves carry iterative refinement to
     1e-12 normwise backward error. f' is patched to 0 below
     |v| = 1e-14: for p < 3 the true f' has unbounded slope at 0 and
     the patch removes far-field noise.
@@ -414,8 +413,8 @@ def newton_solve(grid, nl, eps, init, tol=1e-10, max_iter=50):
     history = [sup]
     sup0 = sup
     mu_floor = 1e-8
-    for _ in range(max_iter):
-        if sup < tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if sup < _NEWTON_TOL:
             return DiscreteField(grid, eps, v), np.array(history)
         if not np.isfinite(sup) or sup > 1e6 * (sup0 + 1.0):
             raise DivergenceError(
@@ -433,7 +432,7 @@ def newton_solve(grid, nl, eps, init, tol=1e-10, max_iter=50):
         alpha = 1.0
         mu = mu_floor
         stage = 0
-        for _trial in range(20):
+        for _trial in range(19):
             if stage == 1:
                 # line search along the unregularized direction: solve
                 # J itself (the normal equations square the conditioning
@@ -478,6 +477,7 @@ def newton_solve(grid, nl, eps, init, tol=1e-10, max_iter=50):
                 alpha *= 0.5
                 if alpha < 2.0 ** -11:
                     stage = 2
+                    mu = 8.0 * mu_floor
             else:
                 mu *= 8.0
         if not accepted:
@@ -486,10 +486,10 @@ def newton_solve(grid, nl, eps, init, tol=1e-10, max_iter=50):
             )
         v, r, sup = v_try, r_try, sup_try
         history.append(sup)
-    if sup < tol:
+    if sup < _NEWTON_TOL:
         return DiscreteField(grid, eps, v), np.array(history)
     raise NewtonStallError(
-        f"no convergence in {max_iter} iterations (residual {sup:.3e})"
+        f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {sup:.3e})"
     )
 
 

@@ -26,6 +26,9 @@ from .errors import (
 )
 
 _LOG_HALF = float(np.log(0.5))
+# minimize_energy stops below this gradient norm, or after _MAX_ITER steps
+_GRAD_TOL = 1e-9
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,7 @@ def _config_like(config, pts):
     return SimpleNamespace(points=pts, signs=signs)
 
 
-def minimize_energy(model, init, grad_tol=1e-9, max_iter=500):
+def minimize_energy(model, init):
     """Minimize the rescaled energy over the admissible set.
 
     BFGS on the 2k spike coordinates; steps leaving the admissible set
@@ -310,11 +313,11 @@ def minimize_energy(model, init, grad_tol=1e-9, max_iter=500):
     g = grad(x)
     H = np.eye(x.size)
     trace = []
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         gn = float(np.linalg.norm(g))
         log_e, _, _ = evaluate_energy(model, _config_like(init, x.reshape(-1, 2)), check=False)
         trace.append((it, log_e, gn) + geometry_row(x))
-        if gn < grad_tol:
+        if gn < _GRAD_TOL:
             break
         d = -H @ g
         if float(d @ g) >= 0.0:

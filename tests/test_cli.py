@@ -8,18 +8,21 @@ Oracles: closed-form circle quantities, the profile amplitude from the
 written header, and byte comparison of rerun artifacts.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spikecrown
-from spikecrown import cli
-from spikecrown.errors import ConfigError
+from spikecrown import cli, pde
+from spikecrown import geometry as geo
+from spikecrown.errors import ConfigError, NumericalError
 from spikecrown.ground_state import load_profile
 
 SQRT2M1 = 0.41421356237309503  # critical offset of the k=4 crown on the unit disk
@@ -114,6 +117,54 @@ def test_seed_override_validated(tmp_path):
     code = cli.main(["pack", "--config", str(job), "--out", str(tmp_path),
                      "--seed", "-1"])
     assert code == 2
+
+
+def test_config_object_validates_itself():
+    # the checks live on JobConfig, so a replaced field is checked too
+    with pytest.raises(ConfigError, match="seed must fit in 64 bits"):
+        cli.JobConfig(seed=-1)
+    cfg = cli.config_from_dict({"k": 4})
+    with pytest.raises(ConfigError, match="h_divisor must be positive"):
+        dataclasses.replace(cfg, h_divisor=0.0)
+
+
+def test_continuation_is_a_solve_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pack", "--continuation", "--config",
+                  str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+# ------------------------------------------------- acceptance helpers
+
+def _grid(center):
+    dom = geo.PlanarDomain(geo.circle(1.0, center=center))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return pde.discretize(dom, 0.04)
+
+
+def test_dihedral_defect_matches_node_lookup():
+    grid = _grid((0.0, 0.0))
+    vals = np.random.default_rng(3).standard_normal(grid.n_nodes)
+    fld = pde.DiscreteField(grid, 0.16, vals)
+    # oracle: look each mapped node up by its lattice coordinates
+    lut = {(int(i), int(j)): r for r, (i, j) in enumerate(grid.abs_index())}
+    worst = 0.0
+    for T in (lambda i, j: (-j, i), lambda i, j: (-i, -j),
+              lambda i, j: (j, -i), lambda i, j: (i, -j),
+              lambda i, j: (-i, j), lambda i, j: (j, i),
+              lambda i, j: (-j, -i)):
+        perm = [lut[T(int(i), int(j))] for i, j in grid.abs_index()]
+        worst = max(worst, float(np.abs(vals[perm] - vals).max()))
+    assert cli._dihedral_defect(grid, fld) == worst
+
+
+def test_dihedral_defect_off_center_is_numerical_error():
+    grid = _grid((0.3, 0.1))
+    fld = pde.DiscreteField(grid, 0.16, np.zeros(grid.n_nodes))
+    with pytest.raises(NumericalError, match="symmetry map"):
+        cli._dihedral_defect(grid, fld)
 
 
 # --------------------------------------------------------- ground-state

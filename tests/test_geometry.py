@@ -26,14 +26,14 @@ def ell21():
 
 
 def test_circle_length(unit_circle):
-    assert abs(geo.curve_length(unit_circle) - 2 * np.pi) < 1e-10
+    assert abs(unit_circle.total_length - 2 * np.pi) < 1e-10
 
 
 def test_ellipse_length_matches_elliptic_integral(ell21):
     # perimeter of x^2/4 + y^2 = 1 is 8 E(m) with m = 1 - b^2/a^2
     exact = 8.0 * ellipe(0.75)
     assert abs(exact - 9.688448220547675) < 1e-12
-    assert abs(geo.curve_length(ell21) - exact) < 1e-7
+    assert abs(ell21.total_length - exact) < 1e-7
 
 
 def test_superellipse_length_refinement_stable():
@@ -45,13 +45,13 @@ def test_superellipse_length_refinement_stable():
 
 def test_signed_distance_circle_points(unit_circle):
     dom = geo.PlanarDomain(unit_circle)
-    assert geo.signed_distance(dom, (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
-    assert geo.signed_distance(dom, (0.5, 0.0)) == pytest.approx(-0.5, abs=1e-12)
+    assert dom.signed_distance((0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
+    assert dom.signed_distance((0.5, 0.0)) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_signed_distance_ellipse_center(ell21):
     dom = geo.PlanarDomain(ell21)
-    assert abs(geo.signed_distance(dom, (0.0, 0.0)) + 1.0) < 1e-8
+    assert abs(dom.signed_distance((0.0, 0.0)) + 1.0) < 1e-8
 
 
 def test_signed_distance_circle_batch_oracle(unit_circle):

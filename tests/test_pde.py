@@ -18,7 +18,8 @@ import spikecrown.geometry as geo
 import spikecrown.packing as pk
 import spikecrown.pde as pde
 import spikecrown.reduced_energy as red
-from spikecrown.errors import ConfigError, NumericalError, PeakCountError
+from spikecrown.errors import (ConfigError, NewtonStallError, NumericalError,
+                               PeakCountError)
 from spikecrown.ground_state import normalization_constants
 from spikecrown.nonlinearity import Nonlinearity
 
@@ -201,6 +202,23 @@ def test_newton_zero_init_stays_zero(grid_m):
     sol, hist = pde.newton_solve(grid_m, NL, 0.1, zero_field(grid_m))
     assert sol.sup_norm() == 0.0
     assert hist.tolist() == [0.0]
+
+
+def test_newton_ladder_factorizes_each_matrix_once(grid_m, monkeypatch):
+    # unit-variance noise exhausts all three damping stages; stage 2 must
+    # start above the stage-0 damping it follows, not repeat its matrix
+    seen = []
+    real_splu = pde.spla.splu
+
+    def splu(M):
+        seen.append((M.data.tobytes(), M.indices.tobytes(), M.indptr.tobytes()))
+        return real_splu(M)
+
+    monkeypatch.setattr(pde, "spla", SimpleNamespace(splu=splu))
+    noise = np.random.default_rng(1).standard_normal(grid_m.n_nodes)
+    with pytest.raises(NewtonStallError, match="damping exhausted"):
+        pde.newton_solve(grid_m, NL, 0.1, pde.DiscreteField(grid_m, 0.1, noise))
+    assert len(set(seen)) == len(seen)
 
 
 def test_newton_single_spike(singles, profile_p3n2):
