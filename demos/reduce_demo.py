@@ -38,8 +38,8 @@ def main():
     init = pk.make_configuration(
         disk, np.array([gamma.point(t) for t in shifted]), signs=crown.signs)
 
-    cfg_min, log_min, trace = red.minimize_energy(model, init)
-    print(f"\nminimized in {int(trace[-1][0])} iterations, "
+    cfg_min, log_min, trace, stop = red.minimize_energy(model, init)
+    print(f"\nminimized in {int(trace[-1][0])} iterations (stop: {stop}), "
           f"log|S| = {log_min:.6f}")
     print("last trace rows (iter, log_M, grad_norm, min_chord, min_dist):")
     for row in trace[-3:]:

@@ -31,8 +31,8 @@ def main():
 
     model = red.ReducedEnergyModel(disk, profile, eps, delta_star,
                                    delta_star / 10.0)
-    cfg_min, _, trace = red.minimize_energy(model, crown)
-    print(f"energy minimized in {int(trace[-1][0])} iterations")
+    cfg_min, _, trace, stop = red.minimize_energy(model, crown)
+    print(f"energy minimized in {int(trace[-1][0])} iterations (stop: {stop})")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

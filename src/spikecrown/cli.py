@@ -65,6 +65,10 @@ class JobConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("p", "N", "h_divisor", "seed"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"{key} must be a number, got {val!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.h_divisor <= 0:
@@ -80,7 +84,7 @@ def _as_float_tuple(key, val):
         raise ConfigError(f"{key} must be a list of numbers")
     try:
         return tuple(float(v) for v in val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a list of numbers") from None
 
 
@@ -101,13 +105,14 @@ def config_from_dict(raw):
         if data.get(key) is not None:
             try:
                 data[key] = float(data[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{key} must be a number") from None
     for key in ("N", "k", "seed"):
-        if data.get(key) is not None:
-            if isinstance(data[key], bool) or data[key] != int(data[key]):
-                raise ConfigError(f"{key} must be an integer")
-            data[key] = int(data[key])
+        val = data.get(key)
+        if isinstance(val, float) and val.is_integer():
+            data[key] = int(val)
+        elif val is not None and (isinstance(val, bool) or not isinstance(val, int)):
+            raise ConfigError(f"{key} must be an integer")
     return JobConfig(**data)
 
 
@@ -321,12 +326,10 @@ def run_reduce(cfg, out_dir):
         idx, eps = item
         grid = None
         if cfg.form == "psi_numeric":
-            grid = _quiet_grid(dom, eps / cfg.h_divisor)
+            grid = pde.discretize(dom, eps / cfg.h_divisor)
         model = red.ReducedEnergyModel(dom, profile, eps, delta_star, eta,
                                        form=cfg.form, grid=grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg_min, _, trace = red.minimize_energy(model, crown)
+        cfg_min, _, trace, stop = red.minimize_energy(model, crown)
         tag = f"{idx:03d}"
         _write_csv(os.path.join(out_dir, f"trace_{tag}.csv"),
                    ("iter", "log_M", "grad_norm", "min_chord", "min_dist"),
@@ -342,6 +345,7 @@ def run_reduce(cfg, out_dir):
                "log_M": log_abs,
                "energy_sign": int(sign),
                "iterations": int(trace[-1][0]),
+               "stop": stop,
                "checks": {"admissible": bool(rep),
                           "max_depth_dev": float(np.abs(depths - delta_star).max()),
                           "max_chord_dev": float(np.abs(chords - 2.0 * delta_star).max()),
@@ -351,7 +355,10 @@ def run_reduce(cfg, out_dir):
         return {"eps": eps, "file": f"reduce_{tag}.json", "log_M": log_abs,
                 "iterations": int(trace[-1][0])}
 
-    jobs = _map_jobs(one, list(enumerate(eps_list)))
+    # quiet jobs; the filter list is process-wide, so set it here, not in a worker
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        jobs = _map_jobs(one, list(enumerate(eps_list)))
     _write_json(os.path.join(out_dir, "reduce.json"),
                 {"jobs": jobs, **_stamp(cfg)})
     return jobs
@@ -383,7 +390,7 @@ def run_solve(cfg, out_dir, continuation=False):
     nl = Nonlinearity(p=cfg.p, dim_n=2)
 
     def one(idx, eps, init_config):
-        grid = _quiet_grid(dom, eps / cfg.h_divisor)
+        grid = pde.discretize(dom, eps / cfg.h_divisor)
         ansatz = pde.assemble_ansatz(grid, profile, eps, init_config)
         sol, hist = pde.newton_solve(grid, nl, eps, ansatz)
         peaks = pde.extract_peaks(grid, sol, expected=k)
@@ -409,21 +416,22 @@ def run_solve(cfg, out_dir, continuation=False):
                        "final_residual": float(hist[-1])}
 
     summaries = [None] * len(eps_list)
-    if continuation:
-        # hard cases: walk the eps list top down, seeding each run with
-        # the peak locations found at the previous (larger) eps
-        prev = None
-        for idx in sorted(range(len(eps_list)), key=lambda i: -eps_list[i]):
-            init = configs[idx]
-            if prev is not None:
-                init = pk.make_configuration(dom, prev[0], prev[1])
-            peaks, summaries[idx] = one(idx, eps_list[idx], init)
-            prev = (np.array([loc for loc, _, _ in peaks]),
-                    np.array([sg for _, sg, _ in peaks], dtype=int))
-    else:
-        results = _map_jobs(lambda it: one(it[0], it[1], configs[it[0]])[1],
-                            list(enumerate(eps_list)))
-        summaries = list(results)
+    with warnings.catch_warnings():  # in this thread, as in run_reduce
+        warnings.simplefilter("ignore")
+        if continuation:
+            # hard cases: walk the eps list top down, seeding each run with
+            # the peak locations found at the previous (larger) eps
+            prev = None
+            for idx in sorted(range(len(eps_list)), key=lambda i: -eps_list[i]):
+                init = configs[idx]
+                if prev is not None:
+                    init = pk.make_configuration(dom, prev[0], prev[1])
+                peaks, summaries[idx] = one(idx, eps_list[idx], init)
+                prev = (np.array([loc for loc, _, _ in peaks]),
+                        np.array([sg for _, sg, _ in peaks], dtype=int))
+        else:
+            summaries = _map_jobs(lambda it: one(it[0], it[1], configs[it[0]])[1],
+                                  list(enumerate(eps_list)))
     _write_json(os.path.join(out_dir, "solve.json"),
                 {"jobs": summaries, "continuation": bool(continuation),
                  **_stamp(cfg)})
@@ -633,7 +641,7 @@ def _criterion_minimizer_location(profile, dom, delta_star, crown):
     init = _rotated_crown(dom, crown, delta_star, eta / 4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cfg_min, _, _ = red.minimize_energy(model, init)
+        cfg_min = red.minimize_energy(model, init)[0]
     pts = cfg_min.points
     depths = -dom.signed_distance(pts)
     chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)

@@ -411,14 +411,10 @@ class PlanarDomain:
         self.boundary = boundary
         self._inradius = None
 
-    def signed_distance(self, x):
-        """Distance to the boundary, negative inside. Accepts a single
-        point or an (n,2) batch; never raises on medial-axis points."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
-        X = np.atleast_2d(x)
-        if not np.all(np.isfinite(X)):
-            raise ConfigError("query points must be finite")
+    def _foot(self, X, polish=3, tol=0.0):
+        """Parameter of the nearest boundary point to each row of X: the
+        parabolic vertex at the nearest table node, then up to `polish`
+        steps, stopping once no step exceeds tol."""
         bd = self.boundary
         n = bd._n
         _, j = bd.kdtree.query(X)
@@ -443,18 +439,36 @@ class PlanarDomain:
         # kappa*d: essentially one-shot near the boundary (where accuracy
         # matters), and harmlessly slow only near focal points (where the
         # distance value is insensitive to t).
-        for _ in range(3):
+        for _ in range(polish):
             diff = bd.point(t_star) - X
             d1 = bd.d1(t_star)
-            t_star = t_star - np.einsum("ij,ij->i", diff, d1) / np.einsum(
-                "ij,ij->i", d1, d1
-            )
+            step = np.einsum("ij,ij->i", diff, d1) / np.einsum("ij,ij->i", d1, d1)
+            t_star = t_star - step
+            if np.abs(step).max() <= tol:
+                break
+        return t_star
+
+    def signed_distance(self, x):
+        """Distance to the boundary, negative inside. Accepts a single
+        point or an (n,2) batch; never raises on medial-axis points."""
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 1
+        X = np.atleast_2d(x)
+        if not np.all(np.isfinite(X)):
+            raise ConfigError("query points must be finite")
+        bd = self.boundary
+        t_star = self._foot(X)
         proj = bd.point(t_star)
         diff = X - proj
         dist = np.linalg.norm(diff, axis=1)
         side = np.einsum("ij,ij->i", bd.normal(t_star), diff)
         out = np.where(side >= 0.0, dist, -dist)
         return float(out[0]) if scalar else out
+
+    def foot_normals(self, X):
+        """Outward normal at the nearest boundary point of each row of X, the
+        depth gradient's negative; unlike the distance it needs a converged foot."""
+        return self.boundary.normal(self._foot(X, polish=200, tol=1e-15))
 
     @property
     def centroid(self):
@@ -674,12 +688,3 @@ def contraction_check(curve, delta_sep, eta_max, n_samples, seed=0):
         )
     return report
 
-
-def eikonal_defect(dom, x, step=1e-5):
-    """|grad signed_distance| - 1 by central differences; diagnostic."""
-    x = np.asarray(x, dtype=float)
-    e1 = np.array([step, 0.0])
-    e2 = np.array([0.0, step])
-    gx = (dom.signed_distance(x + e1) - dom.signed_distance(x - e1)) / (2 * step)
-    gy = (dom.signed_distance(x + e2) - dom.signed_distance(x - e2)) / (2 * step)
-    return float(np.hypot(gx, gy) - 1.0)

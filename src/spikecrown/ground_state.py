@@ -151,47 +151,50 @@ class RadialProfile:
     def _tail_parts(self, r):
         return _tail_value_deriv(self.p, self.dim_n, self.decay_A, r)
 
-    def value(self, r):
+    def _split(self, r, near, far):
+        """near(r) up to r_tail, far(r) beyond; a scalar r gives a scalar."""
         r = _check_radius(r)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         out = np.empty_like(r)
         low = r <= self.r_tail
         if low.any():
-            out[low] = self._spline(r[low])
+            out[low] = near(r[low])
         if (~low).any():
-            out[~low] = self._tail_parts(r[~low])[0]
+            out[~low] = far(r[~low])
         return out[0] if scalar else out
 
+    def value(self, r):
+        return self._split(r, self._spline, lambda rt: self._tail_parts(rt)[0])
+
     def derivative(self, r):
-        r = _check_radius(r)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        low = r <= self.r_tail
-        if low.any():
-            out[low] = self._dspline(r[low])
-        if (~low).any():
-            out[~low] = self._tail_parts(r[~low])[1]
-        return out[0] if scalar else out
+        return self._split(r, self._dspline, lambda rt: self._tail_parts(rt)[1])
 
     def log_value(self, r):
         """log w(r), finite far beyond double-precision underflow."""
-        r = _check_radius(r)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        low = r <= self.r_tail
-        if low.any():
-            out[low] = np.log(self._spline(r[low]))
-        if (~low).any():
-            rt = r[~low]
-            nu, C, B, q = _tail_coeffs(self.p, self.dim_n, self.decay_A)
-            kv_scaled = kve(nu, rt)
-            log_lin = np.log(C) - nu * np.log(rt) + np.log(kv_scaled) - rt
-            ratio = (B / C) * np.exp(-(self.p - 2.0) * rt) * rt ** (nu - q) / kv_scaled
-            out[~low] = log_lin + np.log1p(ratio)
-        return out[0] if scalar else out
+        return self._split(r, lambda x: np.log(self._spline(x)), self._log_tail)
+
+    def log_derivative(self, r):
+        """w'(r)/w(r), finite far beyond double-precision underflow."""
+        return self._split(r, lambda x: self._dspline(x) / self._spline(x),
+                           self._log_derivative_tail)
+
+    def _tail_terms(self, rt):
+        """The far field as lin * (1 + ratio), lin = C rt^-nu kve(nu, rt) e^-rt
+        and ratio = corr/lin (see _tail_value_deriv): nu, C, q, kve, ratio."""
+        nu, C, B, q = _tail_coeffs(self.p, self.dim_n, self.decay_A)
+        kv_scaled = kve(nu, rt)
+        ratio = (B / C) * np.exp(-(self.p - 2.0) * rt) * rt ** (nu - q) / kv_scaled
+        return nu, C, q, kv_scaled, ratio
+
+    def _log_tail(self, rt):
+        nu, C, _, kv_scaled, ratio = self._tail_terms(rt)
+        return np.log(C) - nu * np.log(rt) + np.log(kv_scaled) - rt + np.log1p(ratio)
+
+    def _log_derivative_tail(self, rt):
+        # (lin' + corr') / (lin + corr), divided through by lin
+        nu, _, q, kv_scaled, ratio = self._tail_terms(rt)
+        return (-kve(nu + 1.0, rt) / kv_scaled - ratio * (self.p - 1.0 + q / rt)) / (1.0 + ratio)
 
 
 def _check_radius(r):
@@ -302,26 +305,6 @@ def shoot(nl: Nonlinearity, h_r: float = 0.005):
     if profile is None:
         raise DecayFitError("far-field formula never matched the table to 1e-6")
     return profile
-
-
-def decay_constant(profile: RadialProfile):
-    """Refit the decay constant from the tabulated plateau on [12, 18].
-
-    Independent of the constant stored at shoot time: least squares of
-    w r^{(N-1)/2} e^r against 1 and 1/r. Spread above 1e-2 relative
-    signals an unconverged shot.
-    """
-    m = (profile.dim_n - 1) / 2.0
-    sel = (profile.r_grid >= 12.0) & (profile.r_grid <= 18.0)
-    r = profile.r_grid[sel]
-    g = profile.w_values[sel] * r**m * np.exp(r)
-    design = np.column_stack([np.ones_like(r), 1.0 / r])
-    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
-    fitted = design @ coef
-    spread = np.max(np.abs(g - fitted)) / abs(coef[0])
-    if spread > 1e-2:
-        raise DecayFitError(f"plateau spread {spread:.2e} exceeds 1e-2")
-    return float(coef[0]), float(spread)
 
 
 def _quad_checked(fun, a, b, points=None, what=""):

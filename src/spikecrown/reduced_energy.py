@@ -13,12 +13,13 @@ is O(1) on configurations near the target crown.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from . import pde
+from .packing import SpikeConfiguration
 from .errors import (
     BoundaryTrappedError,
     CancellationWarning,
@@ -90,15 +91,37 @@ def boundary_exponent(model, P):
     P = np.asarray(P, dtype=float)
     if P.shape != (2,) or not np.all(np.isfinite(P)):
         raise ConfigError(f"point must be a finite pair, got {P!r}")
-    depth = -float(model.dom.signed_distance(P))
-    if depth < model.eta:
-        raise ConfigError(
-            f"point at depth {depth:.4g} is shallower than the margin {model.eta}"
-        )
+    return float(_exponents(model, P[None])[0])
+
+
+def _exponents(model, pts):
+    """psi at each row of pts, from one batched depth query."""
+    depths = -model.dom.signed_distance(pts)
+    if depths.min() < model.eta:
+        raise ConfigError(f"point at depth {depths.min():.4g} is shallower "
+                          f"than the margin {model.eta}")
     if model.form == "leading":
-        return 2.0 * depth
-    _, psi = pde.boundary_correction(model.grid, model.profile, model.epsilon, P)
-    return psi
+        return 2.0 * depths
+    return np.array([pde.boundary_correction(model.grid, model.profile, model.epsilon, p)[1]
+                     for p in pts])
+
+
+def _exponent_slopes(model, pts):
+    """grad psi at each row of pts, shape (k, 2); see energy_gradient."""
+    if model.form == "leading":
+        return -2.0 * model.dom.foot_normals(pts)
+    h = max(1e-7, model.epsilon * 1e-5)
+    rows = [[boundary_exponent(model, p + e) - boundary_exponent(model, p - e)
+             for e in h * np.eye(2)] for p in pts]
+    return np.array(rows) / (2.0 * h)
+
+
+def _pair_distances(pts):
+    """(i, j, |P_i - P_j|) over i < j. vecdot runs the dot kernel of the
+    one-point np.linalg.norm, so distances match it bit for bit."""
+    iu, ju = np.triu_indices(len(pts), 1)
+    diff = pts[iu] - pts[ju]
+    return iu, ju, np.sqrt(np.vecdot(diff, diff))
 
 
 @dataclass(frozen=True)
@@ -134,7 +157,10 @@ def in_configuration_set(model, config):
     curve, and |P_i - P_j| > 2*delta - eta for every pair. Returns a
     report naming the first failed condition.
     """
-    pts = np.asarray(config.points, dtype=float)
+    return _membership(model, np.asarray(config.points, dtype=float))
+
+
+def _membership(model, pts):
     k = len(pts)
     depths = -model.dom.signed_distance(pts)
     lo, hi = model.delta - model.eta, model.delta + model.eta
@@ -166,34 +192,30 @@ def in_configuration_set(model, config):
     return MembershipReport(True)
 
 
+def _require_admissible(model, pts, what="configuration"):
+    rep = _membership(model, pts)
+    if not rep:
+        raise ConfigError(f"{what} not admissible ({rep.reason}): {rep.detail}")
+
+
 def _signed_terms(model, pts, signs):
     """Log-space terms of S: (positive logs, negative logs, breakdown)."""
-    eps = model.epsilon
-    k = len(pts)
-    log_b = np.empty(k)
-    for i in range(k):
-        log_b[i] = _LOG_HALF - boundary_exponent(model, pts[i]) / eps
-    pos = list(log_b)
-    neg = []
-    rep, att = [], []
-    for i in range(k):
-        for j in range(i + 1, k):
-            lw = float(model.profile.log_value(np.linalg.norm(pts[i] - pts[j]) / eps))
-            if signs[i] * signs[j] < 0:
-                rep.append((i, j, lw))
-                pos.append(lw)
-            else:
-                att.append((i, j, lw))
-                neg.append(lw)
-    return pos, neg, EnergyBreakdown(log_b, rep, att)
+    log_b = _LOG_HALF - _exponents(model, pts) / model.epsilon
+    iu, ju, r = _pair_distances(pts)
+    lw = model.profile.log_value(r / model.epsilon)
+    repulsive = signs[iu] * signs[ju] < 0
+    rows = list(zip(iu.tolist(), ju.tolist(), lw.tolist(), repulsive))
+    breakdown = EnergyBreakdown(log_b, [r[:3] for r in rows if r[3]],
+                                [r[:3] for r in rows if not r[3]])
+    return np.concatenate([log_b, lw[repulsive]]), lw[~repulsive], breakdown
 
 
 def _combine(pos, neg):
     """Signed log-sum: (log|S|, sign). Warns on catastrophic cancellation."""
-    lp = np.logaddexp.reduce(np.asarray(pos))
-    if not neg:
+    lp = np.logaddexp.reduce(pos)
+    if neg.size == 0:
         return float(lp), 1
-    ln = np.logaddexp.reduce(np.asarray(neg))
+    ln = np.logaddexp.reduce(neg)
     m = max(lp, ln)
     a, b = np.exp(lp - m), np.exp(ln - m)
     diff = a - b
@@ -217,107 +239,89 @@ def evaluate_energy(model, config, check=True):
     defined for any interior points deeper than the margin.
     """
     pts = np.asarray(config.points, dtype=float)
-    signs = np.asarray(config.signs, dtype=int)
     if check:
-        rep = in_configuration_set(model, config)
-        if not rep:
-            raise ConfigError(f"configuration not admissible ({rep.reason}): {rep.detail}")
-    pos, neg, breakdown = _signed_terms(model, pts, signs)
-    log_abs, sign = _combine(pos, neg)
-    return log_abs, sign, breakdown
+        _require_admissible(model, pts)
+    pos, neg, breakdown = _signed_terms(model, pts, np.asarray(config.signs, dtype=int))
+    return (*_combine(pos, neg), breakdown)
 
 
-def _scaled_value(model, pts, signs):
-    """e^{2*delta/eps} * S, an O(1) number near the target crown."""
-    pos, neg, _ = _signed_terms(model, pts, signs)
-    log_abs, sign = _combine(pos, neg)
-    return sign * np.exp(log_abs + 2.0 * model.delta / model.epsilon)
+def energy_gradient(model, config):
+    """Gradient of the rescaled energy e^{2*delta/eps} * S, shape (2k,).
 
+    Closed form by the chain rule, in the energy's log arithmetic (w'/w
+    comes from the profile): spike i gets
 
-def energy_gradient(model, config, step=None):
-    """Central-difference gradient of the rescaled energy, shape (2k,).
+        -1/(2 eps) e^{(2 delta - psi_i)/eps} grad psi_i
+        - sum_j s_i s_j e^{2 delta/eps} w'(r_ij/eps)/eps (P_i - P_j)/r_ij
 
-    Differentiates e^{2*delta/eps} * S coordinate by coordinate with
-    step max(1e-7, eps*1e-5) unless overridden. Probe points skip the
-    admissibility check (they may poke marginally outside the set).
+    In the leading form grad psi = -2 * outward normal at the foot point.
+    In psi_numeric form it is the central difference of boundary_exponent
+    with step max(1e-7, eps*1e-5): four boundary-layer solves per spike
+    against the cached LU. Raises ConfigError off the admissible set.
     """
     pts = np.asarray(config.points, dtype=float)
-    signs = np.asarray(config.signs, dtype=int)
-    rep = in_configuration_set(model, config)
-    if not rep:
-        raise ConfigError(f"configuration not admissible ({rep.reason}): {rep.detail}")
-    if step is None:
-        step = max(1e-7, model.epsilon * 1e-5)
-    flat = pts.ravel()
-    g = np.empty(flat.size)
-    for c in range(flat.size):
-        fp = flat.copy()
-        fp[c] += step
-        tp = _scaled_value(model, fp.reshape(-1, 2), signs)
-        fm = flat.copy()
-        fm[c] -= step
-        tm = _scaled_value(model, fm.reshape(-1, 2), signs)
-        g[c] = (tp - tm) / (2.0 * step)
-    return g
+    _require_admissible(model, pts)
+    return _gradient(model, pts, np.asarray(config.signs, dtype=int))
 
 
-def _config_like(config, pts):
-    from types import SimpleNamespace
-
-    from .packing import SpikeConfiguration
-
-    signs = np.asarray(config.signs, dtype=int)
-    if len(pts) >= 2 and len(pts) % 2 == 0:
-        return SpikeConfiguration(pts, signs=signs)
-    return SimpleNamespace(points=pts, signs=signs)
+def _gradient(model, pts, signs):
+    eps = model.epsilon
+    shift = 2.0 * model.delta / eps
+    boundary = np.exp(shift - _exponents(model, pts) / eps) / (-2.0 * eps)
+    g = boundary[:, None] * _exponent_slopes(model, pts)
+    iu, ju, r = _pair_distances(pts)
+    coef = (-(signs[iu] * signs[ju]) * np.exp(model.profile.log_value(r / eps) + shift)
+            * model.profile.log_derivative(r / eps) / (eps * r))
+    pull = coef[:, None] * (pts[iu] - pts[ju])
+    np.add.at(g, iu, pull)
+    np.subtract.at(g, ju, pull)
+    return g.ravel()
 
 
 def minimize_energy(model, init):
     """Minimize the rescaled energy over the admissible set.
 
-    BFGS on the 2k spike coordinates; steps leaving the admissible set
-    are rejected by halving (up to 20 times). Returns (configuration,
-    log|S| at the minimizer, trace) where trace rows are (iteration,
-    log_energy, gradient_norm, min adjacent chord, min pair distance).
+    BFGS on the 2k spike coordinates with the closed-form gradient;
+    steps leaving the admissible set are rejected by halving (up to 20
+    times). Returns (SpikeConfiguration, log|S| at the minimizer, trace,
+    stop); trace rows are (iteration, log_energy, gradient_norm, min
+    adjacent chord, min pair distance), and stop is "gradient" (norm
+    below _GRAD_TOL), "step" (accepted step below 1e-12), "line_search"
+    (no admissible trial lowered the energy) or "max_iter" (_MAX_ITER
+    steps taken).
     A minimizer farther than 5*eps from the target crown distances gets
     a warning, not an error: the finite-eps minimizer drifts from the
     limit polygon at order eps.
     """
     pts0 = np.asarray(init.points, dtype=float)
     signs = np.asarray(init.signs, dtype=int)
-    rep = in_configuration_set(model, init)
-    if not rep:
-        raise ConfigError(f"init not admissible ({rep.reason}): {rep.detail}")
+    _require_admissible(model, pts0, "init")
     k = len(pts0)
 
-    def fval(x):
-        return _scaled_value(model, x.reshape(-1, 2), signs)
-
-    def grad(x):
-        return energy_gradient(model, _config_like(init, x.reshape(-1, 2)))
-
-    def admissible(x):
-        return bool(in_configuration_set(model, _config_like(init, x.reshape(-1, 2))))
+    def energy(x):
+        pos, neg, _ = _signed_terms(model, x.reshape(-1, 2), signs)
+        log_e, sign = _combine(pos, neg)
+        return log_e, sign * np.exp(log_e + 2.0 * model.delta / model.epsilon)
 
     def geometry_row(x):
         p = x.reshape(-1, 2)
         if k == 1:
             return np.nan, np.nan
         chords = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
-        dist = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
-        iu, ju = np.triu_indices(k, 1)
-        return float(chords.min()), float(dist[iu, ju].min())
+        return float(chords.min()), float(_pair_distances(p)[2].min())
 
     x = pts0.ravel().copy()
-    f = fval(x)
-    g = grad(x)
+    log_e, f = energy(x)
+    g = _gradient(model, pts0, signs)
     H = np.eye(x.size)
     trace = []
-    for it in range(_MAX_ITER):
+    step = np.inf
+    for it in range(_MAX_ITER + 1):
+        # the last trace row always describes the returned point
         gn = float(np.linalg.norm(g))
-        log_e, _, _ = evaluate_energy(model, _config_like(init, x.reshape(-1, 2)), check=False)
         trace.append((it, log_e, gn) + geometry_row(x))
-        if gn < _GRAD_TOL:
+        if gn < _GRAD_TOL or step < 1e-12 or it == _MAX_ITER:
+            stop = "gradient" if gn < _GRAD_TOL else "step" if step < 1e-12 else "max_iter"
             break
         d = -H @ g
         if float(d @ g) >= 0.0:
@@ -328,12 +332,13 @@ def minimize_energy(model, init):
         saw_admissible = False
         for _ in range(20):
             cand = x + alpha * d
-            if admissible(cand):
+            if _membership(model, cand.reshape(-1, 2)):
                 saw_admissible = True
-                f_cand = fval(cand)
-                if f_cand <= f + 1e-4 * alpha * float(d @ g):
+                log_cand, f_cand = energy(cand)
+                # f has ~1e-14 relative rounding (exp of a log-sum of size
+                # ~20); a strict test would stall once the decrease sinks below it
+                if f_cand <= f + 1e-4 * alpha * float(d @ g) + 1e-13 * abs(f):
                     x_new = cand
-                    f_new = f_cand
                     break
             alpha *= 0.5
         if x_new is None:
@@ -341,8 +346,9 @@ def minimize_energy(model, init):
                 raise BoundaryTrappedError(
                     "every step size leaves the admissible configuration set"
                 )
+            stop = "line_search"
             break
-        g_new = grad(x_new)
+        g_new = _gradient(model, x_new.reshape(-1, 2), signs)
         s = x_new - x
         y = g_new - g
         ys = float(y @ s)
@@ -350,12 +356,10 @@ def minimize_energy(model, init):
             rho = 1.0 / ys
             I = np.eye(x.size)
             H = (I - rho * np.outer(s, y)) @ H @ (I - rho * np.outer(y, s)) + rho * np.outer(s, s)
-        x, f, g = x_new, f_new, g_new
-        if float(np.linalg.norm(s)) < 1e-12:
-            break
+        x, log_e, f, g = x_new, log_cand, f_cand, g_new
+        step = float(np.linalg.norm(s))
 
     pts_min = x.reshape(-1, 2)
-    log_min, _, _ = evaluate_energy(model, _config_like(init, pts_min), check=False)
     depths = -model.dom.signed_distance(pts_min)
     drift = float(np.abs(depths - model.delta).max())
     if k >= 2:
@@ -367,4 +371,4 @@ def minimize_energy(model, init):
             f"(allowance 5*eps = {5 * model.epsilon:.4g})",
             stacklevel=2,
         )
-    return _config_like(init, pts_min), log_min, np.array(trace)
+    return SpikeConfiguration(pts_min, signs=signs), log_e, np.array(trace), stop

@@ -13,11 +13,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikecrown
 from spikecrown import cli, pde
@@ -89,6 +92,37 @@ def test_config_rejects_unknown_key():
 def test_config_rejects_bad_values(raw):
     with pytest.raises(ConfigError):
         cli.config_from_dict(raw)
+
+
+@pytest.mark.parametrize("key", ["seed", "p"])
+def test_null_number_is_config_error(tmp_path, key):
+    # a JSON null used to reach JobConfig unchecked: seed crashed with a
+    # TypeError traceback, p was accepted and pack ran to completion
+    write_job(tmp_path / "job.json", k=4, **{key: None})
+    r = run_cli(["pack", "--config", "job.json"], cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["type"] == "ConfigError"
+    assert key in err["error"]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(sorted(f.name for f in dataclasses.fields(cli.JobConfig))),
+    _JSON_VALUES))
+def test_fuzzed_config_is_job_or_config_error(raw):
+    try:
+        cfg = cli.config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, cli.JobConfig)
 
 
 def test_thread_cap_env(monkeypatch):
@@ -298,6 +332,7 @@ def test_reduce_result_schema(pipeline):
     assert doc["checks"]["max_depth_dev"] < 5 * eps
     assert doc["checks"]["max_chord_dev"] < 5 * eps
     assert doc["log_M"] < 0.0
+    assert doc["stop"] in ("gradient", "step", "line_search", "max_iter")
     assert len(doc["config_sha256"]) == 64
 
 
@@ -362,3 +397,29 @@ def test_continuation_walks_eps_downward(tmp_path):
     assert abs(eps[1] - SQRT2M1 / 8.0) < 1e-12
     for j in index["jobs"]:
         assert j["final_residual"] < 1e-10
+
+
+def test_pool_workers_never_enter_catch_warnings(tmp_path, monkeypatch):
+    # the warning filter list is process-wide and catch_warnings is not
+    # thread-safe, so only the calling thread may set it around the pool
+    cfg = cli.config_from_dict({"domain": {"kind": "circle", "radius": 1.0},
+                                "k": 4, "eps_fractions": [6.0, 7.0]})
+    out = str(tmp_path)
+    cli.run_pack(cfg, out)
+    cli.run_ground_state(cfg, out)
+    entries = []
+
+    class Recording(warnings.catch_warnings):
+        def __enter__(self):
+            entries.append(threading.current_thread())
+            return super().__enter__()
+
+    monkeypatch.setenv("SPIKE_CROWN_THREADS", "2")
+    monkeypatch.setattr(warnings, "catch_warnings", Recording)
+    # Newton is not under test: the ansatz stands in for the solution
+    monkeypatch.setattr(pde, "newton_solve",
+                        lambda grid, nl, eps, ansatz: (ansatz, [0.0]))
+    cli.run_reduce(cfg, out)
+    cli.run_solve(cfg, out)
+    assert entries
+    assert all(t is threading.current_thread() for t in entries)

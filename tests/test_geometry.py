@@ -122,11 +122,28 @@ def test_boundary_reflexivity(ell21):
     assert np.abs(dom.signed_distance(xb)).max() < 1e-9
 
 
+def distance_gradient(dom, x, step=1e-5):
+    """Oracle: grad signed_distance by central differences."""
+    x = np.asarray(x, dtype=float)
+    return np.array([(dom.signed_distance(x + e) - dom.signed_distance(x - e))
+                     / (2 * step) for e in step * np.eye(2)])
+
+
 def test_eikonal(unit_circle, ell21):
     for curve in (unit_circle, ell21):
         dom = geo.PlanarDomain(curve)
         for x in [(0.3, 0.4), (-0.2, 0.55), (0.6, -0.1)]:
-            assert abs(geo.eikonal_defect(dom, x)) < 1e-4
+            assert abs(np.linalg.norm(distance_gradient(dom, x)) - 1.0) < 1e-4
+
+
+def test_foot_normals_are_distance_gradient(unit_circle, ell21):
+    pts = np.array([(0.3, 0.4), (-0.2, 0.55), (0.6, -0.1), (0.05, -0.7)])
+    circ = geo.PlanarDomain(unit_circle)
+    radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    assert np.abs(circ.foot_normals(pts) - radial).max() < 1e-14
+    dom = geo.PlanarDomain(ell21)
+    oracle = np.array([distance_gradient(dom, x) for x in pts])
+    assert np.abs(dom.foot_normals(pts) - oracle).max() < 1e-8
 
 
 def test_convexity_margin_circle_closed_form(unit_circle):

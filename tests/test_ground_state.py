@@ -8,13 +8,32 @@ from conftest import closed_form_1d
 from spikecrown.errors import ConfigError, DecayFitError, NoGroundStateError
 from spikecrown.ground_state import (
     RadialProfile,
-    decay_constant,
     load_profile,
     normalization_constants,
     save_profile,
     shoot,
 )
 from spikecrown.nonlinearity import Nonlinearity
+
+
+def decay_constant(profile):
+    """Oracle: refit the decay constant from the tabulated plateau on [12, 18].
+
+    Independent of the constant stored at shoot time: least squares of
+    w r^{(N-1)/2} e^r against 1 and 1/r. Spread above 1e-2 relative
+    signals an unconverged shot.
+    """
+    m = (profile.dim_n - 1) / 2.0
+    sel = (profile.r_grid >= 12.0) & (profile.r_grid <= 18.0)
+    r = profile.r_grid[sel]
+    g = profile.w_values[sel] * r**m * np.exp(r)
+    design = np.column_stack([np.ones_like(r), 1.0 / r])
+    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
+    fitted = design @ coef
+    spread = np.max(np.abs(g - fitted)) / abs(coef[0])
+    if spread > 1e-2:
+        raise DecayFitError(f"plateau spread {spread:.2e} exceeds 1e-2")
+    return float(coef[0]), float(spread)
 
 
 def test_shoot_p3_closed_form(profile_p3n1):

@@ -79,7 +79,7 @@ def crown10(disk, profile_p3n2):
         warnings.simplefilter("ignore")
         g = pde.discretize(disk, eps / 4.0)
     model = red.ReducedEnergyModel(disk, profile_p3n2, eps, ds, ds / 10.0)
-    cfg_min, _, _ = red.minimize_energy(model, crown)
+    cfg_min = red.minimize_energy(model, crown)[0]
     ans_raw = pde.assemble_ansatz(g, profile_p3n2, eps, crown)
     ans_min = pde.assemble_ansatz(g, profile_p3n2, eps, cfg_min)
     sol, hist = pde.newton_solve(g, NL, eps, ans_min)

@@ -9,7 +9,8 @@ checkable by direct summation in extended precision. A single spike is
 pure boundary term. On the disk every crown quantity is symmetric, so
 tangential gradient components vanish and the minimizer must be a
 regular polygon; its radius is pinned only to O(eps), which is what the
-5*eps post-check encodes.
+5*eps post-check encodes. The closed-form gradient is checked against
+central differences of the whole energy (fd_gradient below).
 """
 
 import warnings
@@ -46,6 +47,29 @@ def crown8(disk):
 def model_for(disk, prof, eps, ds, eta=None):
     return re_.ReducedEnergyModel(disk, prof, eps, delta=ds,
                                   eta=ds / 10 if eta is None else eta)
+
+
+def fd_gradient(model, config, step=None):
+    """Oracle: central differences of the rescaled energy
+    e^{2*delta/eps} * S, coordinate by coordinate, with step
+    max(1e-7, eps*1e-5) unless given. Probe points skip the
+    admissibility check (they may poke marginally outside the set)."""
+    signs = np.asarray(config.signs, dtype=int)
+    if step is None:
+        step = max(1e-7, model.epsilon * 1e-5)
+
+    def scaled(flat):
+        cfg = SimpleNamespace(points=flat.reshape(-1, 2), signs=signs)
+        log_abs, sign, _ = re_.evaluate_energy(model, cfg, check=False)
+        return sign * np.exp(log_abs + 2.0 * model.delta / model.epsilon)
+
+    flat = np.asarray(config.points, dtype=float).ravel()
+    g = np.empty(flat.size)
+    for c in range(flat.size):
+        e = np.zeros(flat.size)
+        e[c] = step
+        g[c] = (scaled(flat + e) - scaled(flat - e)) / (2.0 * step)
+    return g
 
 
 # ------------------------------------------------------------------ model
@@ -311,10 +335,46 @@ def test_gradient_richardson_consistency(disk, crown8, profile_p3n2):
     pts += (ds / 200) * rng.standard_normal(pts.shape)
     cfg = SimpleNamespace(points=pts, signs=crown.signs)
     s = max(1e-7, m.epsilon * 1e-5)
-    g1 = re_.energy_gradient(m, cfg, step=s)
-    g2 = re_.energy_gradient(m, cfg, step=s / 2)
+    g1 = fd_gradient(m, cfg, step=s)
+    g2 = fd_gradient(m, cfg, step=s / 2)
     rich = (4.0 * g2 - g1) / 3.0
     assert np.linalg.norm(g1 - rich) < 1e-4 * np.linalg.norm(rich)
+
+
+def assert_matches_oracle(m, cfg):
+    g = re_.energy_gradient(m, cfg)
+    oracle = fd_gradient(m, cfg)
+    assert np.linalg.norm(g - oracle) < 1e-6 * np.linalg.norm(oracle)
+
+
+def test_gradient_matches_oracle_perturbed_disk_crown(disk, crown8, profile_p3n2):
+    ds, crown = crown8
+    m = model_for(disk, profile_p3n2, ds / 10, ds)
+    rng = np.random.default_rng(5)
+    pts = np.asarray(crown.points) + (ds / 200) * rng.standard_normal((8, 2))
+    assert_matches_oracle(m, SimpleNamespace(points=pts, signs=crown.signs))
+
+
+def test_gradient_matches_oracle_ellipse_crown(profile_p3n2):
+    egg = geo.PlanarDomain(geo.ellipse(1.5, 1.0))
+    ds, crown = pk.critical_distance(egg, 6)
+    m = re_.ReducedEnergyModel(egg, profile_p3n2, ds / 12, delta=ds, eta=ds / 4)
+    assert_matches_oracle(m, crown)
+
+
+def test_gradient_matches_oracle_psi_numeric(disk, profile_p3n2):
+    # coarse scale eps = delta*/5 on the k=4 disk crown keeps the grid
+    # small; the oracle costs 16 energies of 4 boundary-layer solves each
+    ds, crown = pk.critical_distance(disk, 4)
+    eps = ds / 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grid = pde.discretize(disk, eps / 4)
+    m = re_.ReducedEnergyModel(disk, profile_p3n2, eps, delta=ds, eta=ds / 10,
+                               form="psi_numeric", grid=grid)
+    rng = np.random.default_rng(7)
+    pts = np.asarray(crown.points) + (ds / 200) * rng.standard_normal((4, 2))
+    assert_matches_oracle(m, SimpleNamespace(points=pts, signs=crown.signs))
 
 
 def test_gradient_rejects_inadmissible(disk, crown8, profile_p3n2):
@@ -355,7 +415,7 @@ def test_minimize_from_rotated_crown(disk, crown8, profile_p3n2):
     ds, crown = crown8
     m = model_for(disk, profile_p3n2, ds / 10, ds)
     init = rotated_crown(disk, crown, ds, m.eta / 4)
-    cfg, log_min, trace = re_.minimize_energy(m, init)
+    cfg, log_min, trace, _ = re_.minimize_energy(m, init)
     pts = np.asarray(cfg.points)
     depth = -disk.signed_distance(pts)
     assert np.abs(depth - ds).max() < 5.0 * m.epsilon
@@ -371,17 +431,31 @@ def test_minimize_exact_crown_stops_fast(disk, crown8, profile_p3n2):
     # part actually vanishes by symmetry
     ds, crown = crown8
     m = model_for(disk, profile_p3n2, ds / 10, ds)
-    cfg, log_min, trace = re_.minimize_energy(m, crown)
+    cfg, log_min, trace, _ = re_.minimize_energy(m, crown)
     assert int(trace[-1][0]) <= 5
     assert trace[-1][2] < 1e-9
 
 
+@pytest.mark.parametrize("frac", [5.0, 6.0])
+def test_minimize_disk_k6_stops_on_gradient(disk, profile_p3n2, frac):
+    # the benchmark's reduce inputs: disk, k=6, leading form; the
+    # central-difference gradient stalled here at norms 8e-8 and 1.1e-7
+    ds, crown = pk.critical_distance(disk, 6)
+    m = model_for(disk, profile_p3n2, ds / frac, ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, _, trace, stop = re_.minimize_energy(m, crown)
+    assert stop == "gradient"
+    assert trace[-1][2] < 1e-9
+
+
 def test_minimize_trace_is_monotone_enough(disk, crown8, profile_p3n2):
-    # energy never increases along accepted BFGS steps
+    # energy never increases along accepted BFGS steps, beyond the
+    # rounding allowance of the line search (1e-13 relative)
     ds, crown = crown8
     m = model_for(disk, profile_p3n2, ds / 12, ds)
     init = rotated_crown(disk, crown, ds, m.eta / 4)
-    _, _, trace = re_.minimize_energy(m, init)
+    trace = re_.minimize_energy(m, init)[2]
     logs = trace[:, 1]
     assert np.all(np.diff(logs) < 1e-12)
 
@@ -395,8 +469,8 @@ def test_minimize_rotation_equivariance(disk, crown8, profile_p3n2):
     R = np.array([[c, -s], [s, c]])
     turned = pk.make_configuration(disk, np.asarray(base.points) @ R.T,
                                    signs=base.signs)
-    _, log_a, _ = re_.minimize_energy(m, base)
-    _, log_b, _ = re_.minimize_energy(m, turned)
+    log_a = re_.minimize_energy(m, base)[1]
+    log_b = re_.minimize_energy(m, turned)[1]
     assert abs(log_a - log_b) < 1e-10
 
 
@@ -404,7 +478,7 @@ def test_minimize_preserves_signs_and_membership(disk, crown8, profile_p3n2):
     ds, crown = crown8
     m = model_for(disk, profile_p3n2, ds / 12, ds)
     init = rotated_crown(disk, crown, ds, m.eta / 4)
-    cfg, _, _ = re_.minimize_energy(m, init)
+    cfg = re_.minimize_energy(m, init)[0]
     assert list(cfg.signs) == list(crown.signs)
     assert re_.in_configuration_set(m, cfg)
 
@@ -432,7 +506,7 @@ def test_minimize_ellipse_interior_beats_boundary(profile_p3n2):
     ds, crown = pk.critical_distance(egg, 6)
     eta = ds / 4
     m = re_.ReducedEnergyModel(egg, profile_p3n2, ds / 12, delta=ds, eta=eta)
-    cfg, log_min, _ = re_.minimize_energy(m, crown)
+    cfg, log_min, _, _ = re_.minimize_energy(m, crown)
     assert re_.in_configuration_set(m, cfg)
     assert list(cfg.signs) == [1, -1, 1, -1, 1, -1]
     pts = np.asarray(cfg.points)
