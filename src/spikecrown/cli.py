@@ -146,6 +146,16 @@ def _stamp(cfg):
     return {"config_sha256": config_digest(cfg), "version": __version__}
 
 
+# the config fields each reusable artifact is computed from
+_PACK_INPUTS = ("domain", "k", "delta0", "eta")
+_REDUCE_INPUTS = _PACK_INPUTS + ("p", "N", "form", "h_divisor")
+
+
+def _inputs(cfg, keys):
+    """Those fields as JSON reads them back, for recording and comparing."""
+    return json.loads(json.dumps({key: getattr(cfg, key) for key in keys}))
+
+
 # ------------------------------------------------------------ writers
 
 def _atomic_write(path, text):
@@ -264,7 +274,8 @@ def run_pack(cfg, out_dir, dom=None):
     _write_json(os.path.join(out_dir, "pack.json"),
                 {"k": k, "delta_star": delta_star, "eta": eta,
                  "sup_phi_boundary": sup_phi, "gap": gap,
-                 "n_samples": 10_000, "seed": cfg.seed, **_stamp(cfg)})
+                 "n_samples": 10_000, "seed": cfg.seed,
+                 "inputs": _inputs(cfg, _PACK_INPUTS), **_stamp(cfg)})
     return k, delta_star, eta, crown
 
 
@@ -277,7 +288,7 @@ def _load_or_make_pack(cfg, out_dir, dom):
         tab = np.genfromtxt(crown_path, delimiter=",", names=True)
         pts = np.stack([np.atleast_1d(tab["x"]), np.atleast_1d(tab["y"])], axis=1)
         signs = np.atleast_1d(tab["sign"]).astype(int)
-        if len(pts) == meta.get("k") and (cfg.k is None or cfg.k == meta["k"]):
+        if len(pts) == meta.get("k") and meta.get("inputs") == _inputs(cfg, _PACK_INPUTS):
             crown = pk.make_configuration(dom, pts, signs)
             return meta["k"], meta["delta_star"], meta["eta"], crown
     return run_pack(cfg, out_dir, dom)
@@ -350,6 +361,7 @@ def run_reduce(cfg, out_dir):
                           "max_depth_dev": float(np.abs(depths - delta_star).max()),
                           "max_chord_dev": float(np.abs(chords - 2.0 * delta_star).max()),
                           "grad_norm": float(trace[-1][2])},
+               "inputs": _inputs(cfg, _REDUCE_INPUTS),
                **_stamp(cfg)}
         _write_json(os.path.join(out_dir, f"reduce_{tag}.json"), doc)
         return {"eps": eps, "file": f"reduce_{tag}.json", "log_M": log_abs,
@@ -365,7 +377,8 @@ def run_reduce(cfg, out_dir):
 
 
 def _minimized_configs(cfg, out_dir, dom, eps_list):
-    """Reload per-eps minimizers if reduce already ran for this list."""
+    """Reload per-eps minimizers if reduce already ran for this list and
+    these inputs."""
     out = []
     for idx, eps in enumerate(eps_list):
         path = os.path.join(out_dir, f"reduce_{idx:03d}.json")
@@ -373,7 +386,8 @@ def _minimized_configs(cfg, out_dir, dom, eps_list):
             return None
         with open(path) as fh:
             doc = json.load(fh)
-        if not math.isclose(doc["eps"], eps, rel_tol=1e-12, abs_tol=0.0):
+        if (not math.isclose(doc["eps"], eps, rel_tol=1e-12, abs_tol=0.0)
+                or doc.get("inputs") != _inputs(cfg, _REDUCE_INPUTS)):
             return None
         out.append(pk.make_configuration(
             dom, np.asarray(doc["points"], dtype=float),

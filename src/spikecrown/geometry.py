@@ -208,7 +208,6 @@ class ConvexCurve:
             )
 
         self._tree = None
-        self._diameter = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -287,14 +286,6 @@ class ConvexCurve:
         if self._tree is None:
             self._tree = cKDTree(self.points)
         return self._tree
-
-    @property
-    def diameter(self):
-        if self._diameter is None:
-            sub = self.points[::4]
-            d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
-            self._diameter = float(np.sqrt(d2.max()))
-        return self._diameter
 
 
 # -- constructors -------------------------------------------------------------
@@ -465,10 +456,10 @@ class PlanarDomain:
         out = np.where(side >= 0.0, dist, -dist)
         return float(out[0]) if scalar else out
 
-    def foot_normals(self, X):
-        """Outward normal at the nearest boundary point of each row of X, the
-        depth gradient's negative; unlike the distance it needs a converged foot."""
-        return self.boundary.normal(self._foot(X, polish=200, tol=1e-15))
+    def foot(self, X):
+        """Converged parameter of the nearest boundary point to each row of
+        X; also its projection parameter on every inner parallel curve."""
+        return self._foot(X, polish=200, tol=1e-15)
 
     @property
     def centroid(self):

@@ -9,7 +9,6 @@ on the chord length, root-finds the critical offset, and samples the
 boundary strata of the admissible neighborhood for the gap property.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,8 @@ from .errors import (
     PropertyViolationError,
 )
 from .geometry import inner_parallel_curve, project_to_curve
+
+_INFEASIBLE = 1e9  # closure defect of a march whose chord cannot be placed
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,14 @@ def _first_chord_root(curve, t_cur, p_cur, chord):
 def equal_chord_march(curve, k, chord, t0=0.0):
     """March k equal chords from t0; returns (points, ts, defect).
 
-    ts has k+1 entries, unwrapped and strictly increasing; defect is the
-    total arclength advanced minus the curve length (negative when the
-    chord is too short to wrap once)."""
+    Each vertex is the first point ahead of the previous one at distance
+    chord. ts has k+1 entries, unwrapped and strictly increasing; defect
+    is the total arclength advanced minus the curve length (negative
+    when the chord is too short to wrap once). A chord that no point
+    ahead reaches raises ChordInfeasibleError."""
     chord = float(chord)
     if not chord > 0:
         raise ConfigError(f"chord must be positive, got {chord}")
-    if chord >= curve.diameter:
-        raise ChordInfeasibleError(
-            f"chord {chord} is not below the diameter {curve.diameter:.6g}"
-        )
     if not k >= 2:
         raise ConfigError(f"need at least 2 vertices, got {k}")
     ts = np.empty(k + 1)
@@ -166,53 +165,33 @@ def equal_chord_march(curve, k, chord, t0=0.0):
     return pts, ts, defect
 
 
-def _defect(curve, k, chord, t0, big=1e9):
+def _defect(curve, k, chord, t0):
     try:
         return equal_chord_march(curve, k, chord, t0)[2]
     except ChordInfeasibleError:
-        return big
+        return _INFEASIBLE
 
 
-def close_polygon(curve, k, t0=0.0, check_monotone=True):
-    """Chord c* whose k-step equal-chord march closes, and its polygon.
+def close_polygon(curve, k, t0=0.0):
+    """Chord c* whose k-step equal-chord march from t0 closes, and its
+    polygon; returns (points, ts, c_star).
 
-    Returns (points, ts, c_star). The closure defect is continuous and
-    increasing in c at these resolutions; that is spot-checked on the
-    bracket, and a detected non-monotone bracket falls back to an
-    exhaustive scan (with a warning) rather than trusting bisection.
+    One brentq on the fixed bracket (0.25*l/k, 1.2*l/k), l the curve
+    length; the upper march overshoots, as a chord is never longer than
+    its arc (or cannot be placed). The defect jumps where the march's
+    first root ahead jumps, and brentq may converge onto such a jump: a
+    march at c* that misses closure by over 1e-9*l raises ClosureError.
     """
     if k < 3:
         raise ConfigError(f"closure needs k >= 3, got {k}")
     ell = curve.total_length
-    c_lo = 0.25 * ell / k
-    c_hi = min(1.2 * ell / k, 0.98 * curve.diameter)
-    d_hi = _defect(curve, k, c_hi, t0)
-    tries = 0
-    while d_hi < 0.0 and tries < 12:
-        c_hi = min(1.35 * c_hi, 0.98 * curve.diameter)
-        d_hi = _defect(curve, k, c_hi, t0)
-        tries += 1
-    d_lo = _defect(curve, k, c_lo, t0)
-    d_hi = _defect(curve, k, c_hi, t0)
+    c_lo, c_hi = 0.25 * ell / k, 1.2 * ell / k
+    d_lo, d_hi = _defect(curve, k, c_lo, t0), _defect(curve, k, c_hi, t0)
     if not (d_lo < 0.0 < d_hi):
         raise ClosureError(
             f"closure defect has no sign change on chord bracket "
             f"({c_lo:.6g}, {c_hi:.6g}): {d_lo:.3e} .. {d_hi:.3e}"
         )
-    if check_monotone:
-        cs = np.linspace(c_lo, c_hi, 6)[1:-1]
-        ds = [_defect(curve, k, c, t0) for c in cs]
-        seq = [d_lo, *ds, d_hi]
-        if np.any(np.diff(seq) < -1e-12 * ell):
-            warnings.warn(
-                "closure defect not monotone on the bracket; "
-                "falling back to exhaustive chord scan",
-                stacklevel=2,
-            )
-            grid = np.linspace(c_lo, c_hi, 200)
-            dg = np.array([_defect(curve, k, c, t0) for c in grid])
-            j = int(np.nonzero((dg[:-1] < 0) & (dg[1:] >= 0))[0][0])
-            c_lo, c_hi = grid[j], grid[j + 1]
     c_star = brentq(
         lambda c: _defect(curve, k, c, t0),
         c_lo,
@@ -221,21 +200,19 @@ def close_polygon(curve, k, t0=0.0, check_monotone=True):
         rtol=8.9e-16,
         maxiter=300,
     )
-    pts, ts, _ = equal_chord_march(curve, k, c_star, t0)
+    pts, ts, defect = equal_chord_march(curve, k, c_star, t0)
+    if abs(defect) > 1e-9 * ell:
+        raise ClosureError(f"the march at chord {c_star:.12g} from t0={t0} "
+                           f"misses closure by {defect:.3e}")
     return pts, ts, float(c_star)
-
-
-def _close_defect_at(curve, k, delta, t0):
-    """Defect of the chord-2*delta march on the given offset curve."""
-    return _defect(curve, k, 2.0 * delta, t0)
 
 
 def _min_defect_over_t0(curve, k, delta, t0_hint=None, coarse=16, xatol=1e-9):
     """min over start parameters of the chord-2*delta closure defect."""
     if curve.kind == "circle":
-        return _close_defect_at(curve, k, delta, 0.0), 0.0
+        return _defect(curve, k, 2.0 * delta, 0.0), 0.0
     t_grid = np.arange(coarse) / coarse
-    vals = [_close_defect_at(curve, k, delta, t) for t in t_grid]
+    vals = [_defect(curve, k, 2.0 * delta, t) for t in t_grid]
     order = [t_grid[int(np.argmin(vals))]]
     if t0_hint is not None:
         order.append(t0_hint)
@@ -243,7 +220,7 @@ def _min_defect_over_t0(curve, k, delta, t0_hint=None, coarse=16, xatol=1e-9):
     w = 1.0 / coarse
     for tc in order:
         res = minimize_scalar(
-            lambda t: _close_defect_at(curve, k, delta, t),
+            lambda t: _defect(curve, k, 2.0 * delta, t),
             bounds=(tc - w, tc + w),
             method="bounded",
             options={"xatol": xatol},
@@ -273,7 +250,7 @@ def _critical_delta(dom, k, t0_samples=16):
 
     g_hi = g(d_hi)
     tries = 0
-    while not g_hi < 1e8 and tries < 10:  # chord infeasible at the top end
+    while not g_hi < _INFEASIBLE and tries < 10:  # chord infeasible at the top end
         d_hi = 0.5 * (d_hi + d_lo)
         g_hi = g(d_hi)
         tries += 1
@@ -352,35 +329,6 @@ def choose_spike_count(dom, delta0):
     return 2 * (int(np.floor(ratio / 2.0)) + 1)
 
 
-@dataclass
-class TwoPointReport:
-    passed: bool
-    counts: np.ndarray
-    delta: float
-    threshold_hint: str
-
-
-def two_point_check(curve, delta, n_samples=32):
-    """Count, for sampled P on the inner parallel curve at offset delta,
-    the parameter roots of |point(t) - P| = 2*delta. Exactly two roots
-    everywhere is the regime the crown construction relies on."""
-    gamma = inner_parallel_curve(curve, delta)
-    t_samples = np.arange(n_samples) / n_samples
-    counts = np.empty(n_samples, dtype=int)
-    for i, tp in enumerate(t_samples):
-        p = gamma.point(tp)
-        f = np.linalg.norm(gamma.points - p, axis=1) - 2.0 * delta
-        # each sign change of the cyclic nodal sequence is one crossing
-        counts[i] = int(np.count_nonzero(f * np.roll(f, -1) < 0.0))
-    return TwoPointReport(
-        passed=bool(np.all(counts == 2)),
-        counts=counts,
-        delta=float(delta),
-        threshold_hint="roots vanish once 2*delta exceeds the local reach "
-        "of the offset curve",
-    )
-
-
 def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     """Adversarial boundary-stratum family: a (k-1)-ring packed at its
     own critical offset (clamped into the depth tube) plus one point
@@ -396,7 +344,7 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     for _ in range(n_members):
         shift = rng.uniform(0.0, 1.0)
         try:
-            pts, ts, _ = close_polygon(gamma, k - 1, t0=shift, check_monotone=False)
+            pts, ts, _ = close_polygon(gamma, k - 1, t0=shift)
         except (ClosureError, ChordInfeasibleError):
             continue
         # deep point at the pinned stratum depth, in the largest gap
@@ -423,7 +371,7 @@ def boundary_gap_check(dom, k, delta_star, eta, n_samples=10_000, seed=0):
     rng = np.random.default_rng(seed)
     bd = dom.boundary
     gamma = inner_parallel_curve(bd, delta_star)
-    base_pts, base_ts, _ = close_polygon(gamma, k, check_monotone=False)
+    base_pts, base_ts, _ = close_polygon(gamma, k)
     base_t = np.mod(base_ts[:-1], 1.0)
 
     n_family = min(max(n_samples // 50, 8), 256)

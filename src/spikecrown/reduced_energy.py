@@ -24,6 +24,7 @@ from .errors import (
     BoundaryTrappedError,
     CancellationWarning,
     ConfigError,
+    ParallelCurveDegeneracyError,
 )
 
 _LOG_HALF = float(np.log(0.5))
@@ -39,7 +40,8 @@ class ReducedEnergyModel:
     form "leading" uses psi = 2*depth; "psi_numeric" measures psi from
     the discrete boundary layer and needs a grid resolving eps (h <=
     eps/4). delta is the target crown offset, eta the margin of the
-    admissible configuration set.
+    admissible configuration set; the inner parallel curve at delta must
+    not degenerate (delta * kappa_max < 1).
     """
 
     dom: geo.PlanarDomain
@@ -64,21 +66,15 @@ class ReducedEnergyModel:
             )
         if not (0.0 < eta < delta / 2.0):
             raise ConfigError(f"margin must satisfy 0 < eta < delta/2, got {eta}")
+        if delta * self.dom.boundary.kappa_max >= 1.0:
+            raise ParallelCurveDegeneracyError(
+                f"offset {delta} reaches 1/kappa_max; the inner parallel curve degenerates")
         if self.form not in ("leading", "psi_numeric"):
             raise ConfigError(f"unknown form {self.form!r}")
         if self.form == "psi_numeric":
             if self.grid is None:
                 raise ConfigError("psi_numeric form needs a grid")
             pde._require_resolution(self.grid, eps)
-
-    @property
-    def target_curve(self):
-        """Inner parallel curve at distance delta (cached)."""
-        cached = self.__dict__.get("_target_curve")
-        if cached is None:
-            cached = geo.inner_parallel_curve(self.dom.boundary, self.delta)
-            object.__setattr__(self, "_target_curve", cached)
-        return cached
 
 
 def boundary_exponent(model, P):
@@ -109,7 +105,7 @@ def _exponents(model, pts):
 def _exponent_slopes(model, pts):
     """grad psi at each row of pts, shape (k, 2); see energy_gradient."""
     if model.form == "leading":
-        return -2.0 * model.dom.foot_normals(pts)
+        return -2.0 * model.dom.boundary.normal(model.dom.foot(pts))
     h = max(1e-7, model.epsilon * 1e-5)
     rows = [[boundary_exponent(model, p + e) - boundary_exponent(model, p - e)
              for e in h * np.eye(2)] for p in pts]
@@ -153,9 +149,11 @@ def in_configuration_set(model, config):
     pair separation.
 
     The admissible set demands delta-eta < depth(P_i) < delta+eta,
-    strictly increasing cyclic order of the projections onto the target
-    curve, and |P_i - P_j| > 2*delta - eta for every pair. Returns a
-    report naming the first failed condition.
+    strictly increasing cyclic order of the projections onto the inner
+    parallel curve at delta, and |P_i - P_j| > 2*delta - eta for every
+    pair. That curve shares the boundary's parameter, so the projection
+    parameters are the boundary foot parameters (PlanarDomain.foot).
+    Returns a report naming the first failed condition.
     """
     return _membership(model, np.asarray(config.points, dtype=float))
 
@@ -171,8 +169,7 @@ def _membership(model, pts):
             )
     if k == 1:
         return MembershipReport(True)
-    gamma = model.target_curve
-    ts = np.array([geo.project_to_curve(gamma, p)[0] for p in pts])
+    ts = np.mod(model.dom.foot(pts), 1.0)
     gaps = np.mod(np.diff(ts, append=ts[0]), 1.0)
     if np.any(gaps < 1e-12) or abs(gaps.sum() - 1.0) > 1e-9:
         return MembershipReport(

@@ -285,6 +285,36 @@ def test_eps_above_scale_separation_rejected(tmp_path):
     assert "delta*/5" in r.stderr
 
 
+def test_reduce_recomputes_pack_for_another_domain(tmp_path):
+    # pack.json from the unit disk must not serve a reduce on radius 1.02,
+    # whose k=4 critical offset is 1.02 * (sqrt(2) - 1)
+    write_job(tmp_path / "disk.json", k=4)
+    write_job(tmp_path / "wide.json", k=4, eps_fractions=[5.0],
+              domain={"kind": "circle", "radius": 1.02})
+    r = run_cli(["pack", "--config", "disk.json", "--out", "o"], cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["reduce", "--config", "wide.json", "--out", "o"], cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    meta = json.loads((tmp_path / "o" / "pack.json").read_text())
+    assert abs(meta["delta_star"] - 1.02 * SQRT2M1) < 1e-10
+    assert meta["inputs"]["domain"]["radius"] == 1.02
+    doc = json.loads((tmp_path / "o" / "reduce_000.json").read_text())
+    assert abs(doc["eps"] - 1.02 * SQRT2M1 / 5.0) < 1e-12
+
+
+def test_minimizers_reload_only_for_their_inputs(tmp_path):
+    cfg = cli.config_from_dict({"domain": {"kind": "circle", "radius": 1.0},
+                                "k": 4, "eps_fractions": [5.0]})
+    out = str(tmp_path)
+    cli.run_reduce(cfg, out)
+    dom = cli._domain_from_config(cfg)
+    eps_list = [SQRT2M1 / 5.0]
+    assert len(cli._minimized_configs(cfg, out, dom, eps_list)) == 1
+    for change in ({"eta": 0.03}, {"p": 4.0}, {"form": "psi_numeric"}):
+        other = dataclasses.replace(cfg, **change)
+        assert cli._minimized_configs(other, out, dom, eps_list) is None, change
+
+
 # ------------------------------------------------------------- pipeline
 
 @pytest.fixture(scope="module")

