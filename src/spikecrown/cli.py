@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -156,6 +155,19 @@ def _inputs(cfg, keys):
     return json.loads(json.dumps({key: getattr(cfg, key) for key in keys}))
 
 
+# what reading a missing, truncated or hand-edited artifact raises
+_UNREADABLE = (OSError, ValueError, LookupError, TypeError, AttributeError,
+               StopIteration, SpikeCrownError)
+
+
+def _reread(read, *args):
+    """read(*args), or None when its artifact is unusable and must be recomputed."""
+    try:
+        return read(*args)
+    except _UNREADABLE:
+        return None
+
+
 # ------------------------------------------------------------ writers
 
 def _atomic_write(path, text):
@@ -239,12 +251,10 @@ def run_ground_state(cfg, out_dir):
 
 
 def _load_or_make_profile(cfg, out_dir):
-    csv_path = os.path.join(out_dir, "profile.csv")
-    json_path = os.path.join(out_dir, "profile.json")
-    if os.path.exists(csv_path) and os.path.exists(json_path):
-        profile = load_profile(csv_path, json_path)
-        if profile.p == cfg.p and profile.dim_n == cfg.N:
-            return profile
+    profile = _reread(load_profile, os.path.join(out_dir, "profile.csv"),
+                      os.path.join(out_dir, "profile.json"))
+    if profile is not None and profile.p == cfg.p and profile.dim_n == cfg.N:
+        return profile
     return run_ground_state(cfg, out_dir)[0]
 
 
@@ -279,19 +289,21 @@ def run_pack(cfg, out_dir, dom=None):
     return k, delta_star, eta, crown
 
 
+def _read_pack(cfg, out_dir, dom):
+    with open(os.path.join(out_dir, "pack.json")) as fh:
+        meta = json.load(fh)
+    if meta.get("inputs") != _inputs(cfg, _PACK_INPUTS):
+        return None
+    tab = np.genfromtxt(os.path.join(out_dir, "crown.csv"), delimiter=",", names=True)
+    pts = np.stack([np.atleast_1d(tab["x"]), np.atleast_1d(tab["y"])], axis=1)
+    if len(pts) != meta["k"]:
+        return None
+    crown = pk.make_configuration(dom, pts, np.atleast_1d(tab["sign"]).astype(int))
+    return meta["k"], float(meta["delta_star"]), float(meta["eta"]), crown
+
+
 def _load_or_make_pack(cfg, out_dir, dom):
-    pack_path = os.path.join(out_dir, "pack.json")
-    crown_path = os.path.join(out_dir, "crown.csv")
-    if os.path.exists(pack_path) and os.path.exists(crown_path):
-        with open(pack_path) as fh:
-            meta = json.load(fh)
-        tab = np.genfromtxt(crown_path, delimiter=",", names=True)
-        pts = np.stack([np.atleast_1d(tab["x"]), np.atleast_1d(tab["y"])], axis=1)
-        signs = np.atleast_1d(tab["sign"]).astype(int)
-        if len(pts) == meta.get("k") and meta.get("inputs") == _inputs(cfg, _PACK_INPUTS):
-            crown = pk.make_configuration(dom, pts, signs)
-            return meta["k"], meta["delta_star"], meta["eta"], crown
-    return run_pack(cfg, out_dir, dom)
+    return _reread(_read_pack, cfg, out_dir, dom) or run_pack(cfg, out_dir, dom)
 
 
 def _eps_list(cfg, delta_star):
@@ -307,14 +319,6 @@ def _eps_list(cfg, delta_star):
                 f"scale separation needs eps <= delta*/5 = "
                 f"{delta_star / 5.0:.6g}, got {e:.6g}")
     return eps
-
-
-def _quiet_grid(dom, h):
-    # near-degenerate cut nodes get reclassified with a warning; that is
-    # routine here, not something to surface per eps job
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return pde.discretize(dom, h)
 
 
 def _planar_inputs(cfg, out_dir, command):
@@ -345,7 +349,7 @@ def run_reduce(cfg, out_dir):
         _write_csv(os.path.join(out_dir, f"trace_{tag}.csv"),
                    ("iter", "log_M", "grad_norm", "min_chord", "min_dist"),
                    [(int(r[0]), r[1], r[2], r[3], r[4]) for r in trace])
-        log_abs, sign, _ = red.evaluate_energy(model, cfg_min, check=False)
+        log_abs, sign, breakdown = red.evaluate_energy(model, cfg_min, check=False)
         rep = red.in_configuration_set(model, cfg_min)
         pts = cfg_min.points
         depths = -dom.signed_distance(pts)
@@ -360,39 +364,38 @@ def run_reduce(cfg, out_dir):
                "checks": {"admissible": bool(rep),
                           "max_depth_dev": float(np.abs(depths - delta_star).max()),
                           "max_chord_dev": float(np.abs(chords - 2.0 * delta_star).max()),
-                          "grad_norm": float(trace[-1][2])},
+                          "grad_norm": float(trace[-1][2]),
+                          "cancellation": breakdown.cancellation},
                "inputs": _inputs(cfg, _REDUCE_INPUTS),
                **_stamp(cfg)}
+        if grid is not None:
+            doc["reclassified_nodes"] = grid.n_reclassified
         _write_json(os.path.join(out_dir, f"reduce_{tag}.json"), doc)
         return {"eps": eps, "file": f"reduce_{tag}.json", "log_M": log_abs,
                 "iterations": int(trace[-1][0])}
 
-    # quiet jobs; the filter list is process-wide, so set it here, not in a worker
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        jobs = _map_jobs(one, list(enumerate(eps_list)))
+    jobs = _map_jobs(one, list(enumerate(eps_list)))
     _write_json(os.path.join(out_dir, "reduce.json"),
                 {"jobs": jobs, **_stamp(cfg)})
     return jobs
 
 
+def _read_minimizer(cfg, out_dir, dom, idx, eps):
+    with open(os.path.join(out_dir, f"reduce_{idx:03d}.json")) as fh:
+        doc = json.load(fh)
+    if (not math.isclose(doc["eps"], eps, rel_tol=1e-12, abs_tol=0.0)
+            or doc.get("inputs") != _inputs(cfg, _REDUCE_INPUTS)):
+        return None
+    return pk.make_configuration(dom, np.asarray(doc["points"], dtype=float),
+                                 np.asarray(doc["signs"], dtype=int))
+
+
 def _minimized_configs(cfg, out_dir, dom, eps_list):
     """Reload per-eps minimizers if reduce already ran for this list and
-    these inputs."""
-    out = []
-    for idx, eps in enumerate(eps_list):
-        path = os.path.join(out_dir, f"reduce_{idx:03d}.json")
-        if not os.path.exists(path):
-            return None
-        with open(path) as fh:
-            doc = json.load(fh)
-        if (not math.isclose(doc["eps"], eps, rel_tol=1e-12, abs_tol=0.0)
-                or doc.get("inputs") != _inputs(cfg, _REDUCE_INPUTS)):
-            return None
-        out.append(pk.make_configuration(
-            dom, np.asarray(doc["points"], dtype=float),
-            np.asarray(doc["signs"], dtype=int)))
-    return out
+    these inputs; None if any is missing, unreadable or stale."""
+    out = [_reread(_read_minimizer, cfg, out_dir, dom, idx, eps)
+           for idx, eps in enumerate(eps_list)]
+    return None if any(c is None for c in out) else out
 
 
 def run_solve(cfg, out_dir, continuation=False):
@@ -420,6 +423,7 @@ def run_solve(cfg, out_dir, continuation=False):
                "iterations": len(hist) - 1,
                "final_residual": float(hist[-1]),
                "energy": energy,
+               "reclassified_nodes": grid.n_reclassified,
                "peaks": [{"x": float(loc[0]), "y": float(loc[1]),
                           "sign": int(sg), "amplitude": float(amp)}
                          for loc, sg, amp in peaks],
@@ -430,22 +434,20 @@ def run_solve(cfg, out_dir, continuation=False):
                        "final_residual": float(hist[-1])}
 
     summaries = [None] * len(eps_list)
-    with warnings.catch_warnings():  # in this thread, as in run_reduce
-        warnings.simplefilter("ignore")
-        if continuation:
-            # hard cases: walk the eps list top down, seeding each run with
-            # the peak locations found at the previous (larger) eps
-            prev = None
-            for idx in sorted(range(len(eps_list)), key=lambda i: -eps_list[i]):
-                init = configs[idx]
-                if prev is not None:
-                    init = pk.make_configuration(dom, prev[0], prev[1])
-                peaks, summaries[idx] = one(idx, eps_list[idx], init)
-                prev = (np.array([loc for loc, _, _ in peaks]),
-                        np.array([sg for _, sg, _ in peaks], dtype=int))
-        else:
-            summaries = _map_jobs(lambda it: one(it[0], it[1], configs[it[0]])[1],
-                                  list(enumerate(eps_list)))
+    if continuation:
+        # hard cases: walk the eps list top down, seeding each run with
+        # the peak locations found at the previous (larger) eps
+        prev = None
+        for idx in sorted(range(len(eps_list)), key=lambda i: -eps_list[i]):
+            init = configs[idx]
+            if prev is not None:
+                init = pk.make_configuration(dom, prev[0], prev[1])
+            peaks, summaries[idx] = one(idx, eps_list[idx], init)
+            prev = (np.array([loc for loc, _, _ in peaks]),
+                    np.array([sg for _, sg, _ in peaks], dtype=int))
+    else:
+        summaries = _map_jobs(lambda it: one(it[0], it[1], configs[it[0]])[1],
+                              list(enumerate(eps_list)))
     _write_json(os.path.join(out_dir, "solve.json"),
                 {"jobs": summaries, "continuation": bool(continuation),
                  **_stamp(cfg)})
@@ -627,13 +629,14 @@ def _criterion_boundary_gap(dom, delta_star, seed):
 def _criterion_exponent_trend(profile):
     dom = _unit_disk()
     P = np.array([0.7, 0.0])
-    devs = []
+    devs, dropped = [], []
     for eps in (0.1, 0.05, 0.025):
-        grid = _quiet_grid(dom, eps / 4.0)
+        grid = pde.discretize(dom, eps / 4.0)
         _, psi = pde.boundary_correction(grid, profile, eps, P)
         devs.append(abs(psi - 0.6))
+        dropped.append(grid.n_reclassified)
     ok = devs[0] > devs[1] > devs[2]
-    return ok, {"deviations": devs}
+    return ok, {"deviations": devs, "reclassified_nodes": dropped}
 
 
 def _criterion_energy_scaling(profile, dom, delta_star, crown):
@@ -653,9 +656,7 @@ def _criterion_minimizer_location(profile, dom, delta_star, crown):
     eta = delta_star / 10.0
     model = red.ReducedEnergyModel(dom, profile, eps, delta_star, eta)
     init = _rotated_crown(dom, crown, delta_star, eta / 4.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg_min = red.minimize_energy(model, init)[0]
+    cfg_min = red.minimize_energy(model, init)[0]
     pts = cfg_min.points
     depths = -dom.signed_distance(pts)
     chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
@@ -674,7 +675,7 @@ def _criterion_newton_family(profile, dom, delta_star, crown, nl):
     finest = None
     for frac in (8.0, 12.0, 16.0):
         eps = delta_star / frac
-        grid = _quiet_grid(dom, eps / 4.0)
+        grid = pde.discretize(dom, eps / 4.0)
         ansatz = pde.assemble_ansatz(grid, profile, eps, crown)
         sol, hist = pde.newton_solve(grid, nl, eps, ansatz)
         peaks = pde.extract_peaks(grid, sol)
@@ -686,7 +687,8 @@ def _criterion_newton_family(profile, dom, delta_star, crown, nl):
         rows.append({"eps": eps, "final_residual": float(hist[-1]),
                      "n_peaks": len(peaks),
                      "alternating": _alternating(peaks),
-                     "peak_drift": drift, "scaled_ansatz_gap": scaled})
+                     "peak_drift": drift, "scaled_ansatz_gap": scaled,
+                     "reclassified_nodes": grid.n_reclassified})
         finest = (grid, sol)
     conv = all(r["final_residual"] < 1e-10 for r in rows)
     peaks_ok = all(r["n_peaks"] == 8 and r["alternating"] for r in rows)

@@ -97,7 +97,3 @@ class PeakCountError(NumericalError):
 class BoundaryTrappedError(NumericalError):
     """Energy descent could not take any admissible step inside the
     configuration set."""
-
-
-class CancellationWarning(Warning):
-    """Signed accumulators nearly cancel; returned value has few digits."""

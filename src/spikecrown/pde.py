@@ -15,7 +15,6 @@ smooth boundary layer, the discrete maximum principle makes it strictly
 positive, and the spike profile never meets the difference operator.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +51,7 @@ class Grid2D:
     concerned.
     """
 
-    def __init__(self, dom, h, i0, j0, shape, index, xy, nbr, theta):
+    def __init__(self, dom, h, i0, j0, shape, index, xy, nbr, theta, n_reclassified):
         self.domain = dom
         self.h = float(h)
         self.i0 = int(i0)
@@ -64,6 +63,7 @@ class Grid2D:
         self.theta = theta
         self.is_adjacent = (nbr < 0).any(axis=1)
         self.n_nodes = len(xy)
+        self.n_reclassified = int(n_reclassified)
         self._op_cache = {}
 
     def abs_index(self):
@@ -88,8 +88,8 @@ def discretize(dom, h):
     Cut fractions are found by bisection of the signed distance along
     the leg (53 halvings, so the root is resolved to machine precision
     relative to h). A leg shorter than 1e-8*h would make the stencil
-    singular, so its inner node is reclassified exterior with a warning
-    and the scan repeats.
+    singular, so its inner node is reclassified exterior and the scan
+    repeats; the grid's n_reclassified counts those nodes.
     """
     h = float(h)
     if not h > 0:
@@ -109,6 +109,7 @@ def discretize(dom, h):
     nodes = np.stack([ii.ravel() * h, jj.ravel() * h], axis=1)
     dist = dom.signed_distance(nodes).reshape(nx, ny)
     inside = dist < 0.0
+    n_inside = int(inside.sum())
 
     for _scan in range(8):
         legs = _cut_legs(inside)
@@ -116,10 +117,6 @@ def discretize(dom, h):
         bad = theta < 1e-8
         if not bad.any():
             break
-        warnings.warn(
-            f"{int(bad.sum())} node(s) within 1e-8*h of the boundary "
-            "reclassified exterior", stacklevel=2
-        )
         for (bi, bj, _leg) in legs[bad][:, :3]:
             inside[bi, bj] = False
     else:
@@ -139,7 +136,7 @@ def discretize(dom, h):
         li, lj, leg = legs[row]
         theta_arr[index[li, lj], leg] = theta[row]
 
-    return Grid2D(dom, h, i_lo, j_lo, (nx, ny), index, xy, nbr, theta_arr)
+    return Grid2D(dom, h, i_lo, j_lo, (nx, ny), index, xy, nbr, theta_arr, n_inside - n)
 
 
 def _cut_legs(inside):

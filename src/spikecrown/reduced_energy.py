@@ -12,7 +12,6 @@ Minimization works on the rescaled functional e^{2*delta/eps} * S, which
 is O(1) on configurations near the target crown.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from . import pde
 from .packing import SpikeConfiguration
 from .errors import (
     BoundaryTrappedError,
-    CancellationWarning,
     ConfigError,
     ParallelCurveDegeneracyError,
 )
@@ -126,12 +124,13 @@ class EnergyBreakdown:
 
     pair rows are (i, j, log_w); repulsive pairs carry opposite spike
     signs (positive contribution), attractive pairs equal signs
-    (negative contribution).
+    (negative contribution). cancellation is |P - N| / max(P, N), see _combine.
     """
 
     log_boundary: np.ndarray
     repulsive: list
     attractive: list
+    cancellation: float
 
 
 @dataclass(frozen=True)
@@ -196,50 +195,47 @@ def _require_admissible(model, pts, what="configuration"):
 
 
 def _signed_terms(model, pts, signs):
-    """Log-space terms of S: (positive logs, negative logs, breakdown)."""
+    """Log-space terms of S: (positive logs, negative logs, breakdown parts)."""
     log_b = _LOG_HALF - _exponents(model, pts) / model.epsilon
     iu, ju, r = _pair_distances(pts)
     lw = model.profile.log_value(r / model.epsilon)
     repulsive = signs[iu] * signs[ju] < 0
     rows = list(zip(iu.tolist(), ju.tolist(), lw.tolist(), repulsive))
-    breakdown = EnergyBreakdown(log_b, [r[:3] for r in rows if r[3]],
-                                [r[:3] for r in rows if not r[3]])
-    return np.concatenate([log_b, lw[repulsive]]), lw[~repulsive], breakdown
+    parts = (log_b, [r[:3] for r in rows if r[3]], [r[:3] for r in rows if not r[3]])
+    return np.concatenate([log_b, lw[repulsive]]), lw[~repulsive], parts
 
 
 def _combine(pos, neg):
-    """Signed log-sum: (log|S|, sign). Warns on catastrophic cancellation."""
+    """Signed log-sum: (log|S|, sign, cancellation). cancellation is
+    |P - N| / max(P, N) for the summed positive and negative parts, 1.0
+    without a negative part; near 0, log|S| keeps few digits."""
     lp = np.logaddexp.reduce(pos)
     if neg.size == 0:
-        return float(lp), 1
+        return float(lp), 1, 1.0
     ln = np.logaddexp.reduce(neg)
     m = max(lp, ln)
+    # one of a, b is exactly 1, so |a - b| is the relative size
     a, b = np.exp(lp - m), np.exp(ln - m)
     diff = a - b
-    if abs(diff) <= 1e-12 * max(a, b):
-        warnings.warn(
-            f"positive and negative energy parts cancel to {abs(diff):.2e} relative; "
-            "few digits remain",
-            CancellationWarning,
-            stacklevel=3,
-        )
     if diff == 0.0:
-        return -np.inf, 1
+        return -np.inf, 1, 0.0
     sign = 1 if diff > 0.0 else -1
-    return float(m + np.log(abs(diff))), sign
+    return float(m + np.log(abs(diff))), sign, float(abs(diff))
 
 
 def evaluate_energy(model, config, check=True):
     """(log|S|, sign, breakdown) of a configuration's energy.
 
     check=False skips the admissibility test; the energy itself is
-    defined for any interior points deeper than the margin.
+    defined for any interior points deeper than the margin. The
+    breakdown's cancellation tells how many digits log|S| keeps.
     """
     pts = np.asarray(config.points, dtype=float)
     if check:
         _require_admissible(model, pts)
-    pos, neg, breakdown = _signed_terms(model, pts, np.asarray(config.signs, dtype=int))
-    return (*_combine(pos, neg), breakdown)
+    pos, neg, parts = _signed_terms(model, pts, np.asarray(config.signs, dtype=int))
+    log_abs, sign, cancellation = _combine(pos, neg)
+    return log_abs, sign, EnergyBreakdown(*parts, cancellation)
 
 
 def energy_gradient(model, config):
@@ -286,23 +282,19 @@ def minimize_energy(model, init):
     below _GRAD_TOL), "step" (accepted step below 1e-12), "line_search"
     (no admissible trial lowered the energy) or "max_iter" (_MAX_ITER
     steps taken).
-    A minimizer farther than 5*eps from the target crown distances gets
-    a warning, not an error: the finite-eps minimizer drifts from the
-    limit polygon at order eps.
     """
     pts0 = np.asarray(init.points, dtype=float)
     signs = np.asarray(init.signs, dtype=int)
     _require_admissible(model, pts0, "init")
-    k = len(pts0)
 
     def energy(x):
         pos, neg, _ = _signed_terms(model, x.reshape(-1, 2), signs)
-        log_e, sign = _combine(pos, neg)
+        log_e, sign, _ = _combine(pos, neg)
         return log_e, sign * np.exp(log_e + 2.0 * model.delta / model.epsilon)
 
     def geometry_row(x):
         p = x.reshape(-1, 2)
-        if k == 1:
+        if len(p) == 1:
             return np.nan, np.nan
         chords = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
         return float(chords.min()), float(_pair_distances(p)[2].min())
@@ -356,16 +348,4 @@ def minimize_energy(model, init):
         x, log_e, f, g = x_new, log_cand, f_cand, g_new
         step = float(np.linalg.norm(s))
 
-    pts_min = x.reshape(-1, 2)
-    depths = -model.dom.signed_distance(pts_min)
-    drift = float(np.abs(depths - model.delta).max())
-    if k >= 2:
-        chords = np.linalg.norm(np.roll(pts_min, -1, axis=0) - pts_min, axis=1)
-        drift = max(drift, float(np.abs(chords - 2.0 * model.delta).max()))
-    if drift > 5.0 * model.epsilon:
-        warnings.warn(
-            f"minimizer is {drift:.4g} from the target crown distances "
-            f"(allowance 5*eps = {5 * model.epsilon:.4g})",
-            stacklevel=2,
-        )
-    return SpikeConfiguration(pts_min, signs=signs), log_e, np.array(trace), stop
+    return SpikeConfiguration(x.reshape(-1, 2), signs=signs), log_e, np.array(trace), stop

@@ -173,9 +173,7 @@ def test_continuation_is_a_solve_option(tmp_path):
 
 def _grid(center):
     dom = geo.PlanarDomain(geo.circle(1.0, center=center))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return pde.discretize(dom, 0.04)
+    return pde.discretize(dom, 0.04)
 
 
 def test_dihedral_defect_matches_node_lookup():
@@ -363,6 +361,8 @@ def test_reduce_result_schema(pipeline):
     assert doc["checks"]["max_chord_dev"] < 5 * eps
     assert doc["log_M"] < 0.0
     assert doc["stop"] in ("gradient", "step", "line_search", "max_iter")
+    # the alternating k=4 crown has attractive diagonal pairs
+    assert 0.0 < doc["checks"]["cancellation"] < 1.0
     assert len(doc["config_sha256"]) == 64
 
 
@@ -429,11 +429,14 @@ def test_continuation_walks_eps_downward(tmp_path):
         assert j["final_residual"] < 1e-10
 
 
-def test_pool_workers_never_enter_catch_warnings(tmp_path, monkeypatch):
+@pytest.mark.filterwarnings("error")
+def test_pool_jobs_record_their_own_diagnostics(tmp_path, monkeypatch):
     # the warning filter list is process-wide and catch_warnings is not
-    # thread-safe, so only the calling thread may set it around the pool
+    # thread-safe, so nothing on the reduce and solve paths may enter it;
+    # each job reports its grid's dropped rim nodes in its own file
+    # instead. h = 1/50 and 1/80 put lattice nodes on the unit circle.
     cfg = cli.config_from_dict({"domain": {"kind": "circle", "radius": 1.0},
-                                "k": 4, "eps_fractions": [6.0, 7.0]})
+                                "k": 4, "epsilon": [0.08, 0.05]})
     out = str(tmp_path)
     cli.run_pack(cfg, out)
     cli.run_ground_state(cfg, out)
@@ -451,5 +454,36 @@ def test_pool_workers_never_enter_catch_warnings(tmp_path, monkeypatch):
                         lambda grid, nl, eps, ansatz: (ansatz, [0.0]))
     cli.run_reduce(cfg, out)
     cli.run_solve(cfg, out)
-    assert entries
-    assert all(t is threading.current_thread() for t in entries)
+    assert entries == []
+    dom = cli._domain_from_config(cfg)
+    for idx, eps in enumerate(cfg.epsilon):
+        doc = json.loads((tmp_path / f"solve_{idx:03d}.json").read_text())
+        expected = pde.discretize(dom, eps / 4).n_reclassified
+        assert expected > 0
+        assert doc["reclassified_nodes"] == expected
+
+
+def _drop_key(key):
+    return lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != key})
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("pack.json", lambda text: '{"k": 6'),
+    ("profile.json", _drop_key("N")),
+    ("reduce_000.json", lambda text: text[:len(text) // 2]),
+], ids=["truncated-pack", "profile-without-N", "truncated-minimizer"])
+def test_unreadable_artifact_is_recomputed(tmp_path, monkeypatch, name, corrupt):
+    # a truncated or incomplete upstream file is recomputed, as a stale
+    # one is, to the same bytes; it used to escape main as a traceback
+    job = write_job(tmp_path / "job.json", k=4, eps_fractions=[5.0])
+    out = tmp_path / "o"
+    assert cli.main(["reduce", "--config", str(job), "--out", str(out)]) == 0
+    path = out / name
+    before = path.read_bytes()
+    path.write_text(corrupt(path.read_text()))
+    monkeypatch.setattr(pde, "newton_solve",
+                        lambda grid, nl, eps, ansatz: (ansatz, [0.0]))
+    assert cli.main(["solve", "--config", str(job), "--out", str(out)]) == 0
+    assert path.read_bytes() == before
+    assert not (out / "error.json").exists()

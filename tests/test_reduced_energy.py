@@ -13,7 +13,6 @@ regular polygon; its radius is pinned only to O(eps), which is what the
 central differences of the whole energy (fd_gradient below).
 """
 
-import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -28,7 +27,6 @@ from spikecrown import pde
 from spikecrown import reduced_energy as re_
 from spikecrown.errors import (
     BoundaryTrappedError,
-    CancellationWarning,
     ConfigError,
     ParallelCurveDegeneracyError,
 )
@@ -97,9 +95,7 @@ def test_numeric_form_needs_resolving_grid(disk, profile_p3n2):
     with pytest.raises(ConfigError):
         re_.ReducedEnergyModel(disk, profile_p3n2, epsilon=0.05, delta=0.3,
                                eta=0.1, form="psi_numeric")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        coarse = pde.discretize(disk, 0.02)  # coarser than eps/4 = 0.0125
+    coarse = pde.discretize(disk, 0.02)  # coarser than eps/4 = 0.0125
     with pytest.raises(ConfigError):
         re_.ReducedEnergyModel(disk, profile_p3n2, epsilon=0.05, delta=0.3,
                                eta=0.1, form="psi_numeric", grid=coarse)
@@ -130,9 +126,7 @@ def test_exponent_numeric_converges_and_is_symmetric(disk, profile_p3n2):
     # grid tolerance. Measured deviations: 0.157, 0.0657, 0.0249.
     devs = []
     for eps in (0.1, 0.05, 0.025):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = pde.discretize(disk, eps / 4)
+        grid = pde.discretize(disk, eps / 4)
         m = re_.ReducedEnergyModel(disk, profile_p3n2, eps, delta=0.5, eta=0.1,
                                    form="psi_numeric", grid=grid)
         psi = re_.boundary_exponent(m, [0.7, 0.0])
@@ -223,7 +217,7 @@ def test_breakdown_sign_structure_bound(disk, crown8, profile_p3n2):
     assert worst_same <= adj - (ds + 1e-3) / m.epsilon
 
 
-def test_cancellation_warning_on_balanced_parts(disk, profile_p3n2):
+def test_cancellation_is_recorded_on_balanced_parts(disk, profile_p3n2):
     # same-sign pair tuned so the attractive term equals the boundary
     # sum: log w(r)/1 = -6 has a root near r = 7.4
     m = re_.ReducedEnergyModel(disk, profile_p3n2, epsilon=0.1, delta=0.5, eta=0.24)
@@ -232,10 +226,13 @@ def test_cancellation_warning_on_balanced_parts(disk, profile_p3n2):
     th = np.arcsin(0.05 * r / 0.7)
     pts = 0.7 * np.array([[np.cos(th), np.sin(th)], [np.cos(th), -np.sin(th)]])
     cfg = SimpleNamespace(points=pts, signs=np.array([1, 1]))
-    with pytest.warns(CancellationWarning):
-        log_abs, sign, _ = re_.evaluate_energy(m, cfg, check=False)
+    log_abs, sign, bd = re_.evaluate_energy(m, cfg, check=False)
+    assert bd.cancellation <= 1e-12
     # value still returned, and it is tiny against either part
     assert log_abs < -6.0 - 20.0
+    # without a negative part nothing cancels
+    lone = SimpleNamespace(points=pts[:1], signs=np.array([1]))
+    assert re_.evaluate_energy(m, lone, check=False)[2].cancellation == 1.0
 
 
 def test_evaluate_rejects_inadmissible_when_checked(disk, crown8, profile_p3n2):
@@ -439,9 +436,7 @@ def test_gradient_matches_oracle_psi_numeric(disk, profile_p3n2):
     # small; the oracle costs 16 energies of 4 boundary-layer solves each
     ds, crown = pk.critical_distance(disk, 4)
     eps = ds / 5
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = pde.discretize(disk, eps / 4)
+    grid = pde.discretize(disk, eps / 4)
     m = re_.ReducedEnergyModel(disk, profile_p3n2, eps, delta=ds, eta=ds / 10,
                                form="psi_numeric", grid=grid)
     rng = np.random.default_rng(7)
@@ -514,9 +509,7 @@ def test_minimize_disk_k6_stops_on_gradient(disk, profile_p3n2, frac):
     # central-difference gradient stalled here at norms 8e-8 and 1.1e-7
     ds, crown = pk.critical_distance(disk, 6)
     m = model_for(disk, profile_p3n2, ds / frac, ds)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, _, trace, stop = re_.minimize_energy(m, crown)
+    _, _, trace, stop = re_.minimize_energy(m, crown)
     assert stop == "gradient"
     assert trace[-1][2] < 1e-9
 
@@ -617,9 +610,7 @@ def test_leading_vs_numeric_log_drift_shrinks(disk, crown8, profile_p3n2):
     rel = []
     for frac in (8, 12):
         eps = ds / frac
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = pde.discretize(disk, eps / 4)
+        grid = pde.discretize(disk, eps / 4)
         lead = model_for(disk, profile_p3n2, eps, ds)
         num = re_.ReducedEnergyModel(disk, profile_p3n2, eps, delta=ds,
                                      eta=ds / 10, form="psi_numeric", grid=grid)
