@@ -17,6 +17,7 @@ for independent eps jobs.
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
 import json
@@ -294,11 +295,12 @@ def _read_pack(cfg, out_dir, dom):
         meta = json.load(fh)
     if meta.get("inputs") != _inputs(cfg, _PACK_INPUTS):
         return None
-    tab = np.genfromtxt(os.path.join(out_dir, "crown.csv"), delimiter=",", names=True)
-    pts = np.stack([np.atleast_1d(tab["x"]), np.atleast_1d(tab["y"])], axis=1)
-    if len(pts) != meta["k"]:
+    with open(os.path.join(out_dir, "crown.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if len(rows) != meta["k"]:
         return None
-    crown = pk.make_configuration(dom, pts, np.atleast_1d(tab["sign"]).astype(int))
+    pts = np.array([[float(row["x"]), float(row["y"])] for row in rows])
+    crown = pk.make_configuration(dom, pts, [int(row["sign"]) for row in rows])
     return meta["k"], float(meta["delta_star"]), float(meta["eta"]), crown
 
 
@@ -408,8 +410,7 @@ def run_solve(cfg, out_dir, continuation=False):
 
     def one(idx, eps, init_config):
         grid = pde.discretize(dom, eps / cfg.h_divisor)
-        ansatz = pde.assemble_ansatz(grid, profile, eps, init_config)
-        sol, hist = pde.newton_solve(grid, nl, eps, ansatz)
+        sol, hist, trail = pde.newton_solve(grid, nl, eps, profile, init_config)
         peaks = pde.extract_peaks(grid, sol, expected=k)
         energy = pde.discrete_energy(grid, nl, eps, sol)
         tag = f"{idx:03d}"
@@ -417,11 +418,15 @@ def run_solve(cfg, out_dir, continuation=False):
                    ("x", "y", "value"),
                    [(grid.xy[r, 0], grid.xy[r, 1], sol.values[r])
                     for r in range(grid.n_nodes)])
+        steps = [(0.0, 0.0, False)] + trail
         _write_csv(os.path.join(out_dir, f"residuals_{tag}.csv"),
-                   ("iter", "sup_residual"), list(enumerate(hist)))
+                   ("iter", "sup_residual", "step", "lam_norm", "moved"),
+                   [(i, res, step, lam, int(moved))
+                    for i, (res, (step, lam, moved)) in enumerate(zip(hist, steps))])
         doc = {"eps": eps,
                "iterations": len(hist) - 1,
                "final_residual": float(hist[-1]),
+               "position_updates": sum(moved for _, _, moved in trail),
                "energy": energy,
                "reclassified_nodes": grid.n_reclassified,
                "peaks": [{"x": float(loc[0]), "y": float(loc[1]),
@@ -677,7 +682,7 @@ def _criterion_newton_family(profile, dom, delta_star, crown, nl):
         eps = delta_star / frac
         grid = pde.discretize(dom, eps / 4.0)
         ansatz = pde.assemble_ansatz(grid, profile, eps, crown)
-        sol, hist = pde.newton_solve(grid, nl, eps, ansatz)
+        sol, hist, _ = pde.newton_solve(grid, nl, eps, profile, crown)
         peaks = pde.extract_peaks(grid, sol)
         drift = max(
             float(np.linalg.norm(crown.points - loc, axis=1).min())

@@ -16,6 +16,7 @@ positive, and the spike profile never meets the difference operator.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -356,138 +357,123 @@ def residual_norm(grid, nl, eps, fld):
     return sup, l2
 
 
-def newton_solve(grid, nl, eps, init):
-    """Damped Newton for the discrete spike equation.
+class _BorderedLU:
+    """[[J, Z], [Z', 0]] solved from an LU of J (Keller's bordering).
 
-    Jacobian = eps^2*Lap_h - I + diag(f'(v)). A spike cluster has
-    near-null modes (translations of each spike, rotation of a crown)
-    whose eigenvalues sit at the interaction scale e^(-2*delta/eps).
-    They make the raw Newton step useless in two opposite ways: when
-    the soft eigenvalues are resolvable, tiny residual components
-    along them blow up into function-space excursions of norm far
-    beyond the quadratic model's validity; when they fall below what a
-    backward-stable solve can resolve, the step's soft content is
-    rounding noise with enormous norm. Each iteration therefore runs a
-    three-stage trial ladder.
+    W = J^{-1}Z and the Schur complement S = Z'W are formed once, so a
+    solve costs one back-solve with J and a 2k x 2k solve. `matrix` is
+    the bordered matrix itself, for iterative refinement.
+    """
 
-    Stage 0 solves the Marquardt-regularized normal equations
-    (J'J + mu*diag(J'J)) s = -J'r with a fixed small mu, which bounds
-    the soft-subspace gain and leaves stiff components untouched; this
-    is the workhorse that polishes the residual whenever the spike
-    positions are already right. It accepts only on a clear decrease
-    (below 0.9x the worst of the last five iterations), because at a
-    plateau the suppressed step keeps buying marginal decreases
-    forever without touching the actual obstruction.
+    def __init__(self, J, Z):
+        self.lu = spla.splu(J)
+        self.Z = Z
+        self.W = self.lu.solve(Z)
+        self.S = Z.T @ self.W
+        Zs = sp.csr_matrix(Z)
+        self.matrix = sp.bmat([[J, Zs], [Zs.T, None]], format="csr")
 
-    Stage 1 is what runs at such a plateau: a line search along the
-    unregularized direction, which is the only direction that can
-    reposition spikes toward their finite-eps equilibrium. Its sup
-    residual lands orders of magnitude above the plateau (quadratic
-    spill of a large move), so acceptance uses the natural
-    monotonicity test of affine-covariant Newton instead: accept when
-    the remaining displacement J^{-1}r(v_try) drops below
-    (1 - alpha/2) of the step, capped at 0.9 so that noise directions,
-    whose remaining displacement hugs (1 - alpha), are never accepted
-    at any step length.
+    def solve(self, b):
+        n = self.Z.shape[0]
+        x = self.lu.solve(b[:n])
+        y = np.linalg.solve(self.S, self.Z.T @ x - b[n:])
+        return np.concatenate([x - self.W @ y, y])
 
-    Stage 2 escalates mu when both fail, shortening the step toward
-    steepest descent; it starts at 8x the stage-0 mu, whose step was
-    just rejected. All linear solves carry iterative refinement to
-    1e-12 normwise backward error. f' is patched to 0 below
-    |v| = 1e-14: for p < 3 the true f' has unbounded slope at 0 and
-    the patch removes far-field noise.
+
+def _sup(x):
+    return float(np.abs(x).max(initial=0.0))
+
+
+def newton_solve(grid, nl, eps, profile, config):
+    """Damped Newton for the crown at config, in Lyapunov-Schmidt form.
+
+    The Jacobian J = eps^2*Lap_h - I + diag(f'(v)) of a k-spike field
+    has 2k soft modes, the spike translations, with eigenvalues at the
+    interaction scale e^(-2*delta/eps). So the spike positions P are
+    outer unknowns, and for fixed P the solve is bordered:
+
+        A u + f(u) + Z lam = 0,    Z'(u - U_P) = 0,
+
+    where U_P is the ansatz at P and Z = dU_P/dP its translation modes.
+    Each iteration factorizes J once and solves the bordered system
+    from that LU, refined to 1e-12 normwise backward error. The step
+    is halved until the correction that the same LU computes at the
+    trial point falls below (1 - alpha/2) of the step (natural
+    monotonicity, Deuflhard 2004). When the bordered residual stops
+    falling (below 1e-2 times the tolerance, or above half its value
+    before the step) while the plain residual A u + f(u) = -Z lam has
+    not converged, the spikes move by the Newton step on lam(P) = 0,
+    from the same LU: P += (Z'Z)^{-1} S lam with S = Z'J^{-1}Z,
+    u += J^{-1}Z lam, lam = 0. With no spikes this is plain damped
+    Newton. f' is patched to 0 below |v| = 1e-14: for p < 3 the true
+    f' has unbounded slope at 0 and the patch removes far-field noise.
+
+    Returns (field, history, trail): the sup of the plain residual at
+    the start and after each iteration, and per iteration the step
+    length, |lam| (the value moved on, if the spikes moved) and
+    whether they moved.
     """
     _require_resolution(grid, eps)
-    op = grid.operator(eps)
-    A = op.A
-    v = init.values.copy()
+    A = grid.operator(eps).A
+    n = grid.n_nodes
+    P = np.array(config.points, dtype=float).reshape(-1, 2)
+    signs = np.asarray(config.signs, dtype=float)
 
-    def res(u):
-        return A @ u + nl.f(u)
+    def ansatz_and_modes(P):
+        # column 2i + a of Z is s_i w'(r/eps)/eps * (P_i - x)_a / r
+        Z = np.zeros((n, 2 * len(P)))
+        for i, (pt, sgn) in enumerate(zip(P, signs)):
+            d = pt - grid.xy
+            r = np.linalg.norm(d, axis=1)
+            slope = sgn * profile.derivative(r / eps) / (eps * np.where(r > 0.0, r, 1.0))
+            Z[:, 2 * i:2 * i + 2] = slope[:, None] * d
+        crown = SimpleNamespace(points=P, signs=signs)
+        return assemble_ansatz(grid, profile, eps, crown).values, Z
 
-    r = res(v)
-    sup = float(np.abs(r).max(initial=0.0))
-    history = [sup]
-    sup0 = sup
-    mu_floor = 1e-8
-    for _ in range(_NEWTON_MAX_ITER):
-        if sup < _NEWTON_TOL:
-            return DiscreteField(grid, eps, v), np.array(history)
+    U, Z = ansatz_and_modes(P)
+    u = U.copy()
+    lam = np.zeros(Z.shape[1])
+    r = A @ u + nl.f(u)
+    sup0 = sup = _sup(r)
+    history, trail = [sup], []
+    while sup >= _NEWTON_TOL:
+        if len(trail) == _NEWTON_MAX_ITER:
+            raise NewtonStallError(f"no convergence in {_NEWTON_MAX_ITER} "
+                                   f"iterations (residual {sup:.3e})")
         if not np.isfinite(sup) or sup > 1e6 * (sup0 + 1.0):
             raise DivergenceError(
                 f"residual grew to {sup:.3e} from {sup0:.3e}; init outside basin"
             )
-        fp = nl.fprime(v)
-        fp[np.abs(v) < 1e-14] = 0.0
-        J = (A + sp.diags(fp)).tocsr()
-        ref = max(history[-5:])
-        accepted = False
-        jtj = None
-        lu_full = None
-        step_full = None
-        nf = 0.0
+        fp = nl.fprime(u)
+        fp[np.abs(u) < 1e-14] = 0.0
+        K = _BorderedLU((A + sp.diags(fp)).tocsc(), Z)
+        x = np.concatenate([u, lam])
+        rb = np.concatenate([r + Z @ lam, Z.T @ (u - U)])
+        step = -_refine_solve(K, K.matrix, rb, 1e-12, "Newton step")
+        size = float(np.linalg.norm(step))
         alpha = 1.0
-        mu = mu_floor
-        stage = 0
-        for _trial in range(19):
-            if stage == 1:
-                # line search along the unregularized direction: solve
-                # J itself (the normal equations square the conditioning
-                # and scramble the components that carry repositioning)
-                if lu_full is None:
-                    M = J.tocsc()
-                    lu_full = spla.splu(M)
-                    step_full = _refine_solve(lu_full, M, -r, 1e-12, "Newton step")
-                    nf = float(np.linalg.norm(step_full))
-                lu = lu_full
-                step = step_full if alpha == 1.0 else alpha * step_full
-            else:
-                if jtj is None:
-                    jtj = (J.T @ J).tocsr()
-                    d = jtj.diagonal()
-                M = (jtj + sp.diags(mu * d)).tocsc()
-                lu = spla.splu(M)
-                step = _refine_solve(lu, M, -(J.T @ r), 1e-12, "Newton step")
-            v_try = v + step
-            r_try = res(v_try)
-            sup_try = float(np.abs(r_try).max(initial=0.0))
-            if np.isfinite(sup_try) and sup_try < 1e6 * (sup0 + 1.0):
-                if stage == 1:
-                    # natural monotonicity: accept when the remaining
-                    # displacement J^{-1}r drops below (1 - alpha/2) of
-                    # the step. The 0.9 cap rejects noise directions,
-                    # whose remaining displacement hugs (1 - alpha)
-                    # while a genuine valley ride drops well below it.
-                    back = lu.solve(r_try)
-                    gate = min(1.0 - 0.5 * alpha, 0.9) * nf
-                    accepted = bool(np.linalg.norm(back) < gate)
-                else:
-                    # demand a real decrease: marginal acceptances at a
-                    # plateau would otherwise creep forever and starve
-                    # the line-search stage
-                    accepted = sup_try < 0.9 * ref
-            if accepted:
+        while True:
+            u, lam = np.split(x + alpha * step, [n])
+            r = A @ u + nl.f(u)
+            rb_try = np.concatenate([r + Z @ lam, Z.T @ (u - U)])
+            if np.linalg.norm(K.solve(rb_try)) < (1.0 - 0.5 * alpha) * size:
                 break
-            if stage == 0:
-                stage = 1
-            elif stage == 1:
-                alpha *= 0.5
-                if alpha < 2.0 ** -11:
-                    stage = 2
-                    mu = 8.0 * mu_floor
-            else:
-                mu *= 8.0
-        if not accepted:
-            raise NewtonStallError(
-                f"damping exhausted at residual {sup:.3e}"
-            )
-        v, r, sup = v_try, r_try, sup_try
+            alpha *= 0.5
+            if alpha < 2.0 ** -11:
+                raise NewtonStallError(f"damping exhausted at residual {sup:.3e}")
+        sup, sup_b = _sup(r), _sup(rb_try)
+        moved = bool(lam.size) and sup >= _NEWTON_TOL and (
+            sup_b < 1e-2 * _NEWTON_TOL or sup_b > 0.5 * _sup(rb))
+        trail.append((alpha, float(np.linalg.norm(lam)), moved))
+        if moved:
+            P = P + np.linalg.solve(Z.T @ Z, K.S @ lam).reshape(-1, 2)
+            u = u + K.W @ lam
+            lam = np.zeros_like(lam)
+            U, Z = ansatz_and_modes(P)
+            r = A @ u + nl.f(u)
+            sup = _sup(r)
         history.append(sup)
-    if sup < _NEWTON_TOL:
-        return DiscreteField(grid, eps, v), np.array(history)
-    raise NewtonStallError(
-        f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {sup:.3e})"
-    )
+    return DiscreteField(grid, eps, u), np.array(history), trail
 
 
 def discrete_energy(grid, nl, eps, fld):

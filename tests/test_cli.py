@@ -384,10 +384,11 @@ def test_solve_result_schema(pipeline):
 def test_residual_history_matches_result(pipeline):
     doc = json.loads((pipeline["out"] / "solve_000.json").read_text())
     rows = (pipeline["out"] / "residuals_000.csv").read_text().splitlines()
-    assert rows[0] == "iter,sup_residual"
+    assert rows[0] == "iter,sup_residual,step,lam_norm,moved"
     tab = np.atleast_2d(np.genfromtxt(rows[1:], delimiter=","))
     assert len(tab) == doc["iterations"] + 1
     assert tab[-1, 1] == doc["final_residual"]
+    assert tab[:, 4].sum() == doc["position_updates"]
 
 
 def test_field_csv_covers_grid(pipeline):
@@ -429,6 +430,10 @@ def test_continuation_walks_eps_downward(tmp_path):
         assert j["final_residual"] < 1e-10
 
 
+def _ansatz_as_solution(grid, nl, eps, profile, config):
+    return pde.assemble_ansatz(grid, profile, eps, config), [0.0], []
+
+
 @pytest.mark.filterwarnings("error")
 def test_pool_jobs_record_their_own_diagnostics(tmp_path, monkeypatch):
     # the warning filter list is process-wide and catch_warnings is not
@@ -450,8 +455,7 @@ def test_pool_jobs_record_their_own_diagnostics(tmp_path, monkeypatch):
     monkeypatch.setenv("SPIKE_CROWN_THREADS", "2")
     monkeypatch.setattr(warnings, "catch_warnings", Recording)
     # Newton is not under test: the ansatz stands in for the solution
-    monkeypatch.setattr(pde, "newton_solve",
-                        lambda grid, nl, eps, ansatz: (ansatz, [0.0]))
+    monkeypatch.setattr(pde, "newton_solve", _ansatz_as_solution)
     cli.run_reduce(cfg, out)
     cli.run_solve(cfg, out)
     assert entries == []
@@ -472,7 +476,9 @@ def _drop_key(key):
     ("pack.json", lambda text: '{"k": 6'),
     ("profile.json", _drop_key("N")),
     ("reduce_000.json", lambda text: text[:len(text) // 2]),
-], ids=["truncated-pack", "profile-without-N", "truncated-minimizer"])
+    ("crown.csv", lambda text: ""),
+], ids=["truncated-pack", "profile-without-N", "truncated-minimizer",
+        "empty-crown"])
 def test_unreadable_artifact_is_recomputed(tmp_path, monkeypatch, name, corrupt):
     # a truncated or incomplete upstream file is recomputed, as a stale
     # one is, to the same bytes; it used to escape main as a traceback
@@ -482,8 +488,7 @@ def test_unreadable_artifact_is_recomputed(tmp_path, monkeypatch, name, corrupt)
     path = out / name
     before = path.read_bytes()
     path.write_text(corrupt(path.read_text()))
-    monkeypatch.setattr(pde, "newton_solve",
-                        lambda grid, nl, eps, ansatz: (ansatz, [0.0]))
+    monkeypatch.setattr(pde, "newton_solve", _ansatz_as_solution)
     assert cli.main(["solve", "--config", str(job), "--out", str(out)]) == 0
     assert path.read_bytes() == before
     assert not (out / "error.json").exists()

@@ -180,8 +180,9 @@ def test_close_polygon_bracket_changes_sign(ratio, offset, k, t0):
     # k chords of 0.25*l/k cover well under a lap; k chords of 1.2*l/k
     # cover at least 1.2*l of arc, or cannot be placed at all
     curve = geo.ellipse(1.0, ratio)
-    if offset > 0.0:  # as a fraction of the reach b^2/a
-        curve = geo.inner_parallel_curve(curve, offset * ratio**2)
+    delta = offset * ratio**2  # offset is a fraction of the reach b^2/a
+    if delta > 0.0:  # a subnormal offset times ratio**2 can round to 0
+        curve = geo.inner_parallel_curve(curve, delta)
     ell = curve.total_length
     assert pk._defect(curve, k, 0.25 * ell / k, t0) < 0.0
     assert pk._defect(curve, k, 1.2 * ell / k, t0) > 0.0

@@ -46,7 +46,7 @@ def pair2(disk, grid_m, profile_p3n2):
     """Antipodal two-spike run at eps = depth/5: ansatz, solution, history."""
     cfg = pk.make_configuration(disk, np.array([[0.5, 0.0], [-0.5, 0.0]]))
     ans = pde.assemble_ansatz(grid_m, profile_p3n2, 0.1, cfg)
-    sol, hist = pde.newton_solve(grid_m, NL, 0.1, ans)
+    sol, hist, _ = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
     return {"cfg": cfg, "ans": ans, "sol": sol, "hist": hist}
 
 
@@ -57,8 +57,7 @@ def singles(disk, profile_p3n2):
     cfg = SimpleNamespace(points=np.array([[0.0, 0.0]]), signs=np.array([1.0]))
     for eps in (0.12, 0.08, 0.05):
         g = pde.discretize(disk, eps / 4.0)
-        ans = pde.assemble_ansatz(g, profile_p3n2, eps, cfg)
-        sol, hist = pde.newton_solve(g, NL, eps, ans)
+        sol, hist, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
         out[eps] = {"grid": g, "sol": sol, "hist": hist,
                     "J": pde.discrete_energy(g, NL, eps, sol)}
     return out
@@ -73,8 +72,7 @@ def crown10(disk, profile_p3n2):
     model = red.ReducedEnergyModel(disk, profile_p3n2, eps, ds, ds / 10.0)
     cfg_min = red.minimize_energy(model, crown)[0]
     ans_raw = pde.assemble_ansatz(g, profile_p3n2, eps, crown)
-    ans_min = pde.assemble_ansatz(g, profile_p3n2, eps, cfg_min)
-    sol, hist = pde.newton_solve(g, NL, eps, ans_min)
+    sol, hist, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg_min)
     return {"ds": ds, "eps": eps, "grid": g, "crown": crown, "model": model,
             "ans_raw": ans_raw, "sol": sol, "hist": hist,
             "peaks": pde.extract_peaks(g, sol, expected=4)}
@@ -191,27 +189,42 @@ def test_ansatz_boundary_trace_bound(grid_m, profile_p3n2, pair2):
 # ---- newton solve
 
 
-def test_newton_zero_init_stays_zero(grid_m):
-    sol, hist = pde.newton_solve(grid_m, NL, 0.1, zero_field(grid_m))
+def test_newton_zero_init_stays_zero(grid_m, profile_p3n2):
+    empty = SimpleNamespace(points=np.zeros((0, 2)), signs=np.zeros(0))
+    sol, hist, trail = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, empty)
     assert sol.sup_norm() == 0.0
     assert hist.tolist() == [0.0]
+    assert trail == []
 
 
-def test_newton_ladder_factorizes_each_matrix_once(grid_m, monkeypatch):
-    # unit-variance noise exhausts all three damping stages; stage 2 must
-    # start above the stage-0 damping it follows, not repeat its matrix
+def test_newton_factorizes_only_the_jacobian_once_per_iteration(
+        grid_m, profile_p3n2, monkeypatch):
+    # the bordered system is solved from the LU of J alone: no other
+    # matrix (such as J'J) is factorized, and no iteration factorizes twice
+    A = grid_m.operator(0.1).A.tocsc()
     seen = []
     real_splu = pde.spla.splu
 
     def splu(M):
-        seen.append((M.data.tobytes(), M.indices.tobytes(), M.indptr.tobytes()))
+        seen.append((M.shape, M.indices.tobytes(), M.indptr.tobytes()))
         return real_splu(M)
 
     monkeypatch.setattr(pde, "spla", SimpleNamespace(splu=splu))
-    noise = np.random.default_rng(1).standard_normal(grid_m.n_nodes)
-    with pytest.raises(NewtonStallError, match="damping exhausted"):
-        pde.newton_solve(grid_m, NL, 0.1, pde.DiscreteField(grid_m, 0.1, noise))
-    assert len(set(seen)) == len(seen)
+    cfg = SimpleNamespace(points=np.array([[0.5, 0.0], [-0.5, 0.0]]),
+                          signs=np.array([1.0, -1.0]))
+    _, hist, trail = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
+    assert len(seen) == len(hist) - 1 == len(trail)
+    pattern = (A.shape, A.indices.tobytes(), A.indptr.tobytes())
+    assert all(entry == pattern for entry in seen)
+    assert any(moved for _, _, moved in trail)
+
+
+def test_newton_stalls_on_a_spike_at_the_rim(grid_m, profile_p3n2):
+    # at depth 0.07 < eps = 0.1 the spike's core meets the rim; the
+    # solve must report the stall rather than return a field
+    cfg = SimpleNamespace(points=np.array([[0.93, 0.0]]), signs=np.array([1.0]))
+    with pytest.raises(NewtonStallError):
+        pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
 
 
 def test_newton_single_spike(singles, profile_p3n2):
@@ -245,8 +258,7 @@ def test_grid_refinement_is_second_order(disk, profile_p3n2):
     sols = {}
     for h in (0.03, 0.015, 0.0075):
         g = pde.discretize(disk, h)
-        ans = pde.assemble_ansatz(g, profile_p3n2, eps, cfg)
-        sols[h] = (g, pde.newton_solve(g, NL, eps, ans)[0])
+        sols[h] = (g, pde.newton_solve(g, NL, eps, profile_p3n2, cfg)[0])
 
     def shared_sup(coarse, fine):
         gc, vc = coarse[0], coarse[1].values
@@ -267,7 +279,7 @@ def test_newton_inherits_init_symmetry(grid_m, pair2, profile_p3n2):
     sol, hist = pair2["sol"], pair2["hist"]
     assert hist[-1] < 1e-10
     # odd init on a mirror-symmetric lattice: the solution keeps the
-    # oddness far below the 1e-8 budget (measured 2.7e-11)
+    # oddness far below the 1e-8 budget (measured 9.2e-13)
     assert np.abs(sol.values + sol.values[mirror_rows(grid_m)]).max() < 1e-8
     peaks = pde.extract_peaks(grid_m, sol, expected=2)
     assert peaks[0][1] * peaks[1][1] == -1
@@ -292,11 +304,30 @@ def test_zero_field_is_inert(grid_m):
     assert pde.extract_peaks(grid_m, z) == []
 
 
+# ---- crowns
+
+
+def test_coarse_crown_newton_converges(disk, profile_p3n2):
+    # disk k=6 at the coarsest admissible scale delta*/5, started from
+    # the reduced minimizer; a Newton that leaves the spike positions to
+    # the Jacobian's translation modes stalls here at 5.7e-7
+    ds, crown = pk.critical_distance(disk, 6)
+    eps = ds / 5.0
+    model = red.ReducedEnergyModel(disk, profile_p3n2, eps, ds, ds / 10.0)
+    cfg = red.minimize_energy(model, crown)[0]
+    g = pde.discretize(disk, eps / 4.0)
+    sol, hist, trail = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
+    assert hist[-1] < 1e-10  # measured 4.2e-14 in 13 iterations
+    assert any(moved for _, _, moved in trail)
+    peaks = pde.extract_peaks(g, sol, expected=6)
+    assert all(peaks[i][1] * peaks[(i + 1) % 6][1] == -1 for i in range(6))
+
+
 # ---- crown at eps = delta*/10
 
 
 def test_crown_newton_converges(crown10, profile_p3n2):
-    assert crown10["hist"][-1] < 1e-10  # measured 6.3e-11 in 24 iterations
+    assert crown10["hist"][-1] < 1e-10  # measured 5.8e-11 in 15 iterations
     peaks = crown10["peaks"]
     assert len(peaks) == 4
     signs = [p[1] for p in peaks]
