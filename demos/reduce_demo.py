@@ -30,9 +30,11 @@ def main():
     print(f"crown energy: sign {sign:+d}, log|S| = {log_abs:.4f}"
           f"  (-eps log|S| = {-eps * log_abs:.4f}, 2 delta* = {2 * delta_star:.4f})")
 
-    # perturb along the curve by a quarter of the margin, then descend
+    # perturb along the curve by a quarter of the margin, then descend;
+    # the inner parallel curve shares the boundary's parameter, so the
+    # boundary feet are the crown's parameters on it
     gamma = geo.inner_parallel_curve(disk.boundary, delta_star)
-    ts = np.array([geo.project_to_curve(gamma, p)[0] for p in crown.points])
+    ts = disk.foot(crown.points)
     shifted = [gamma.param_at_arclength(gamma.arclength(t) + eta / 4.0)
                for t in ts]
     init = pk.make_configuration(

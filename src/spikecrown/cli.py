@@ -523,7 +523,7 @@ def _delta_grid_search(dom, k, levels=7):
 
 def _rotated_crown(dom, crown, delta_star, arc):
     gamma = geo.inner_parallel_curve(dom.boundary, delta_star)
-    ts = np.array([geo.project_to_curve(gamma, p)[0] for p in crown.points])
+    ts = dom.foot(crown.points)
     ts2 = [gamma.param_at_arclength(gamma.arclength(t) + arc) for t in ts]
     return pk.make_configuration(dom, np.array([gamma.point(t) for t in ts2]),
                                  signs=crown.signs)

@@ -33,7 +33,7 @@ from .errors import (
 _TABLE_N = 4096
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
-
+_FOOT_TOL, _FOOT_STEPS, _FOOT_FLOOR = 1e-15, 20, 1e-2  # see PlanarDomain.nearest
 
 def _unit_tangent(d1):
     speed = np.linalg.norm(d1, axis=-1, keepdims=True)
@@ -402,64 +402,56 @@ class PlanarDomain:
         self.boundary = boundary
         self._inradius = None
 
-    def _foot(self, X, polish=3, tol=0.0):
-        """Parameter of the nearest boundary point to each row of X: the
-        parabolic vertex at the nearest table node, then up to `polish`
-        steps, stopping once no step exceeds tol."""
+    def nearest(self, X):
+        """(t, d) per row of X: the parameter t of its nearest boundary
+        point (its foot, also its projection parameter on every inner
+        parallel curve) and its signed distance d, negative inside.
+
+        From the parabolic vertex through the nearest table node, Newton
+        on the tangency residual (P - x).P' with slope |P'|^2 (1 - kappa*d)
+        converges quadratically until a step is at most _FOOT_TOL in t, or
+        for _FOOT_STEPS steps. The slope floor _FOOT_FLOOR*|P'|^2 and the
+        one-cell step clip keep focal and medial-axis points finite.
+        """
+        X = np.asarray(X, dtype=float)
+        if not np.all(np.isfinite(X)):
+            raise ConfigError("query points must be finite")
         bd = self.boundary
         n = bd._n
         _, j = bd.kdtree.query(X)
-        jm = (j - 1) % n
-        jp = (j + 1) % n
-
-        def sq(idx):
-            d = X - bd.points[idx]
-            return np.einsum("ij,ij->i", d, d)
-
-        d2m, d20, d2p = sq(jm), sq(j), sq(jp)
-        denom = d2m - 2.0 * d20 + d2p
+        near = X[:, None, :] - bd.points[(j[:, None] + np.arange(-1, 2)) % n]
+        d2m, d20, d2p = np.einsum("ijk,ijk->ji", near, near)
         with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(
-                np.abs(denom) > 1e-300, 0.5 * (d2m - d2p) / denom, 0.0
-            )
-        alpha = np.clip(np.nan_to_num(alpha), -1.0, 1.0)
-        t_star = bd.t_nodes[j] + alpha / n
-        # Parabolic start is only ~1e-7 in t; polish the tangency residual
-        # (P-x).P' with the derivative approximated by |P'|^2. The missing
-        # term is -kappa*d*|P'|^2, so the iteration contracts at rate
-        # kappa*d: essentially one-shot near the boundary (where accuracy
-        # matters), and harmlessly slow only near focal points (where the
-        # distance value is insensitive to t).
-        for _ in range(polish):
-            diff = bd.point(t_star) - X
-            d1 = bd.d1(t_star)
-            step = np.einsum("ij,ij->i", diff, d1) / np.einsum("ij,ij->i", d1, d1)
-            t_star = t_star - step
-            if np.abs(step).max() <= tol:
+            alpha = np.nan_to_num(0.5 * (d2m - d2p) / (d2m - 2.0 * d20 + d2p))
+        t = bd.t_nodes[j] + np.clip(alpha, -1.0, 1.0) / n
+        rows = np.arange(len(X))
+        for _ in range(_FOOT_STEPS):
+            tr = t[rows]
+            d1 = bd.d1(tr)
+            diff = bd.point(tr) - X[rows]
+            depth = np.einsum("ij,ij->i", diff, _outward_normal_from_d1(d1))
+            slope = np.einsum("ij,ij->i", d1, d1) * np.maximum(
+                1.0 - bd.curvature(tr) * depth, _FOOT_FLOOR)
+            step = np.clip(np.einsum("ij,ij->i", diff, d1) / slope, -1.0 / n, 1.0 / n)
+            t[rows] = tr - step
+            rows = rows[np.abs(step) > _FOOT_TOL]
+            if not rows.size:
                 break
-        return t_star
+        diff = X - bd.point(t)
+        dist = np.linalg.norm(diff, axis=1)
+        side = np.einsum("ij,ij->i", bd.normal(t), diff)
+        return t, np.where(side >= 0.0, dist, -dist)
 
     def signed_distance(self, x):
         """Distance to the boundary, negative inside. Accepts a single
         point or an (n,2) batch; never raises on medial-axis points."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
-        X = np.atleast_2d(x)
-        if not np.all(np.isfinite(X)):
-            raise ConfigError("query points must be finite")
-        bd = self.boundary
-        t_star = self._foot(X)
-        proj = bd.point(t_star)
-        diff = X - proj
-        dist = np.linalg.norm(diff, axis=1)
-        side = np.einsum("ij,ij->i", bd.normal(t_star), diff)
-        out = np.where(side >= 0.0, dist, -dist)
-        return float(out[0]) if scalar else out
+        d = self.nearest(np.atleast_2d(x))[1]
+        return float(d[0]) if x.ndim == 1 else d
 
     def foot(self, X):
-        """Converged parameter of the nearest boundary point to each row of
-        X; also its projection parameter on every inner parallel curve."""
-        return self._foot(X, polish=200, tol=1e-15)
+        """Parameter of the nearest boundary point to each row of X."""
+        return self.nearest(X)[0]
 
     @property
     def centroid(self):

@@ -22,7 +22,8 @@ from .errors import (
     PackingConsistencyError,
     PropertyViolationError,
 )
-from .geometry import inner_parallel_curve, project_to_curve
+# project_to_curve is unused here; perfbench/layers.py hooks this binding
+from .geometry import inner_parallel_curve, project_to_curve  # noqa: F401
 
 _INFEASIBLE = 1e9  # closure defect of a march whose chord cannot be placed
 
@@ -67,16 +68,14 @@ class SpikeConfiguration:
 
     def validate(self, dom):
         """Points strictly inside; cyclic order strictly increasing in
-        the boundary projection parameter."""
-        depth = -dom.signed_distance(self.points)
+        the boundary foot parameter."""
+        feet, dist = dom.nearest(self.points)
+        depth = -dist
         if depth.min() <= 0:
             raise ConfigError(
                 f"spike {int(np.argmin(depth))} is not strictly inside"
             )
-        tproj = np.array(
-            [project_to_curve(dom.boundary, p)[0] for p in self.points]
-        )
-        rolled = np.mod(tproj - tproj[0], 1.0)
+        rolled = np.mod(feet - feet[0], 1.0)
         if np.any(np.diff(rolled) <= 0):
             raise ConfigError("spikes are not in strictly increasing cyclic order")
         return depth

@@ -435,11 +435,12 @@ def newton_solve(grid, nl, eps, profile, config):
     lam = np.zeros(Z.shape[1])
     r = A @ u + nl.f(u)
     sup0 = sup = _sup(r)
-    history, trail = [sup], []
+    history, trail, last_move = [sup], [], 0.0
     while sup >= _NEWTON_TOL:
         if len(trail) == _NEWTON_MAX_ITER:
-            raise NewtonStallError(f"no convergence in {_NEWTON_MAX_ITER} "
-                                   f"iterations (residual {sup:.3e})")
+            raise NewtonStallError(
+                f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {sup:.3e}; "
+                f"{sum(t[2] for t in trail)} position updates, last move {last_move:.3g})")
         if not np.isfinite(sup) or sup > 1e6 * (sup0 + 1.0):
             raise DivergenceError(
                 f"residual grew to {sup:.3e} from {sup0:.3e}; init outside basin"
@@ -466,7 +467,8 @@ def newton_solve(grid, nl, eps, profile, config):
             sup_b < 1e-2 * _NEWTON_TOL or sup_b > 0.5 * _sup(rb))
         trail.append((alpha, float(np.linalg.norm(lam)), moved))
         if moved:
-            P = P + np.linalg.solve(Z.T @ Z, K.S @ lam).reshape(-1, 2)
+            move = np.linalg.solve(Z.T @ Z, K.S @ lam).reshape(-1, 2)
+            P, last_move = P + move, float(np.linalg.norm(move, axis=1).max())
             u = u + K.W @ lam
             lam = np.zeros_like(lam)
             U, Z = ansatz_and_modes(P)

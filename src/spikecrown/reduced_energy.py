@@ -85,25 +85,26 @@ def boundary_exponent(model, P):
     P = np.asarray(P, dtype=float)
     if P.shape != (2,) or not np.all(np.isfinite(P)):
         raise ConfigError(f"point must be a finite pair, got {P!r}")
-    return float(_exponents(model, P[None])[0])
+    return float(_exponents(model, P[None])[0][0])
 
 
 def _exponents(model, pts):
-    """psi at each row of pts, from one batched depth query."""
-    depths = -model.dom.signed_distance(pts)
+    """(psi, feet) at the rows of pts, from one nearest-point query."""
+    feet, dist = model.dom.nearest(pts)
+    depths = -dist
     if depths.min() < model.eta:
         raise ConfigError(f"point at depth {depths.min():.4g} is shallower "
                           f"than the margin {model.eta}")
     if model.form == "leading":
-        return 2.0 * depths
+        return 2.0 * depths, feet
     return np.array([pde.boundary_correction(model.grid, model.profile, model.epsilon, p)[1]
-                     for p in pts])
+                     for p in pts]), feet
 
 
-def _exponent_slopes(model, pts):
+def _exponent_slopes(model, pts, feet):
     """grad psi at each row of pts, shape (k, 2); see energy_gradient."""
     if model.form == "leading":
-        return -2.0 * model.dom.boundary.normal(model.dom.foot(pts))
+        return -2.0 * model.dom.boundary.normal(feet)
     h = max(1e-7, model.epsilon * 1e-5)
     rows = [[boundary_exponent(model, p + e) - boundary_exponent(model, p - e)
              for e in h * np.eye(2)] for p in pts]
@@ -151,39 +152,36 @@ def in_configuration_set(model, config):
     strictly increasing cyclic order of the projections onto the inner
     parallel curve at delta, and |P_i - P_j| > 2*delta - eta for every
     pair. That curve shares the boundary's parameter, so the projection
-    parameters are the boundary foot parameters (PlanarDomain.foot).
+    parameters are the boundary foot parameters (PlanarDomain.nearest).
     Returns a report naming the first failed condition.
     """
     return _membership(model, np.asarray(config.points, dtype=float))
 
 
 def _membership(model, pts):
-    k = len(pts)
-    depths = -model.dom.signed_distance(pts)
+    feet, dist = model.dom.nearest(pts)
+    depths = -dist
     lo, hi = model.delta - model.eta, model.delta + model.eta
     for i, d in enumerate(depths):
         if not (lo < d < hi):
             return MembershipReport(
                 False, "depth", f"spike {i} at depth {d:.6g} outside ({lo:.6g}, {hi:.6g})"
             )
-    if k == 1:
+    if len(pts) == 1:
         return MembershipReport(True)
-    ts = np.mod(model.dom.foot(pts), 1.0)
+    ts = np.mod(feet, 1.0)
     gaps = np.mod(np.diff(ts, append=ts[0]), 1.0)
     if np.any(gaps < 1e-12) or abs(gaps.sum() - 1.0) > 1e-9:
         return MembershipReport(
             False, "order", f"projections {np.array2string(ts, precision=6)} not in cyclic order"
         )
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    iu, ju = np.triu_indices(k, 1)
+    iu, ju, r = _pair_distances(pts)
     floor = 2.0 * model.delta - model.eta
-    tight = dist[iu, ju] <= floor
+    tight = r <= floor
     if tight.any():
         a = int(np.argmax(tight))
         return MembershipReport(
-            False,
-            "distance",
-            f"pair ({iu[a]},{ju[a]}) at distance {dist[iu[a], ju[a]]:.6g} <= {floor:.6g}",
+            False, "distance", f"pair ({iu[a]},{ju[a]}) at distance {r[a]:.6g} <= {floor:.6g}"
         )
     return MembershipReport(True)
 
@@ -196,7 +194,7 @@ def _require_admissible(model, pts, what="configuration"):
 
 def _signed_terms(model, pts, signs):
     """Log-space terms of S: (positive logs, negative logs, breakdown parts)."""
-    log_b = _LOG_HALF - _exponents(model, pts) / model.epsilon
+    log_b = _LOG_HALF - _exponents(model, pts)[0] / model.epsilon
     iu, ju, r = _pair_distances(pts)
     lw = model.profile.log_value(r / model.epsilon)
     repulsive = signs[iu] * signs[ju] < 0
@@ -260,8 +258,9 @@ def energy_gradient(model, config):
 def _gradient(model, pts, signs):
     eps = model.epsilon
     shift = 2.0 * model.delta / eps
-    boundary = np.exp(shift - _exponents(model, pts) / eps) / (-2.0 * eps)
-    g = boundary[:, None] * _exponent_slopes(model, pts)
+    psi, feet = _exponents(model, pts)
+    boundary = np.exp(shift - psi / eps) / (-2.0 * eps)
+    g = boundary[:, None] * _exponent_slopes(model, pts, feet)
     iu, ju, r = _pair_distances(pts)
     coef = (-(signs[iu] * signs[ju]) * np.exp(model.profile.log_value(r / eps) + shift)
             * model.profile.log_derivative(r / eps) / (eps * r))

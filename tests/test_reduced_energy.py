@@ -353,6 +353,28 @@ def test_membership_matches_projection_oracle_ellipse(profile_p3n2):
     assert_membership_matches_oracle(m, crown, 12)
 
 
+def test_membership_and_gradient_make_one_nearest_point_query(
+        disk, crown8, profile_p3n2, monkeypatch):
+    # depths, cyclic order and the boundary slopes all come from one
+    # PlanarDomain.nearest call on the configuration
+    ds, crown = crown8
+    m = model_for(disk, profile_p3n2, ds / 12, ds)
+    calls = []
+    nearest = geo.PlanarDomain.nearest
+
+    def counted(dom, X):
+        calls.append(len(X))
+        return nearest(dom, X)
+
+    monkeypatch.setattr(geo.PlanarDomain, "nearest", counted)
+    pts = np.asarray(crown.points, dtype=float)
+    assert re_._membership(m, pts)
+    assert calls == [crown.k]
+    calls.clear()
+    re_._gradient(m, pts, np.asarray(crown.signs, dtype=int))
+    assert calls == [crown.k]
+
+
 def test_model_rejects_degenerate_target_curve(profile_p3n2):
     # 1/kappa_max = b^2/a = 0.5 on the 2x1 ellipse: no inner parallel
     # curve at delta = 0.6, so no admissible set either
