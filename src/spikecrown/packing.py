@@ -33,14 +33,11 @@ class SpikeConfiguration:
     """Cyclically ordered spike centers with alternating signs.
 
     signs[i] = (-1)^i with the first spike positive; alternation around
-    a closed loop forces k even. ts, when present, are the parameters of
-    the points on the curve they were built on, strictly increasing in
-    cyclic order.
+    a closed loop forces k even.
     """
 
     points: np.ndarray
     signs: np.ndarray = field(default=None)
-    ts: np.ndarray = field(default=None)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -59,8 +56,6 @@ class SpikeConfiguration:
             raise ConfigError("signs must alternate cyclically")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "signs", signs)
-        if self.ts is not None:
-            object.__setattr__(self, "ts", np.asarray(self.ts, dtype=float))
 
     @property
     def k(self):
@@ -94,14 +89,7 @@ def packing_functional(dom, points):
     if isinstance(points, SpikeConfiguration):
         points = points.points
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    depth = -np.atleast_1d(dom.signed_distance(pts))
-    val = float(depth.min())
-    if len(pts) > 1:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        iu = np.triu_indices(len(pts), k=1)
-        val = min(val, float(dist[iu].min()) / 2.0)
-    return val
+    return float(_phi_batch(dom, pts[None])[0])
 
 
 def _phi_batch(dom, pts_batch):
@@ -111,7 +99,7 @@ def _phi_batch(dom, pts_batch):
     diff = pts_batch[:, :, None, :] - pts_batch[:, None, :, :]
     dist = np.linalg.norm(diff, axis=-1)
     iu = np.triu_indices(k, k=1)
-    half = dist[:, iu[0], iu[1]].min(axis=1) / 2.0
+    half = dist[:, iu[0], iu[1]].min(axis=1, initial=np.inf) / 2.0
     return np.minimum(depth.min(axis=1), half)
 
 
@@ -231,7 +219,7 @@ def _min_defect_over_t0(curve, k, delta, t0_hint=None, coarse=16, xatol=1e-9):
 
 def _critical_delta(dom, k, t0_samples=16):
     """Root of min_t0 defect(delta, t0, chord=2*delta) in delta; returns
-    (delta_star, points, ts). Accepts any k >= 3; evenness is enforced
+    (delta_star, points). Accepts any k >= 3; evenness is enforced
     by the public wrapper."""
     bd = dom.boundary
     ell = bd.total_length
@@ -269,8 +257,7 @@ def _critical_delta(dom, k, t0_samples=16):
     _, t0 = _min_defect_over_t0(
         gamma, k, delta_star, t0_hint=state["t0"], coarse=t0_samples, xatol=1e-12
     )
-    pts, ts, _ = equal_chord_march(gamma, k, 2.0 * delta_star, t0)
-    return float(delta_star), pts, ts
+    return float(delta_star), equal_chord_march(gamma, k, 2.0 * delta_star, t0)[0]
 
 
 def critical_distance(dom, k, t0_samples=16):
@@ -287,8 +274,8 @@ def critical_distance(dom, k, t0_samples=16):
             "crown closure needs k >= 4 (at k=2 the closing chord equals "
             "the offset-curve diameter and the march degenerates)"
         )
-    delta_star, pts, ts = _critical_delta(dom, k, t0_samples)
-    config = SpikeConfiguration(pts, ts=np.mod(ts[:-1], 1.0))
+    delta_star, pts = _critical_delta(dom, k, t0_samples)
+    config = SpikeConfiguration(pts)
 
     depth = -dom.signed_distance(pts)
     if np.abs(depth - delta_star).max() > 1e-8:
@@ -333,7 +320,7 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     own critical offset (clamped into the depth tube) plus one point
     pinned at the deep stratum depth delta* + eta."""
     try:
-        ring_delta, ring_pts, _ = _critical_delta(dom, k - 1)
+        ring_delta, ring_pts = _critical_delta(dom, k - 1)
     except (NoCriticalDeltaError, ChordInfeasibleError, ClosureError):
         return np.empty((0, k, 2))
     lo, hi = delta_star - 0.9 * eta, delta_star + 0.9 * eta

@@ -16,7 +16,6 @@ positive, and the spike profile never meets the difference operator.
 """
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -420,15 +419,16 @@ def newton_solve(grid, nl, eps, profile, config):
     signs = np.asarray(config.signs, dtype=float)
 
     def ansatz_and_modes(P):
-        # column 2i + a of Z is s_i w'(r/eps)/eps * (P_i - x)_a / r
-        Z = np.zeros((n, 2 * len(P)))
+        # U is assemble_ansatz's sum; column 2i + a of Z is
+        # s_i w'(r/eps)/eps * (P_i - x)_a / r
+        U, Z = np.zeros(n), np.zeros((n, 2 * len(P)))
         for i, (pt, sgn) in enumerate(zip(P, signs)):
             d = pt - grid.xy
             r = np.linalg.norm(d, axis=1)
+            U += sgn * profile.value(r / eps)
             slope = sgn * profile.derivative(r / eps) / (eps * np.where(r > 0.0, r, 1.0))
             Z[:, 2 * i:2 * i + 2] = slope[:, None] * d
-        crown = SimpleNamespace(points=P, signs=signs)
-        return assemble_ansatz(grid, profile, eps, crown).values, Z
+        return U, Z
 
     U, Z = ansatz_and_modes(P)
     u = U.copy()

@@ -13,6 +13,7 @@ is O(1) on configurations near the target crown.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,30 +86,7 @@ def boundary_exponent(model, P):
     P = np.asarray(P, dtype=float)
     if P.shape != (2,) or not np.all(np.isfinite(P)):
         raise ConfigError(f"point must be a finite pair, got {P!r}")
-    return float(_exponents(model, P[None])[0][0])
-
-
-def _exponents(model, pts):
-    """(psi, feet) at the rows of pts, from one nearest-point query."""
-    feet, dist = model.dom.nearest(pts)
-    depths = -dist
-    if depths.min() < model.eta:
-        raise ConfigError(f"point at depth {depths.min():.4g} is shallower "
-                          f"than the margin {model.eta}")
-    if model.form == "leading":
-        return 2.0 * depths, feet
-    return np.array([pde.boundary_correction(model.grid, model.profile, model.epsilon, p)[1]
-                     for p in pts]), feet
-
-
-def _exponent_slopes(model, pts, feet):
-    """grad psi at each row of pts, shape (k, 2); see energy_gradient."""
-    if model.form == "leading":
-        return -2.0 * model.dom.boundary.normal(feet)
-    h = max(1e-7, model.epsilon * 1e-5)
-    rows = [[boundary_exponent(model, p + e) - boundary_exponent(model, p - e)
-             for e in h * np.eye(2)] for p in pts]
-    return np.array(rows) / (2.0 * h)
+    return float(_Evaluation(model, P[None]).psi[0])
 
 
 def _pair_distances(pts):
@@ -117,6 +95,41 @@ def _pair_distances(pts):
     iu, ju = np.triu_indices(len(pts), 1)
     diff = pts[iu] - pts[ju]
     return iu, ju, np.sqrt(np.vecdot(diff, diff))
+
+
+class _Evaluation:
+    """One configuration's feet, depths and pair distances, from one
+    nearest-point query and one pair-distance pass. Admissibility, psi,
+    the energy and the gradient all read them; psi is computed on first
+    use, since in psi_numeric form it costs k boundary-layer solves."""
+
+    def __init__(self, model, pts):
+        self.model, self.pts = model, pts
+        self.feet, dist = model.dom.nearest(pts)
+        self.depths = -dist
+        self.iu, self.ju, self.r = _pair_distances(pts)
+
+    @cached_property
+    def psi(self):
+        model = self.model
+        if self.depths.min() < model.eta:
+            raise ConfigError(f"point at depth {self.depths.min():.4g} is shallower "
+                              f"than the margin {model.eta}")
+        if model.form == "leading":
+            return 2.0 * self.depths
+        return np.array([pde.boundary_correction(model.grid, model.profile, model.epsilon, p)[1]
+                         for p in self.pts])
+
+
+def _exponent_slopes(ev):
+    """grad psi at each spike, shape (k, 2); see energy_gradient."""
+    model = ev.model
+    if model.form == "leading":
+        return -2.0 * model.dom.boundary.normal(ev.feet)
+    h = max(1e-7, model.epsilon * 1e-5)
+    rows = [[boundary_exponent(model, p + e) - boundary_exponent(model, p - e)
+             for e in h * np.eye(2)] for p in ev.pts]
+    return np.array(rows) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -155,27 +168,26 @@ def in_configuration_set(model, config):
     parameters are the boundary foot parameters (PlanarDomain.nearest).
     Returns a report naming the first failed condition.
     """
-    return _membership(model, np.asarray(config.points, dtype=float))
+    return _membership(_Evaluation(model, np.asarray(config.points, dtype=float)))
 
 
-def _membership(model, pts):
-    feet, dist = model.dom.nearest(pts)
-    depths = -dist
+def _membership(ev):
+    model = ev.model
     lo, hi = model.delta - model.eta, model.delta + model.eta
-    for i, d in enumerate(depths):
+    for i, d in enumerate(ev.depths):
         if not (lo < d < hi):
             return MembershipReport(
                 False, "depth", f"spike {i} at depth {d:.6g} outside ({lo:.6g}, {hi:.6g})"
             )
-    if len(pts) == 1:
+    if len(ev.pts) == 1:
         return MembershipReport(True)
-    ts = np.mod(feet, 1.0)
+    ts = np.mod(ev.feet, 1.0)
     gaps = np.mod(np.diff(ts, append=ts[0]), 1.0)
     if np.any(gaps < 1e-12) or abs(gaps.sum() - 1.0) > 1e-9:
         return MembershipReport(
             False, "order", f"projections {np.array2string(ts, precision=6)} not in cyclic order"
         )
-    iu, ju, r = _pair_distances(pts)
+    iu, ju, r = ev.iu, ev.ju, ev.r
     floor = 2.0 * model.delta - model.eta
     tight = r <= floor
     if tight.any():
@@ -186,17 +198,17 @@ def _membership(model, pts):
     return MembershipReport(True)
 
 
-def _require_admissible(model, pts, what="configuration"):
-    rep = _membership(model, pts)
+def _require_admissible(ev, what="configuration"):
+    rep = _membership(ev)
     if not rep:
         raise ConfigError(f"{what} not admissible ({rep.reason}): {rep.detail}")
 
 
-def _signed_terms(model, pts, signs):
+def _signed_terms(ev, signs):
     """Log-space terms of S: (positive logs, negative logs, breakdown parts)."""
-    log_b = _LOG_HALF - _exponents(model, pts)[0] / model.epsilon
-    iu, ju, r = _pair_distances(pts)
-    lw = model.profile.log_value(r / model.epsilon)
+    model, iu, ju = ev.model, ev.iu, ev.ju
+    log_b = _LOG_HALF - ev.psi / model.epsilon
+    lw = model.profile.log_value(ev.r / model.epsilon)
     repulsive = signs[iu] * signs[ju] < 0
     rows = list(zip(iu.tolist(), ju.tolist(), lw.tolist(), repulsive))
     parts = (log_b, [r[:3] for r in rows if r[3]], [r[:3] for r in rows if not r[3]])
@@ -228,10 +240,10 @@ def evaluate_energy(model, config, check=True):
     defined for any interior points deeper than the margin. The
     breakdown's cancellation tells how many digits log|S| keeps.
     """
-    pts = np.asarray(config.points, dtype=float)
+    ev = _Evaluation(model, np.asarray(config.points, dtype=float))
     if check:
-        _require_admissible(model, pts)
-    pos, neg, parts = _signed_terms(model, pts, np.asarray(config.signs, dtype=int))
+        _require_admissible(ev)
+    pos, neg, parts = _signed_terms(ev, np.asarray(config.signs, dtype=int))
     log_abs, sign, cancellation = _combine(pos, neg)
     return log_abs, sign, EnergyBreakdown(*parts, cancellation)
 
@@ -250,18 +262,17 @@ def energy_gradient(model, config):
     with step max(1e-7, eps*1e-5): four boundary-layer solves per spike
     against the cached LU. Raises ConfigError off the admissible set.
     """
-    pts = np.asarray(config.points, dtype=float)
-    _require_admissible(model, pts)
-    return _gradient(model, pts, np.asarray(config.signs, dtype=int))
+    ev = _Evaluation(model, np.asarray(config.points, dtype=float))
+    _require_admissible(ev)
+    return _gradient(ev, np.asarray(config.signs, dtype=int))
 
 
-def _gradient(model, pts, signs):
+def _gradient(ev, signs):
+    model, pts, iu, ju, r = ev.model, ev.pts, ev.iu, ev.ju, ev.r
     eps = model.epsilon
     shift = 2.0 * model.delta / eps
-    psi, feet = _exponents(model, pts)
-    boundary = np.exp(shift - psi / eps) / (-2.0 * eps)
-    g = boundary[:, None] * _exponent_slopes(model, pts, feet)
-    iu, ju, r = _pair_distances(pts)
+    boundary = np.exp(shift - ev.psi / eps) / (-2.0 * eps)
+    g = boundary[:, None] * _exponent_slopes(ev)
     coef = (-(signs[iu] * signs[ju]) * np.exp(model.profile.log_value(r / eps) + shift)
             * model.profile.log_derivative(r / eps) / (eps * r))
     pull = coef[:, None] * (pts[iu] - pts[ju])
@@ -275,39 +286,41 @@ def minimize_energy(model, init):
 
     BFGS on the 2k spike coordinates with the closed-form gradient;
     steps leaving the admissible set are rejected by halving (up to 20
-    times). Returns (SpikeConfiguration, log|S| at the minimizer, trace,
-    stop); trace rows are (iteration, log_energy, gradient_norm, min
-    adjacent chord, min pair distance), and stop is "gradient" (norm
-    below _GRAD_TOL), "step" (accepted step below 1e-12), "line_search"
-    (no admissible trial lowered the energy) or "max_iter" (_MAX_ITER
-    steps taken).
+    times). Each trial point is evaluated once: one nearest-point query
+    and one pair-distance pass serve its admissibility test, its energy
+    and, once accepted, its gradient and trace row. Returns
+    (SpikeConfiguration, log|S| at the minimizer, trace, stop); trace
+    rows are (iteration, log_energy, gradient_norm, min adjacent chord,
+    min pair distance), and stop is "gradient" (norm below _GRAD_TOL),
+    "step" (accepted step below 1e-12), "line_search" (no admissible
+    trial lowered the energy) or "max_iter" (_MAX_ITER steps taken).
     """
-    pts0 = np.asarray(init.points, dtype=float)
     signs = np.asarray(init.signs, dtype=int)
-    _require_admissible(model, pts0, "init")
+    ev = _Evaluation(model, np.asarray(init.points, dtype=float))
+    _require_admissible(ev, "init")
 
-    def energy(x):
-        pos, neg, _ = _signed_terms(model, x.reshape(-1, 2), signs)
+    def energy(ev):
+        pos, neg, _ = _signed_terms(ev, signs)
         log_e, sign, _ = _combine(pos, neg)
         return log_e, sign * np.exp(log_e + 2.0 * model.delta / model.epsilon)
 
-    def geometry_row(x):
-        p = x.reshape(-1, 2)
+    def geometry_row(ev):
+        p = ev.pts
         if len(p) == 1:
             return np.nan, np.nan
         chords = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
-        return float(chords.min()), float(_pair_distances(p)[2].min())
+        return float(chords.min()), float(ev.r.min())
 
-    x = pts0.ravel().copy()
-    log_e, f = energy(x)
-    g = _gradient(model, pts0, signs)
+    x = ev.pts.ravel().copy()
+    log_e, f = energy(ev)
+    g = _gradient(ev, signs)
     H = np.eye(x.size)
     trace = []
     step = np.inf
     for it in range(_MAX_ITER + 1):
         # the last trace row always describes the returned point
         gn = float(np.linalg.norm(g))
-        trace.append((it, log_e, gn) + geometry_row(x))
+        trace.append((it, log_e, gn) + geometry_row(ev))
         if gn < _GRAD_TOL or step < 1e-12 or it == _MAX_ITER:
             stop = "gradient" if gn < _GRAD_TOL else "step" if step < 1e-12 else "max_iter"
             break
@@ -316,35 +329,35 @@ def minimize_energy(model, init):
             H = np.eye(x.size)
             d = -g
         alpha = 1.0
-        x_new = None
+        new = None
         saw_admissible = False
         for _ in range(20):
-            cand = x + alpha * d
-            if _membership(model, cand.reshape(-1, 2)):
+            trial = _Evaluation(model, (x + alpha * d).reshape(-1, 2))
+            if _membership(trial):
                 saw_admissible = True
-                log_cand, f_cand = energy(cand)
+                log_cand, f_cand = energy(trial)
                 # f has ~1e-14 relative rounding (exp of a log-sum of size
                 # ~20); a strict test would stall once the decrease sinks below it
                 if f_cand <= f + 1e-4 * alpha * float(d @ g) + 1e-13 * abs(f):
-                    x_new = cand
+                    new = trial
                     break
             alpha *= 0.5
-        if x_new is None:
+        if new is None:
             if not saw_admissible:
                 raise BoundaryTrappedError(
                     "every step size leaves the admissible configuration set"
                 )
             stop = "line_search"
             break
-        g_new = _gradient(model, x_new.reshape(-1, 2), signs)
-        s = x_new - x
+        g_new = _gradient(new, signs)
+        s = new.pts.ravel() - x
         y = g_new - g
         ys = float(y @ s)
         if ys > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s):
             rho = 1.0 / ys
             I = np.eye(x.size)
             H = (I - rho * np.outer(s, y)) @ H @ (I - rho * np.outer(y, s)) + rho * np.outer(s, s)
-        x, log_e, f, g = x_new, log_cand, f_cand, g_new
+        x, ev, log_e, f, g = new.pts.ravel(), new, log_cand, f_cand, g_new
         step = float(np.linalg.norm(s))
 
     return SpikeConfiguration(x.reshape(-1, 2), signs=signs), log_e, np.array(trace), stop

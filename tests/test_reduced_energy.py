@@ -333,7 +333,7 @@ def assert_membership_matches_oracle(m, crown, seed):
         if n % 4 == 1:
             pts[[0, 1]] = pts[[1, 0]]
         rep, ts = projection_membership(m, pts)
-        assert re_._membership(m, pts) == rep
+        assert re_._membership(re_._Evaluation(m, pts)) == rep
         reasons.add(rep.reason)
         if ts is not None:
             gap = np.abs(np.mod(m.dom.foot(pts), 1.0) - ts) % 1.0
@@ -368,10 +368,10 @@ def test_membership_and_gradient_make_one_nearest_point_query(
 
     monkeypatch.setattr(geo.PlanarDomain, "nearest", counted)
     pts = np.asarray(crown.points, dtype=float)
-    assert re_._membership(m, pts)
-    assert calls == [crown.k]
-    calls.clear()
-    re_._gradient(m, pts, np.asarray(crown.signs, dtype=int))
+    ev = re_._Evaluation(m, pts)
+    assert re_._membership(ev)
+    re_._signed_terms(ev, np.asarray(crown.signs, dtype=int))
+    re_._gradient(ev, np.asarray(crown.signs, dtype=int))
     assert calls == [crown.k]
 
 
@@ -523,6 +523,26 @@ def test_minimize_exact_crown_stops_fast(disk, crown8, profile_p3n2):
     cfg, log_min, trace, _ = re_.minimize_energy(m, crown)
     assert int(trace[-1][0]) <= 5
     assert trace[-1][2] < 1e-9
+
+
+def test_minimize_queries_each_configuration_once(
+        disk, crown8, profile_p3n2, monkeypatch):
+    # a line-search trial's admissibility, energy and (once accepted)
+    # gradient and trace row all read one PlanarDomain.nearest query
+    ds, crown = crown8
+    m = model_for(disk, profile_p3n2, ds / 10, ds)
+    queried = []
+    nearest = geo.PlanarDomain.nearest
+
+    def recorded(dom, X):
+        queried.append(np.asarray(X).tobytes())
+        return nearest(dom, X)
+
+    monkeypatch.setattr(geo.PlanarDomain, "nearest", recorded)
+    trace = re_.minimize_energy(m, crown)[2]
+    assert len(queried) > len(trace)
+    repeats = len(queried) - len(set(queried))
+    assert repeats == 0
 
 
 @pytest.mark.parametrize("frac", [5.0, 6.0])
