@@ -272,8 +272,8 @@ def run_pack(cfg, out_dir, dom=None):
     eta = cfg.eta if cfg.eta is not None else delta_star / 10.0
     if not 0.0 < eta < delta_star / 2.0:
         raise ConfigError(f"eta must lie in (0, delta*/2), got {eta}")
-    sup_phi, gap = pk.boundary_gap_check(dom, k, delta_star, eta,
-                                         n_samples=10_000, seed=cfg.seed)
+    sup_phi, gap, (closed, tried) = pk.boundary_gap_check(
+        dom, crown, delta_star, eta, n_samples=10_000, seed=cfg.seed)
     pts = crown.points
     steps = np.roll(pts, -1, axis=0) - pts
     chords = np.hypot(steps[:, 0], steps[:, 1])
@@ -286,6 +286,7 @@ def run_pack(cfg, out_dir, dom=None):
                 {"k": k, "delta_star": delta_star, "eta": eta,
                  "sup_phi_boundary": sup_phi, "gap": gap,
                  "n_samples": 10_000, "seed": cfg.seed,
+                 "ring_family": {"closed": closed, "tried": tried},
                  "inputs": _inputs(cfg, _PACK_INPUTS), **_stamp(cfg)})
     return k, delta_star, eta, crown
 
@@ -624,9 +625,10 @@ def _criterion_ellipse_search():
                 "twice_delta_star": 2.0 * delta_star}
 
 
-def _criterion_boundary_gap(dom, delta_star, seed):
-    sup_phi, gap = pk.boundary_gap_check(dom, 8, delta_star, delta_star / 10.0,
-                                         n_samples=10_000, seed=seed)
+def _criterion_boundary_gap(dom, delta_star, crown, seed):
+    sup_phi, gap, _ = pk.boundary_gap_check(dom, crown, delta_star,
+                                            delta_star / 10.0,
+                                            n_samples=10_000, seed=seed)
     ok = sup_phi < delta_star - 1e-3
     return ok, {"sup_phi": sup_phi, "delta_star": delta_star, "gap": gap}
 
@@ -769,7 +771,7 @@ def verification_report(seed=0, echo=None):
     run(2, "circle-crown-closed-form", _criterion_circle_closed_form)
     run(3, "ellipse-crown-grid-search", _criterion_ellipse_search)
     run(4, "admissible-boundary-gap",
-        lambda: _criterion_boundary_gap(disk, delta_star, seed))
+        lambda: _criterion_boundary_gap(disk, delta_star, crown, seed))
     run(5, "boundary-exponent-trend",
         lambda: _criterion_exponent_trend(profile))
     run(6, "reduced-energy-scaling",

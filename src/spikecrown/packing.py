@@ -4,15 +4,18 @@ The optimal placement of k interior points maximizing
 min(depth to the boundary, half pairwise distances) is an equal-chord
 polygon inscribed in the inner parallel curve at the critical offset
 delta*, where the closing chord equals exactly 2*delta. This module
-marches equal chords around a curve, closes the polygon by root-finding
-on the chord length, root-finds the critical offset, and samples the
-boundary strata of the admissible neighborhood for the gap property.
+marches equal chords around a curve, many chords and start phases at
+once, closes polygons by Newton in the chord length, finds the critical
+offset by Newton in delta, and samples the boundary strata of the
+admissible neighborhood for the gap property. The scalar
+equal_chord_march is kept as the independent oracle of the batched one.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     ChordInfeasibleError,
@@ -26,6 +29,10 @@ from .errors import (
 from .geometry import inner_parallel_curve, project_to_curve  # noqa: F401
 
 _INFEASIBLE = 1e9  # closure defect of a march whose chord cannot be placed
+_CLOSURE_TOL = 1e-9  # a closed march misses its start by at most this times l
+_VERTEX_STEPS = 64  # Newton steps per vertex before a row is dropped
+_NEWTON_STEPS = 100  # steps of the closure, phase and offset iterations
+_T_TOL, _C_TOL, _T0_TOL, _DELTA_TOL = 1e-14, 1e-14, 1e-12, 1e-13
 
 
 @dataclass(frozen=True)
@@ -159,85 +166,264 @@ def _defect(curve, k, chord, t0):
         return _INFEASIBLE
 
 
+class _March(NamedTuple):
+    """Equal-chord marches, one per row: ts (m, k+1) and the closure
+    defect with its derivatives in the chord, the start phase and an
+    inward offset of the curve along its normals (chord and phase held).
+    Rows that cannot place a chord have defect +inf and nan derivatives.
+    """
+
+    ts: np.ndarray
+    defect: np.ndarray
+    d_chord: np.ndarray
+    d_t0: np.ndarray
+    d_offset: np.ndarray
+
+
+def _safeguarded_newton(x, f, df, lo, hi, dx, dx_old, tol):
+    """One bracketed Newton step per row (rtsafe; Press et al.,
+    Numerical Recipes, sec. 9.4). The bracket [lo, hi], f(lo) < 0 <=
+    f(hi), first moves to x; then x bisects wherever the Newton step
+    leaves the bracket or is over half the step before last. Non-finite
+    f or df bisect. Returns (x_next, lo, hi, dx, dx_old, done), done
+    where the Newton step or the bracket is within tol."""
+    below = f < 0.0
+    lo = np.where(below, x, lo)
+    hi = np.where(below, hi, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = f / df
+    newton = x - step
+    take = (newton >= lo) & (newton <= hi) & (np.abs(step) <= 0.5 * np.abs(dx_old))
+    step = np.where(take, step, x - 0.5 * (lo + hi))
+    done = (take & (np.abs(step) <= tol)) | (hi - lo <= tol)
+    return x - step, lo, hi, step, dx, done
+
+
+def _arc_start(curve, t, c):
+    """A parameter past t and less than one arclength c ahead of it: the
+    table's arclength-c point less two cells, or half of it for chords
+    that short. Up to there the chord from t is below c."""
+    s_ext = np.append(curve.arclengths, curve.total_length)
+    t_ext = np.append(curve.t_nodes, 1.0)
+    lap = np.floor(t)
+    s = np.interp(t - lap, t_ext, s_ext) + c
+    ahead = np.floor(s / curve.total_length)
+    ta = lap + ahead + np.interp(s - ahead * curve.total_length, s_ext, t_ext)
+    return np.maximum(ta - 2.0 / curve._n, 0.5 * (t + ta))
+
+
+def _next_vertex(curve, t, p, c):
+    """First t' > t with |P(t') - p| = c on the distance's first rising
+    branch, per row; returns (t', placed).
+
+    Newton on |P - p| - c starts from the arclength-c point and is
+    bracketed by _safeguarded_newton. Until the chord reaches c, a point
+    where the distance falls also bounds the bracket from above (so does
+    t + 1, back at p). A row whose bracket closes on such a point, a
+    local maximum of the distance below c, is not placed."""
+    m = len(t)
+    x = _arc_start(curve, t, c)
+    lo, hi = t.copy(), t + 1.0
+    top = np.ones(m, dtype=bool)  # hi is where the distance falls below c
+    dx, dx_old = np.full(m, np.inf), np.full(m, np.inf)
+    out = np.full(m, np.nan)
+    rows = np.nonzero(x < hi)[0]
+    for _ in range(_VERTEX_STEPS):
+        if not rows.size:
+            break
+        xr = x[rows]
+        r = curve.point(xr) - p[rows]
+        d1 = curve.d1(xr)
+        g = np.hypot(r[:, 0], r[:, 1])
+        f = g - c[rows]
+        slope = np.einsum("ij,ij->i", r, d1) / g
+        falls = (f < 0.0) & ~(slope > 0.0) & top[rows]
+        top[rows] = falls | (top[rows] & (f < 0.0))
+        xn, lo[rows], hi[rows], dx[rows], dx_old[rows], done = _safeguarded_newton(
+            xr, np.where(falls, 1.0, f), np.where(falls, np.nan, slope),
+            lo[rows], hi[rows], dx[rows], dx_old[rows], _T_TOL)
+        x[rows] = xn
+        placed = done & ~(top[rows] & (hi[rows] - lo[rows] <= _T_TOL))
+        out[rows[placed]] = xn[placed]
+        rows = rows[~done]
+    return out, np.isfinite(out)
+
+
+def _march(curve, k, chord, t0):
+    """Batched equal_chord_march: a k-step march per row of (chord, t0),
+    with the closure defect and its derivatives (see _March).
+
+    The derivatives follow one tangent recursion along the march. With
+    u the unit chord from vertex i to i+1 and P' = dP/dt,
+    dt_{i+1} = (s_i + (u.P'(t_i)) dt_i) / (u.P'(t_{i+1})), where the
+    source s_i is 1 for the chord, 0 for the phase (dt_0 = 1) and
+    u.(nu(t_{i+1}) - nu(t_i)) for the offset, nu the outward normal. An
+    inward offset h shortens arcs by h times their turning angle, so the
+    offset derivative of the defect also carries the turning of the
+    march past one lap, taken within half a turn."""
+    chord, t0 = (np.array(a, dtype=float).ravel()
+                 for a in np.broadcast_arrays(chord, t0))
+    m = len(t0)
+    ts = np.full((m, k + 1), np.nan)
+    ts[:, 0] = t0
+    w = np.zeros((3, m))  # dt_i / d(chord, t0, offset)
+    w[1] = 1.0
+    rows = np.arange(m)
+    p, d1_0 = curve.point(t0), curve.d1(t0)
+    d1 = d1_0
+    for i in range(k):
+        t_next, placed = _next_vertex(curve, ts[rows, i], p, chord[rows])
+        rows, p, d1 = rows[placed], p[placed], d1[placed]
+        t_next = t_next[placed]
+        q, e1 = curve.point(t_next), curve.d1(t_next)
+        u = (q - p) / chord[rows, None]
+        a = np.einsum("ij,ij->i", u, d1)
+        b = np.einsum("ij,ij->i", u, e1)
+        src = np.zeros((3, len(rows)))
+        src[0] = 1.0
+        src[2] = _cross(u, _unit(e1)) - _cross(u, _unit(d1))  # u.(nu' - nu)
+        w[:, rows] = (src + a * w[:, rows]) / b
+        ts[rows, i + 1] = t_next
+        p, d1 = q, e1
+    defect = np.full(m, np.inf)
+    d_chord, d_t0, d_offset = np.full((3, m), np.nan)
+    if rows.size:
+        defect[rows] = (curve.arclength(ts[rows, k]) - curve.arclength(t0[rows])
+                        - curve.total_length)
+        sp_k = np.hypot(d1[:, 0], d1[:, 1])
+        tk, t_0 = _unit(d1), _unit(d1_0[rows])
+        turn = np.arctan2(_cross(t_0, tk), np.einsum("ij,ij->i", t_0, tk))
+        d_chord[rows] = sp_k * w[0, rows]
+        d_t0[rows] = sp_k * w[1, rows] - np.hypot(d1_0[rows, 0], d1_0[rows, 1])
+        d_offset[rows] = sp_k * w[2, rows] - turn
+    return _March(ts, defect, d_chord, d_t0, d_offset)
+
+
+def _unit(v):
+    return v / np.hypot(v[:, 0], v[:, 1])[:, None]
+
+
+def _cross(a, b):
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+
+def _close(curve, k, t0):
+    """Closing chords of the k-step marches from each start phase t0,
+    by one batched safeguarded Newton in c on the bracket
+    (0.25*l/k, 1.2*l/k), l the curve length; returns (ts, c, defect,
+    bracketed). The upper march overshoots, as a chord is never longer
+    than its arc (or cannot be placed). Rows without a sign change on
+    the bracket have bracketed False; a row whose defect jumps across
+    zero ends with its bracket collapsed and a large defect."""
+    t0 = np.asarray(t0, dtype=float)
+    m = len(t0)
+    ell = curve.total_length
+    lo, hi = np.full(m, 0.25 * ell / k), np.full(m, 1.2 * ell / k)
+    bracketed = (_march(curve, k, lo, t0).defect < 0.0) & (
+        _march(curve, k, hi, t0).defect > 0.0)
+    # start from the chord that closes a regular k-gon on a circle
+    x = np.full(m, ell * np.sin(np.pi / k) / np.pi)
+    dx, dx_old = hi - lo, hi - lo
+    ts = np.full((m, k + 1), np.nan)
+    c, defect = np.full(m, np.nan), np.full(m, np.inf)
+    rows = np.nonzero(bracketed)[0]
+    for _ in range(_NEWTON_STEPS):
+        if not rows.size:
+            break
+        mr = _march(curve, k, x[rows], t0[rows])
+        xn, lo[rows], hi[rows], dx[rows], dx_old[rows], done = _safeguarded_newton(
+            x[rows], mr.defect, mr.d_chord, lo[rows], hi[rows], dx[rows],
+            dx_old[rows], _C_TOL)
+        fin = rows[done]
+        ts[fin], c[fin], defect[fin] = mr.ts[done], x[fin], mr.defect[done]
+        x[rows] = xn
+        rows = rows[~done]
+    return ts, c, defect, bracketed
+
+
 def close_polygon(curve, k, t0=0.0):
     """Chord c* whose k-step equal-chord march from t0 closes, and its
-    polygon; returns (points, ts, c_star).
-
-    One brentq on the fixed bracket (0.25*l/k, 1.2*l/k), l the curve
-    length; the upper march overshoots, as a chord is never longer than
-    its arc (or cannot be placed). The defect jumps where the march's
-    first root ahead jumps, and brentq may converge onto such a jump: a
+    polygon; returns (points, ts, c_star). The one-row case of _close: a
     march at c* that misses closure by over 1e-9*l raises ClosureError.
     """
     if k < 3:
         raise ConfigError(f"closure needs k >= 3, got {k}")
+    ts, c, defect, bracketed = _close(curve, k, np.array([float(t0)]))
     ell = curve.total_length
-    c_lo, c_hi = 0.25 * ell / k, 1.2 * ell / k
-    d_lo, d_hi = _defect(curve, k, c_lo, t0), _defect(curve, k, c_hi, t0)
-    if not (d_lo < 0.0 < d_hi):
+    if not bracketed[0]:
         raise ClosureError(
             f"closure defect has no sign change on chord bracket "
-            f"({c_lo:.6g}, {c_hi:.6g}): {d_lo:.3e} .. {d_hi:.3e}"
+            f"({0.25 * ell / k:.6g}, {1.2 * ell / k:.6g}) from t0={t0}"
         )
-    c_star = brentq(
-        lambda c: _defect(curve, k, c, t0),
-        c_lo,
-        c_hi,
-        xtol=1e-13,
-        rtol=8.9e-16,
-        maxiter=300,
-    )
-    pts, ts, defect = equal_chord_march(curve, k, c_star, t0)
-    if abs(defect) > 1e-9 * ell:
-        raise ClosureError(f"the march at chord {c_star:.12g} from t0={t0} "
-                           f"misses closure by {defect:.3e}")
-    return pts, ts, float(c_star)
+    if not abs(defect[0]) <= _CLOSURE_TOL * ell:
+        raise ClosureError(f"the march at chord {c[0]:.12g} from t0={t0} "
+                           f"misses closure by {defect[0]:.3e}")
+    return curve.point(ts[0, :k]), ts[0], float(c[0])
 
 
-def _min_defect_over_t0(curve, k, delta, t0_hint=None, coarse=16, xatol=1e-9):
-    """min over start parameters of the chord-2*delta closure defect."""
-    if curve.kind == "circle":
-        return _defect(curve, k, 2.0 * delta, 0.0), 0.0
-    t_grid = np.arange(coarse) / coarse
-    vals = [_defect(curve, k, 2.0 * delta, t) for t in t_grid]
-    order = [t_grid[int(np.argmin(vals))]]
-    if t0_hint is not None:
-        order.append(t0_hint)
-    best_v, best_t = np.inf, 0.0
-    w = 1.0 / coarse
-    for tc in order:
-        res = minimize_scalar(
-            lambda t: _defect(curve, k, 2.0 * delta, t),
-            bounds=(tc - w, tc + w),
-            method="bounded",
-            options={"xatol": xatol},
-        )
-        if res.fun < best_v:
-            best_v, best_t = float(res.fun), float(res.x)
-    return best_v, best_t
+def _min_defect(curve, k, delta, samples=16):
+    """Least closure defect over start phases of the chord-2*delta march
+    on curve; returns (defect, ts, slope), slope its derivative in delta
+    when curve is the inner parallel curve at delta.
+
+    One batched march over `samples` phases finds the cells in which
+    d(defect)/dt0 turns from negative to positive; a batched secant on
+    d(defect)/dt0 = 0, bracketed in each cell, polishes every local
+    minimum at once. At a minimum the phase is stationary, so the slope
+    is 2*d_chord + d_offset there. The circle needs the phase 0 only."""
+    chord = 2.0 * delta
+    t = np.zeros(1) if curve.kind == "circle" else np.arange(samples) / samples
+    coarse = _march(curve, k, chord, t)
+    f = coarse.d_t0
+    f_next = np.roll(f, -1)
+    cells = np.nonzero((f <= 0.0) & (f_next > 0.0))[0]
+    lo, hi = t[cells], t[cells] + 1.0 / samples
+    x_prev, f_prev = hi.copy(), f_next[cells]
+    x = lo - f[cells] * (hi - lo) / (f_prev - f[cells])
+    dx, dx_old = hi - lo, hi - lo
+    found = []
+    rows = np.arange(cells.size)
+    for _ in range(_NEWTON_STEPS):
+        if not rows.size:
+            break
+        mr = _march(curve, k, chord, x[rows])
+        fr = mr.d_t0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = (fr - f_prev[rows]) / (x[rows] - x_prev[rows])
+        x_prev[rows], f_prev[rows] = x[rows], fr
+        xn, lo[rows], hi[rows], dx[rows], dx_old[rows], done = _safeguarded_newton(
+            x[rows], fr, secant, lo[rows], hi[rows], dx[rows], dx_old[rows],
+            _T0_TOL)
+        found.append((mr, done))
+        x[rows] = xn
+        rows = rows[~done]
+    found.append((coarse, np.ones(len(t), dtype=bool)))
+    defect = np.concatenate([m.defect[d] for m, d in found])
+    ts = np.concatenate([m.ts[d] for m, d in found])
+    slope = np.concatenate([2.0 * m.d_chord[d] + m.d_offset[d] for m, d in found])
+    i = int(np.argmin(defect))
+    return float(defect[i]), ts[i], float(slope[i])
 
 
 def _critical_delta(dom, k, t0_samples=16):
     """Root of min_t0 defect(delta, t0, chord=2*delta) in delta; returns
     (delta_star, points). Accepts any k >= 3; evenness is enforced
-    by the public wrapper."""
+    by the public wrapper.
+
+    The bracket is as wide as the offset curves allow; a safeguarded
+    Newton in delta then takes its slope from _min_defect."""
     bd = dom.boundary
     ell = bd.total_length
     d_lo = ell / (4.0 * k)
     d_hi = min(0.95 / bd.kappa_max, 0.9 * dom.inradius)
-    state = {"t0": None}
 
     def g(delta):
-        gamma = inner_parallel_curve(bd, delta)
-        val, t0 = _min_defect_over_t0(
-            gamma, k, delta, t0_hint=state["t0"], coarse=t0_samples
-        )
-        state["t0"] = t0
-        return val
+        return _min_defect(inner_parallel_curve(bd, delta), k, delta,
+                           t0_samples)[0]
 
     g_hi = g(d_hi)
     tries = 0
-    while not g_hi < _INFEASIBLE and tries < 10:  # chord infeasible at the top end
+    while not g_hi < np.inf and tries < 10:  # chord infeasible at the top end
         d_hi = 0.5 * (d_hi + d_lo)
         g_hi = g(d_hi)
         tries += 1
@@ -252,19 +438,28 @@ def _critical_delta(dom, k, t0_samples=16):
             f"no critical offset for k={k}: defect spans "
             f"{g_lo:.3e} .. {g_hi:.3e} on ({d_lo:.4g}, {d_hi:.4g})"
         )
-    delta_star = brentq(g, d_lo, d_hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    gamma = inner_parallel_curve(bd, delta_star)
-    _, t0 = _min_defect_over_t0(
-        gamma, k, delta_star, t0_hint=state["t0"], coarse=t0_samples, xatol=1e-12
+    x, lo, hi = 0.5 * (d_lo + d_hi), d_lo, d_hi
+    dx = dx_old = d_hi - d_lo
+    for _ in range(_NEWTON_STEPS):
+        gamma = inner_parallel_curve(bd, x)
+        val, ts, slope = _min_defect(gamma, k, x, t0_samples)
+        xn, lo, hi, dx, dx_old, done = _safeguarded_newton(
+            x, val, slope, lo, hi, dx, dx_old, _DELTA_TOL)
+        if done:
+            return float(x), gamma.point(ts[:k])
+        x = float(xn)
+    raise NoCriticalDeltaError(
+        f"critical offset for k={k} not resolved in {_NEWTON_STEPS} steps "
+        f"on ({lo:.6g}, {hi:.6g})"
     )
-    return float(delta_star), equal_chord_march(gamma, k, 2.0 * delta_star, t0)[0]
 
 
 def critical_distance(dom, k, t0_samples=16):
     """Critical offset delta* and its equal-chord crown configuration.
 
-    Solves closure-chord = 2*delta by bisection in delta, maximizing the
-    phase over the march start. The returned crown satisfies: vertex
+    Solves closure-chord = 2*delta by a safeguarded Newton in delta,
+    minimizing the closure defect over the march start at each step
+    (_critical_delta). The returned crown satisfies: vertex
     depths delta*, adjacent chords 2*delta*, non-adjacent pairs >=
     2*delta*; violations raise PackingConsistencyError."""
     if k % 2 != 0:
@@ -317,35 +512,32 @@ def choose_spike_count(dom, delta0):
 
 def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     """Adversarial boundary-stratum family: a (k-1)-ring packed at its
-    own critical offset (clamped into the depth tube) plus one point
-    pinned at the deep stratum depth delta* + eta."""
+    own critical offset (clamped into the depth tube) and closed from
+    n_members random phases at once, plus one point pinned at the deep
+    stratum depth delta* + eta, midway between the ring's first two
+    vertices. Returns (configurations, number of rings that closed)."""
     try:
-        ring_delta, ring_pts = _critical_delta(dom, k - 1)
-    except (NoCriticalDeltaError, ChordInfeasibleError, ClosureError):
-        return np.empty((0, k, 2))
+        ring_delta, _ = _critical_delta(dom, k - 1)
+    except NoCriticalDeltaError:
+        return np.empty((0, k, 2)), 0
     lo, hi = delta_star - 0.9 * eta, delta_star + 0.9 * eta
     ring_delta = float(np.clip(ring_delta, max(lo, 1e-6), hi))
     gamma = inner_parallel_curve(dom.boundary, ring_delta)
-    out = []
-    for _ in range(n_members):
-        shift = rng.uniform(0.0, 1.0)
-        try:
-            pts, ts, _ = close_polygon(gamma, k - 1, t0=shift)
-        except (ClosureError, ChordInfeasibleError):
-            continue
-        # deep point at the pinned stratum depth, in the largest gap
-        mid = 0.5 * (ts[0] + ts[1])
-        deep = dom.boundary.point(mid) - (delta_star + eta) * dom.boundary.normal(mid)
-        cfg = np.vstack([pts, deep])
-        out.append(cfg)
-    return np.array(out) if out else np.empty((0, k, 2))
+    shifts = rng.uniform(0.0, 1.0, n_members)
+    ts, _, defect, _ = _close(gamma, k - 1, shifts)
+    ts = ts[np.abs(defect) <= _CLOSURE_TOL * gamma.total_length]
+    mid = 0.5 * (ts[:, 0] + ts[:, 1])
+    deep = dom.boundary.point(mid) - (delta_star + eta) * dom.boundary.normal(mid)
+    return np.concatenate([gamma.point(ts[:, :k - 1]), deep[:, None]], axis=1), len(ts)
 
 
-def boundary_gap_check(dom, k, delta_star, eta, n_samples=10_000, seed=0):
-    """Sample the boundary strata of the admissible neighborhood (depth
+def boundary_gap_check(dom, crown, delta_star, eta, n_samples=10_000, seed=0):
+    """Sample the boundary strata of the admissible neighborhood of the
+    critical crown (its points, (k, 2), or a SpikeConfiguration): depth
     pinned at delta* +- eta, an adjacent chord pinned at 2*delta* - eta,
-    plus an adversarial ring-and-deep-point family) and return
-    (sup of the packing functional over the samples, delta* - sup).
+    plus an adversarial ring-and-deep-point family. Returns (sup of the
+    packing functional over the samples, delta* - sup, (rings closed,
+    rings tried)).
 
     The cyclic-order-collapse stratum is vacuous for the eta used here:
     collapsing two projections forces a chord below 2*delta* - eta first.
@@ -353,12 +545,13 @@ def boundary_gap_check(dom, k, delta_star, eta, n_samples=10_000, seed=0):
     if eta < 0:
         raise ConfigError(f"eta must be nonnegative, got {eta}")
     if eta == 0.0:
-        return 0.0, float(delta_star)  # empty boundary stratum
+        return 0.0, float(delta_star), (0, 0)  # empty boundary stratum
+    if isinstance(crown, SpikeConfiguration):
+        crown = crown.points
+    k = len(crown)
     rng = np.random.default_rng(seed)
     bd = dom.boundary
-    gamma = inner_parallel_curve(bd, delta_star)
-    base_pts, base_ts, _ = close_polygon(gamma, k)
-    base_t = np.mod(base_ts[:-1], 1.0)
+    base_t = dom.foot(np.asarray(crown, dtype=float))
 
     n_family = min(max(n_samples // 50, 8), 256)
     n_chord = n_samples // 4
@@ -388,7 +581,7 @@ def boundary_gap_check(dom, k, delta_star, eta, n_samples=10_000, seed=0):
     ds2 = delta_star + rng.uniform(-0.9, 0.9, (m2, k)) * eta
     pts_chord = tube_points(ts2, ds2)
     j = rng.integers(0, k, m2)
-    tang = gamma.tangent(ts2[np.arange(m2), j])
+    tang = bd.tangent(ts2[np.arange(m2), j])
     ang = rng.uniform(-0.2, 0.2, m2)
     ca, sa = np.cos(ang), np.sin(ang)
     rot = np.stack(
@@ -401,7 +594,7 @@ def boundary_gap_check(dom, k, delta_star, eta, n_samples=10_000, seed=0):
     keep = (depth_t > delta_star - eta) & (depth_t < delta_star + eta)
     pts_chord = pts_chord[keep]
 
-    fam = _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_family)
+    fam, n_closed = _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_family)
 
     batches = [b for b in (pts_depth, pts_chord, fam) if len(b)]
     sup = -np.inf
@@ -419,4 +612,4 @@ def boundary_gap_check(dom, k, delta_star, eta, n_samples=10_000, seed=0):
             f"{delta_star:.8g}; eta = {eta} too large",
             report={"sup_boundary": sup, "worst_points": worst},
         )
-    return sup, gap
+    return sup, gap, (n_closed, n_family)

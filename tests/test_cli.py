@@ -350,6 +350,11 @@ def test_minimization_trace_schema(pipeline):
     assert abs(meta["delta_star"] - SQRT2M1) < 1e-10
 
 
+def test_pack_records_ring_family(pipeline):
+    meta = json.loads((pipeline["out"] / "pack.json").read_text())
+    assert meta["ring_family"] == {"closed": 200, "tried": 200}
+
+
 def test_reduce_result_schema(pipeline):
     doc = json.loads((pipeline["out"] / "reduce_000.json").read_text())
     eps = doc["eps"]

@@ -11,6 +11,7 @@ machinery (phase optimization, closure bisection) is exercised on
 ellipses where no closed form exists.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,128 @@ def test_close_polygon_bracket_changes_sign(ratio, offset, k, t0):
     assert pk._defect(curve, k, 1.2 * ell / k, t0) > 0.0
 
 
+# ------------------------------------------------------------ batched march
+
+ORACLE_CURVES = {
+    "disk": lambda: geo.circle(1.0),
+    "ellipse 1.2x1 offset 0.2": lambda: geo.inner_parallel_curve(
+        geo.ellipse(1.2, 1.0), 0.2),
+    "ellipse 2x1 offset 0.15": lambda: geo.inner_parallel_curve(
+        geo.ellipse(2.0, 1.0), 0.15),
+}
+
+
+def _jumps_a_dip(curve, ts):
+    """Whether some step of a march passes a local maximum of the
+    distance from its vertex before reaching the chord."""
+    for a, b in zip(ts[:-1], ts[1:]):
+        s = np.linspace(a, b, 4000)
+        d = np.linalg.norm(curve.point(s) - curve.point(a), axis=1)
+        if np.any(np.diff(d) < -1e-9):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_batched_march_matches_scalar_march(name):
+    # random phases, and chords from a quarter of l/k, which never
+    # closes, to 1.6*l/k, which often cannot be placed
+    curve = ORACLE_CURVES[name]()
+    ell = curve.total_length
+    rng = np.random.default_rng(3)
+    for k in (3, 4, 10):
+        t0 = rng.uniform(0.0, 1.0, 24)
+        chord = rng.uniform(0.25, 1.6, 24) * ell / k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = pk._march(curve, k, chord, t0)
+        placed = np.isfinite(batch.defect)
+        for i in range(24):
+            try:
+                _, ts, defect = pk.equal_chord_march(curve, k, chord[i], t0[i])
+            except ChordInfeasibleError:
+                assert not placed[i]
+                continue
+            if not placed[i]:
+                # the batched march stops where the distance falls before
+                # it reaches the chord; the scalar march scans on past the
+                # dip, which only the 2x1 ellipse has
+                assert name.startswith("ellipse 2x1") and _jumps_a_dip(curve, ts)
+                continue
+            # each vertex from the scalar march's own predecessor agrees
+            # to 1e-12; whole marches agree less closely where a nearly
+            # tangential step amplifies the scalar's brentq tolerance
+            # (1.4e-12 on one 1.2x1 row, k=4)
+            pred = curve.point(ts[:-1])
+            step, ok = pk._next_vertex(curve, ts[:-1], pred, np.full(k, chord[i]))
+            assert ok.all() and np.abs(step - ts[1:]).max() < 1e-12
+            assert np.abs(batch.ts[i] - ts).max() < 1e-10
+            assert abs(batch.defect[i] - defect) < 1e-10 * ell
+            sides = np.linalg.norm(np.diff(curve.point(batch.ts[i]), axis=0), axis=1)
+            assert np.abs(sides - chord[i]).max() < 1e-14 * ell
+        assert np.all(np.isinf(batch.defect[~placed]))
+        assert np.all(np.isnan(batch.d_chord[~placed]))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_batched_march_derivatives_match_differences(name):
+    # chords near l/k keep every step well clear of a tangential
+    # crossing, where differences of the defect lose their digits
+    curve = ORACLE_CURVES[name]()
+    ell = curve.total_length
+    rng = np.random.default_rng(4)
+    h = 1e-6
+    for k in (3, 4, 10):
+        t0 = rng.uniform(0.0, 1.0, 6)
+        chord = rng.uniform(0.6, 1.1, 6) * ell / k
+        batch = pk._march(curve, k, chord, t0)
+        placed = np.isfinite(batch.defect)
+        assert placed.sum() >= 3
+        for i in np.nonzero(placed)[0]:
+            d_c = (pk._defect(curve, k, chord[i] + h, t0[i])
+                   - pk._defect(curve, k, chord[i] - h, t0[i])) / (2.0 * h)
+            d_t = (pk._defect(curve, k, chord[i], t0[i] + h)
+                   - pk._defect(curve, k, chord[i], t0[i] - h)) / (2.0 * h)
+            assert abs(batch.d_chord[i] - d_c) < 1e-6 * max(1.0, abs(d_c))
+            assert abs(batch.d_t0[i] - d_t) < 1e-6 * max(1.0, abs(d_t))
+
+
+def test_batched_march_offset_derivative_matches_differences():
+    base = geo.ellipse(1.2, 1.0)
+    h = 1e-6
+    for delta in (0.1, 0.3):
+        gamma = geo.inner_parallel_curve(base, delta)
+        for k in (4, 10):
+            t0 = np.array([0.1, 0.37])
+            chord = np.array([0.95, 1.0]) * gamma.total_length / k
+            batch = pk._march(gamma, k, chord, t0)
+            for i in range(2):
+                up, down = (pk._defect(geo.inner_parallel_curve(base, d), k,
+                                       chord[i], t0[i])
+                            for d in (delta + h, delta - h))
+                fd = (up - down) / (2.0 * h)
+                assert abs(batch.d_offset[i] - fd) < 1e-6 * max(1.0, abs(fd))
+
+
+def test_packing_reaches_neither_scalar_march_nor_brentq(monkeypatch):
+    calls = {"equal_chord_march": 0, "brentq": 0}
+
+    def counted(name):
+        fn = getattr(pk, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pk, name, counted(name))
+    dom = geo.PlanarDomain(geo.ellipse(1.2, 1.0))
+    ds, crown = pk.critical_distance(dom, 4)
+    pk.boundary_gap_check(dom, crown, ds, ds / 10.0, n_samples=1500, seed=0)
+    assert calls == {"equal_chord_march": 0, "brentq": 0}
+
+
 # ---------------------------------------------------------- critical distance
 
 def test_critical_distance_matches_circle_law(disk):
@@ -244,8 +367,8 @@ def test_critical_delta_is_maximal(disk):
     ds = circle_law(1.0, 8)
     gm = geo.inner_parallel_curve(disk.boundary, ds - 1e-3)
     gp = geo.inner_parallel_curve(disk.boundary, ds + 1e-3)
-    below, _ = pk._min_defect_over_t0(gm, 8, ds - 1e-3)
-    above, _ = pk._min_defect_over_t0(gp, 8, ds + 1e-3)
+    below = pk._min_defect(gm, 8, ds - 1e-3)[0]
+    above = pk._min_defect(gp, 8, ds + 1e-3)[0]
     assert below < 0.0 < above
 
 
@@ -312,17 +435,24 @@ def test_two_point_check_fails_past_half_inradius(disk):
 
 # --------------------------------------------------------------- boundary gap
 
+def circle_crown(R, k):
+    # the critical crown on the disk: a regular k-gon at depth delta*
+    th = 2.0 * np.pi * np.arange(k) / k
+    return (R - circle_law(R, k)) * np.stack([np.cos(th), np.sin(th)], axis=1)
+
+
 def test_boundary_gap_positive_in_thin_tube(disk):
     ds = circle_law(1.0, 8)
-    sup, gap = pk.boundary_gap_check(disk, 8, ds, ds / 10.0,
-                                     n_samples=1500, seed=0)
+    sup, gap, _ = pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds,
+                                        ds / 10.0, n_samples=1500, seed=0)
     assert gap > 0.0
     assert sup < ds - 1e-3
 
 
 def test_boundary_gap_degenerate_tube(disk):
     ds = circle_law(1.0, 8)
-    assert pk.boundary_gap_check(disk, 8, ds, 0.0) == (0.0, ds)
+    assert pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds, 0.0) == (
+        0.0, ds, (0, 0))
 
 
 def test_boundary_gap_violated_in_fat_tube(disk):
@@ -330,7 +460,8 @@ def test_boundary_gap_violated_in_fat_tube(disk):
     # the critical 8 crown, so the margin claim must fail loudly
     ds = circle_law(1.0, 8)
     with pytest.raises(PropertyViolationError) as exc:
-        pk.boundary_gap_check(disk, 8, ds, 0.6, n_samples=1500, seed=0)
+        pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds, 0.6,
+                              n_samples=1500, seed=0)
     rep = exc.value.report
     assert rep["sup_boundary"] > ds
     assert len(rep["worst_points"]) == 8
@@ -338,4 +469,21 @@ def test_boundary_gap_violated_in_fat_tube(disk):
 
 def test_boundary_gap_rejects_negative_eta(disk):
     with pytest.raises(ConfigError):
-        pk.boundary_gap_check(disk, 8, 0.27, -0.1)
+        pk.boundary_gap_check(disk, circle_crown(1.0, 8), 0.27, -0.1)
+
+
+def test_boundary_gap_samples_around_the_critical_crown():
+    # On this asymmetric egg the critical crown starts at foot 0.6245,
+    # and the polygon closed from phase 0 has chord 0.8250 against
+    # 2*delta* = 0.8331; strata jittered around that polygon stayed
+    # 9.2 eta below delta*.
+    th = 2.0 * np.pi * np.arange(40) / 40
+    r = 1.0 + 0.12 * np.cos(th) + 0.05 * np.sin(2.0 * th)
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1) @ rot.T
+    dom = geo.PlanarDomain(geo.spline_curve(pts))
+    ds, crown = pk.critical_distance(dom, 4)
+    eta = 1e-3 * ds
+    sup, gap, (closed, tried) = pk.boundary_gap_check(dom, crown, ds, eta)
+    assert 0.0 < gap < 3.0 * eta
+    assert closed == tried == 200
