@@ -151,24 +151,34 @@ class RadialProfile:
     def _tail_parts(self, r):
         return _tail_value_deriv(self.p, self.dim_n, self.decay_A, r)
 
-    def _split(self, r, near, far):
-        """near(r) up to r_tail, far(r) beyond; a scalar r gives a scalar."""
+    def _split(self, r, near, far, parts=()):
+        """near(r) up to r_tail, far(r) beyond; a scalar r gives a scalar.
+
+        With parts=(m,), near and far return m arrays each, and so does
+        this, stacked on a leading axis.
+        """
         r = _check_radius(r)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        out = np.empty_like(r)
+        out = np.empty(parts + r.shape)
         low = r <= self.r_tail
         if low.any():
-            out[low] = near(r[low])
+            out[..., low] = near(r[low])
         if (~low).any():
-            out[~low] = far(r[~low])
-        return out[0] if scalar else out
+            out[..., ~low] = far(r[~low])
+        return out[..., 0][()] if scalar else out
 
     def value(self, r):
         return self._split(r, self._spline, lambda rt: self._tail_parts(rt)[0])
 
     def derivative(self, r):
         return self._split(r, self._dspline, lambda rt: self._tail_parts(rt)[1])
+
+    def value_and_derivative(self, r):
+        """(value(r), derivative(r)) from one pass over r and one far-field call."""
+        w, dw = self._split(r, lambda x: (self._spline(x), self._dspline(x)),
+                            self._tail_parts, parts=(2,))
+        return w, dw
 
     def log_value(self, r):
         """log w(r), finite far beyond double-precision underflow."""

@@ -120,6 +120,18 @@ def test_negative_radius_rejected(profile_p3n1):
         profile_p3n1.derivative(np.array([1.0, -2.0]))
 
 
+def test_value_and_derivative_is_one_pass_of_both(profile_p3n2):
+    # the same bits as value and derivative, for scalars on both sides
+    # of r_tail and for an array that straddles it
+    rt = profile_p3n2.r_tail
+    radii = (2.5, rt + 3.0, np.array([0.0, 1.3, rt + 1e-9, rt, 31.0, rt - 0.2]))
+    for r in radii:
+        w, dw = profile_p3n2.value_and_derivative(r)
+        w_ref, dw_ref = profile_p3n2.value(r), profile_p3n2.derivative(r)
+        assert type(w) is type(w_ref) and type(dw) is type(dw_ref)
+        assert np.array_equal(w, w_ref) and np.array_equal(dw, dw_ref)
+
+
 def test_decay_constant_closed_forms(profile_p3n1, profile_p4n1):
     a3, spread3 = decay_constant(profile_p3n1)
     npt.assert_allclose(a3, 6.0, rtol=1e-4)

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import spikecrown.geometry as geo
@@ -205,18 +206,41 @@ def test_newton_factorizes_only_the_jacobian_once_per_iteration(
     seen = []
     real_splu = pde.spla.splu
 
-    def splu(M):
-        seen.append((M.shape, M.indices.tobytes(), M.indptr.tobytes()))
-        return real_splu(M)
+    def splu(M, **kwargs):
+        seen.append((M.shape, M.indices.tobytes(), M.indptr.tobytes(), kwargs))
+        return real_splu(M, **kwargs)
 
     monkeypatch.setattr(pde, "spla", SimpleNamespace(splu=splu))
     cfg = SimpleNamespace(points=np.array([[0.5, 0.0], [-0.5, 0.0]]),
                           signs=np.array([1.0, -1.0]))
     _, hist, trail = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
     assert len(seen) == len(hist) - 1 == len(trail)
-    pattern = (A.shape, A.indices.tobytes(), A.indptr.tobytes())
+    pattern = (A.shape, A.indices.tobytes(), A.indptr.tobytes(),
+               {"permc_spec": "MMD_AT_PLUS_A"})
     assert all(entry == pattern for entry in seen)
     assert any(moved for _, _, moved in trail)
+
+
+def test_bordered_lu_matches_the_assembled_matrix(grid_m, profile_p3n2):
+    # oracle: the bordered matrix [[J, Z], [Z', 0]] that _BorderedLU
+    # applies without assembling, built here with sp.bmat
+    P, signs = np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, -1.0])
+    U, Z = pde._ansatz_and_modes(grid_m, profile_p3n2, 0.1, P, signs)
+    A = grid_m.operator(0.1).A
+    J = (A + sp.diags(NL.fprime(U))).tocsc()
+    K = pde._BorderedLU(J, Z)
+    Zs = sp.csr_matrix(Z)
+    M = sp.bmat([[J, Zs], [Zs.T, None]], format="csr")
+    norm_m = float(np.max(np.abs(M).sum(axis=1)))
+    assert K.norm_a == pytest.approx(norm_m, rel=1e-14)
+    v = np.random.default_rng(3).standard_normal(M.shape[0])
+    assert_allclose(K.dot(v), M @ v, rtol=0.0,
+                    atol=1e-14 * norm_m * np.abs(v).max())
+    # a Newton step at the ansatz reaches 1e-12 normwise backward error
+    b = np.concatenate([A @ U + NL.f(U), np.zeros(Z.shape[1])])
+    x = pde._refine_solve(K.solve, K.dot, K.norm_a, b, 1e-12, "oracle step")
+    sup = pde._sup
+    assert sup(b - M @ x) <= 1e-12 * (norm_m * sup(x) + sup(b))
 
 
 def test_newton_stalls_on_a_spike_at_the_rim(grid_m, profile_p3n2):
@@ -294,6 +318,24 @@ def test_newton_inherits_init_symmetry(grid_m, pair2, profile_p3n2):
 def test_peak_count_guard(grid_m, pair2):
     with pytest.raises(PeakCountError):
         pde.extract_peaks(grid_m, pair2["sol"], expected=3)
+
+
+def test_peak_order_ignores_the_sign_of_noise_behind_the_centroid(grid_m):
+    # four bumps of alternating sign; the one on the negative x-axis sits
+    # 1e-11 above or below it, as rounding noise in a solve leaves it
+    def peaks(noise):
+        pts = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, noise], [0.0, -0.5]])
+        vals = sum(s * np.exp(-((grid_m.xy - p) ** 2).sum(axis=1) / 0.01)
+                   for p, s in zip(pts, (1.0, -1.0, 1.0, -1.0)))
+        return pde.extract_peaks(grid_m, pde.DiscreteField(grid_m, 0.1, vals),
+                                 expected=4)
+
+    above, below = peaks(1e-11), peaks(-1e-11)
+    y_above, y_below = (min(run, key=lambda p: p[0][0])[0][1] for run in (above, below))
+    assert y_above > 0.0 > y_below  # the noise reached the located peak
+    assert [p[1] for p in above] == [p[1] for p in below] == [1, -1, 1, -1]
+    for a, b in zip(above, below):
+        assert_allclose(a[0], b[0], atol=1e-9)
 
 
 # ---- zero-field trivia
