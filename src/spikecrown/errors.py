@@ -32,7 +32,8 @@ class DecayFitError(NumericalError):
 
 
 class IntegrationError(NumericalError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
+    """Adaptive quadrature or an ODE shot failed to reach the requested
+    accuracy."""
 
 
 class NonUniqueProjectionError(NumericalError):

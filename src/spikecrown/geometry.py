@@ -34,6 +34,10 @@ _TABLE_N = 4096
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
 _FOOT_TOL, _FOOT_STEPS, _FOOT_FLOOR = 1e-15, 20, 1e-2  # see PlanarDomain.nearest
+# two table nodes this close to a query (relative, in squared distance)
+# may be ordered apart by rounding; PlanarDomain._nearest_nodes leaves
+# them to the kd-tree
+_NODE_TIE = 1e-9
 
 def _unit_tangent(d1):
     speed = np.linalg.norm(d1, axis=-1, keepdims=True)
@@ -402,7 +406,7 @@ class PlanarDomain:
         self.boundary = boundary
         self._inradius = None
 
-    def nearest(self, X):
+    def nearest(self, X, guess=None):
         """(t, d) per row of X: the parameter t of its nearest boundary
         point (its foot, also its projection parameter on every inner
         parallel curve) and its signed distance d, negative inside.
@@ -412,13 +416,20 @@ class PlanarDomain:
         converges quadratically until a step is at most _FOOT_TOL in t, or
         for _FOOT_STEPS steps. The slope floor _FOOT_FLOOR*|P'|^2 and the
         one-cell step clip keep focal and medial-axis points finite.
+
+        guess, optional, holds a foot parameter per row (NaN for none)
+        and only saves the kd-tree query: within a cell of the foot of a
+        point at depth below 1/kappa_max the answer has the same bits
+        (see _nearest_nodes). A guess far from the foot falls back on the
+        kd-tree unless its window holds another local minimum of the
+        distance, which Newton would then polish instead.
         """
         X = np.asarray(X, dtype=float)
         if not np.all(np.isfinite(X)):
             raise ConfigError("query points must be finite")
         bd = self.boundary
         n = bd._n
-        _, j = bd.kdtree.query(X)
+        j = self._nearest_nodes(X, guess)
         near = X[:, None, :] - bd.points[(j[:, None] + np.arange(-1, 2)) % n]
         d2m, d20, d2p = np.einsum("ijk,ijk->ji", near, near)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -441,6 +452,39 @@ class PlanarDomain:
         dist = np.linalg.norm(diff, axis=1)
         side = np.einsum("ij,ij->i", bd.normal(t), diff)
         return t, np.where(side >= 0.0, dist, -dist)
+
+    def _nearest_nodes(self, X, guess):
+        """Index of the table node nearest to each row of X.
+
+        A row with a guess takes the nearest of the four nodes around
+        its guess when that node is one of the middle two, clearly
+        nearer than the runner-up: the distance falls towards it from
+        both ends of the window, so it is the kd-tree's node whenever
+        the guess lies within a cell of a foot whose depth is below
+        1/kappa_max. Every other row asks the kd-tree.
+        """
+        bd = self.boundary
+        n = bd._n
+        j = np.zeros(len(X), dtype=np.intp)
+        ask = np.ones(len(X), dtype=bool)
+        if guess is not None:
+            guess = np.asarray(guess, dtype=float)
+            if guess.shape != (len(X),):
+                raise ConfigError(f"need one foot guess per query point, got shape {guess.shape}")
+            rows = np.nonzero(np.isfinite(guess))[0]
+            j0 = np.floor(np.mod(guess[rows], 1.0) * n).astype(np.intp)
+            window = (j0[:, None] + np.arange(-1, 3)) % n
+            diff = X[rows, None, :] - bd.points[window]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            best = np.argmin(d2, axis=1)
+            runner_up = np.partition(d2, 1, axis=1)[:, 1]
+            ok = ((best == 1) | (best == 2)) & (
+                runner_up - d2[np.arange(len(rows)), best] > _NODE_TIE * runner_up)
+            j[rows[ok]] = window[ok, best[ok]]
+            ask[rows[ok]] = False
+        if ask.any():
+            j[ask] = bd.kdtree.query(X[ask])[1]
+        return j
 
     def signed_distance(self, x):
         """Distance to the boundary, negative inside. Accepts a single

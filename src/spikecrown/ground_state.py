@@ -35,8 +35,25 @@ _SHOOT_TOL = 1e-12  # w(0) bracket width that ends the bisection
 
 
 def _rhs(r, y, nl):
+    # f(w) = |w|^(p-2) w written out: Nonlinearity.f would validate its
+    # argument on every call, and _integrate checks the whole shot once
     w, wp = y
-    return (wp, w - nl.f(w) - (nl.dim_n - 1) / r * wp)
+    return (wp, w - np.abs(w) ** (nl.p - 2.0) * w - (nl.dim_n - 1) / r * wp)
+
+
+def _integrate(nl, span, y0, rtol, atol, **options):
+    """One DOP853 shot of the profile ODE over span from y0. A shot that
+    stops short (solve_ivp status -1) or holds a non-finite state raises
+    IntegrationError; overflow on the way is reported that way, not
+    warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(_rhs, span, y0, args=(nl,), method="DOP853", rtol=rtol,
+                        atol=atol, **options)
+    if sol.status < 0:
+        raise IntegrationError(f"shot over {span} failed: {sol.message}")
+    if not np.all(np.isfinite(sol.y)):
+        raise IntegrationError(f"shot over {span} left the finite range")
+    return sol
 
 
 def _series_start(nl, w0, r0=_R_SERIES):
@@ -58,16 +75,8 @@ def _classify(nl, w0, rtol):
     turn_up.terminal = True
     turn_up.direction = 1
 
-    sol = solve_ivp(
-        _rhs,
-        (_R_SERIES, _R_MAX),
-        _series_start(nl, w0),
-        args=(nl,),
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-18,
-        events=[hit_zero, turn_up],
-    )
+    sol = _integrate(nl, (_R_SERIES, _R_MAX), _series_start(nl, w0), rtol, 1e-18,
+                     events=[hit_zero, turn_up])
     if sol.t_events[0].size:
         return "cross", sol.t_events[0][0], 0.0
     if sol.t_events[1].size:
@@ -78,42 +87,37 @@ def _classify(nl, w0, rtol):
     return "decay", _R_MAX, abs(sol.y[0, -1])
 
 
-def _tail_value_deriv(p, dim_n, A, r):
-    """Far-field formula: exact linear part plus leading nonlinear term."""
+def _tail_pieces(p, dim_n, A, r):
+    """Far-field formula: exact linear part plus leading nonlinear term.
+    Returns (nu, C, q, damp, lin, corr), the value being lin + corr."""
     nu, C, B, q = _tail_coeffs(p, dim_n, A)
     damp = np.exp(-r)
     lin = C * r ** (-nu) * kve(nu, r) * damp
     corr = B * np.exp(-(p - 1.0) * r) * r ** (-q)
+    return nu, C, q, damp, lin, corr
+
+
+def _tail_value(p, dim_n, A, r):
+    """The far field's value alone: one kve pass instead of two."""
+    *_, lin, corr = _tail_pieces(p, dim_n, A, r)
+    return lin + corr
+
+
+def _tail_value_deriv(p, dim_n, A, r):
+    nu, C, q, damp, lin, corr = _tail_pieces(p, dim_n, A, r)
     dlin = -C * r ** (-nu) * kve(nu + 1.0, r) * damp
     dcorr = corr * (-(p - 1.0) - q / r)
     return lin + corr, dlin + dcorr
 
 
 def _forward_solve(nl, w0, rtol=1e-13):
-    return solve_ivp(
-        _rhs,
-        (_R_SERIES, _R_MATCH),
-        _series_start(nl, w0),
-        args=(nl,),
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-18,
-        dense_output=True,
-    )
+    return _integrate(nl, (_R_SERIES, _R_MATCH), _series_start(nl, w0), rtol, 1e-18,
+                      dense_output=True)
 
 
 def _backward_solve(nl, A, rtol=1e-13):
     w, dw = _tail_value_deriv(nl.p, nl.dim_n, A, _R_BACK)
-    return solve_ivp(
-        _rhs,
-        (_R_BACK, _R_MATCH),
-        [w, dw],
-        args=(nl,),
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-30,
-        dense_output=True,
-    )
+    return _integrate(nl, (_R_BACK, _R_MATCH), [w, dw], rtol, 1e-30, dense_output=True)
 
 
 def _tail_coeffs(p, dim_n, A):
@@ -169,7 +173,8 @@ class RadialProfile:
         return out[..., 0][()] if scalar else out
 
     def value(self, r):
-        return self._split(r, self._spline, lambda rt: self._tail_parts(rt)[0])
+        return self._split(r, self._spline,
+                           lambda rt: _tail_value(self.p, self.dim_n, self.decay_A, rt))
 
     def derivative(self, r):
         return self._split(r, self._dspline, lambda rt: self._tail_parts(rt)[1])
@@ -269,8 +274,6 @@ def shoot(nl: Nonlinearity, h_r: float = 0.005):
             raise IterationError("shooting bisection did not converge")
 
     fw = _forward_solve(nl, w_star)
-    if not fw.success:
-        raise NoGroundStateError("forward integration failed at converged w0")
     w_f, wp_f = fw.y[0, -1], fw.y[1, -1]
     if w_f <= 0:
         raise NoGroundStateError("converged shot lost positivity before matching")
@@ -344,8 +347,7 @@ def normalization_constants(profile: RadialProfile):
     pts = [profile.r_tail, profile.r_grid[-1]]
 
     def density(r):
-        wv = profile.value(r)
-        wd = profile.derivative(r)
+        wv, wd = profile.value_and_derivative(r)
         return 0.5 * (wd * wd + wv * wv) - nl.F(wv)
 
     if n == 1:

@@ -99,10 +99,13 @@ def packing_functional(dom, points):
     return float(_phi_batch(dom, pts[None])[0])
 
 
-def _phi_batch(dom, pts_batch):
-    """packing_functional over a (m, k, 2) batch in one vector pass."""
+def _phi_batch(dom, pts_batch, feet=None):
+    """packing_functional over a (m, k, 2) batch in one vector pass;
+    feet, (m, k) and NaN where unknown, are foot guesses for
+    PlanarDomain.nearest."""
     m, k, _ = pts_batch.shape
-    depth = -dom.signed_distance(pts_batch.reshape(m * k, 2)).reshape(m, k)
+    guess = None if feet is None else feet.reshape(m * k)
+    depth = -dom.nearest(pts_batch.reshape(m * k, 2), guess)[1].reshape(m, k)
     diff = pts_batch[:, :, None, :] - pts_batch[:, None, :, :]
     dist = np.linalg.norm(diff, axis=-1)
     iu = np.triu_indices(k, k=1)
@@ -515,20 +518,40 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     own critical offset (clamped into the depth tube) and closed from
     n_members random phases at once, plus one point pinned at the deep
     stratum depth delta* + eta, midway between the ring's first two
-    vertices. Returns (configurations, number of rings that closed)."""
-    try:
-        ring_delta, _ = _critical_delta(dom, k - 1)
-    except NoCriticalDeltaError:
-        return np.empty((0, k, 2)), 0
+    vertices. Returns (configurations, their foot parameters, NaN where
+    the depth reaches 1/kappa_max, number of rings that closed).
+
+    The ring's offset is solved for only when the tube holds it: a ring
+    that cannot close at the tube top (negative defect there) has its
+    critical offset above the tube, and the clamp gives the top."""
+    bd = dom.boundary
     lo, hi = delta_star - 0.9 * eta, delta_star + 0.9 * eta
-    ring_delta = float(np.clip(ring_delta, max(lo, 1e-6), hi))
-    gamma = inner_parallel_curve(dom.boundary, ring_delta)
+    gamma = None
+    if hi * bd.kappa_max < 1.0:
+        top = inner_parallel_curve(bd, hi)
+        if _min_defect(top, k - 1, hi)[0] < 0.0:
+            gamma = top
+    if gamma is None:
+        try:
+            ring_delta, _ = _critical_delta(dom, k - 1)
+        except NoCriticalDeltaError:
+            return np.empty((0, k, 2)), np.empty((0, k)), 0
+        ring_delta = float(np.clip(ring_delta, max(lo, 1e-6), hi))
+        gamma = inner_parallel_curve(bd, ring_delta)
     shifts = rng.uniform(0.0, 1.0, n_members)
     ts, _, defect, _ = _close(gamma, k - 1, shifts)
     ts = ts[np.abs(defect) <= _CLOSURE_TOL * gamma.total_length]
     mid = 0.5 * (ts[:, 0] + ts[:, 1])
-    deep = dom.boundary.point(mid) - (delta_star + eta) * dom.boundary.normal(mid)
-    return np.concatenate([gamma.point(ts[:, :k - 1]), deep[:, None]], axis=1), len(ts)
+    deep_d = delta_star + eta
+    deep = bd.point(mid) - deep_d * bd.normal(mid)
+    pts = np.concatenate([gamma.point(ts[:, :k - 1]), deep[:, None]], axis=1)
+    feet = np.column_stack([ts[:, :k - 1], _known_feet(bd, mid, deep_d)])
+    return pts, feet, len(ts)
+
+
+def _known_feet(bd, ts, depths):
+    """ts where the depth is below 1/kappa_max, NaN elsewhere."""
+    return np.where(depths * bd.kappa_max < 1.0, ts, np.nan)
 
 
 def boundary_gap_check(dom, crown, delta_star, eta, n_samples=10_000, seed=0):
@@ -571,6 +594,9 @@ def boundary_gap_check(dom, crown, delta_star, eta, n_samples=10_000, seed=0):
     pin_val = np.where(rng.random(m) < 0.5, delta_star - eta, delta_star + eta)
     ds[np.arange(m), pin_idx] = pin_val
     pts_depth = tube_points(ts, ds)
+    # below 1/kappa_max a tube point's building parameter is its foot
+    # (Blaschke's rolling theorem), so it seeds the foot query
+    feet_depth = _known_feet(bd, ts, ds)
 
     # chord stratum: place one neighbor at exactly 2*delta* - eta from
     # its predecessor, nearly along the curve direction
@@ -590,17 +616,22 @@ def boundary_gap_check(dom, crown, delta_star, eta, n_samples=10_000, seed=0):
     )
     target = pts_chord[np.arange(m2), j] + (2.0 * delta_star - eta) * rot
     pts_chord[np.arange(m2), (j + 1) % k] = target
-    depth_t = -dom.signed_distance(target)
-    keep = (depth_t > delta_star - eta) & (depth_t < delta_star + eta)
-    pts_chord = pts_chord[keep]
+    feet_chord = _known_feet(bd, ts2, ds2)
+    # the moved neighbour's foot is unknown; its own query supplies it
+    foot_t, dist_t = dom.nearest(target)
+    feet_chord[np.arange(m2), (j + 1) % k] = foot_t
+    keep = (-dist_t > delta_star - eta) & (-dist_t < delta_star + eta)
+    pts_chord, feet_chord = pts_chord[keep], feet_chord[keep]
 
-    fam, n_closed = _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_family)
+    fam, feet_fam, n_closed = _ring_plus_deep_family(dom, k, delta_star, eta, rng,
+                                                     n_family)
 
-    batches = [b for b in (pts_depth, pts_chord, fam) if len(b)]
+    batches = [(b, f) for b, f in ((pts_depth, feet_depth), (pts_chord, feet_chord),
+                                   (fam, feet_fam)) if len(b)]
     sup = -np.inf
     worst = None
-    for b in batches:
-        phis = _phi_batch(dom, b)
+    for b, feet in batches:
+        phis = _phi_batch(dom, b, feet)
         i = int(np.argmax(phis))
         if phis[i] > sup:
             sup = float(phis[i])

@@ -284,17 +284,20 @@ def _free_profile(grid, profile, eps, P):
     return profile.value(r)
 
 
-def boundary_correction(grid, profile, eps, P):
+def boundary_correction(grid, profile, eps, P, depth=None):
     """Boundary layer D = w_free - w_proj and the exponent psi = -eps*log D(P).
 
     D solves eps^2*Lap(D) - D = 0 with D = w(|x - P|/eps) on the curve;
     it is strictly positive by the maximum principle and decays like
     exp(-d(x)/eps) from the boundary inward, so psi(P) approaches twice
-    the depth of P as eps shrinks.
+    the depth of P as eps shrinks. depth, P's depth in the domain if
+    the caller holds it, feeds only the 2h guard; without it the domain
+    is queried.
     """
     _require_resolution(grid, eps)
     P = np.asarray(P, dtype=float)
-    depth = -float(grid.domain.signed_distance(P))
+    if depth is None:
+        depth = -float(grid.domain.signed_distance(P))
     if depth < 2.0 * grid.h:
         raise ConfigError(
             f"spike at depth {depth:.4g} needs at least 2h = {2 * grid.h:.4g}"

@@ -117,8 +117,9 @@ class _Evaluation:
                               f"than the margin {model.eta}")
         if model.form == "leading":
             return 2.0 * self.depths
-        return np.array([pde.boundary_correction(model.grid, model.profile, model.epsilon, p)[1]
-                         for p in self.pts])
+        return np.array([pde.boundary_correction(model.grid, model.profile, model.epsilon, p,
+                                                 depth=d)[1]
+                         for p, d in zip(self.pts, self.depths)])
 
 
 def _exponent_slopes(ev):

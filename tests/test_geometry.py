@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
 from spikecrown import geometry as geo
@@ -217,6 +218,83 @@ def test_deep_points_keep_their_foot_on_the_ellipse(ell21):
         assert np.abs(dist + d).max() < 1e-14
         gap = np.abs(np.mod(t, 1.0) - ts)
         assert np.minimum(gap, 1.0 - gap).max() < 1e-14
+
+
+class CountingTree:
+    """The boundary's kd-tree, counting the query points it is asked."""
+
+    def __init__(self, curve):
+        self._tree = cKDTree(curve.points)
+        self.asked = 0
+
+    def query(self, X):
+        self.asked += len(X)
+        return self._tree.query(X)
+
+
+def _egg():
+    th = 2.0 * np.pi * np.arange(40) / 40
+    r = 1.0 + 0.12 * np.cos(th) + 0.05 * np.sin(2.0 * th)
+    return geo.spline_curve(np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+
+
+@pytest.fixture(scope="module")
+def guess_domains():
+    curves = {"disk": geo.circle(1.0), "ellipse": geo.ellipse(2.0, 1.0),
+              "superellipse": geo.superellipse(1.0, 0.8, 4.0), "egg": _egg()}
+    return {name: geo.PlanarDomain(c) for name, c in curves.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["disk", "egg", "ellipse", "superellipse"]),
+       ts=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=8),
+       depth=st.floats(0.0, 0.999),
+       cells=st.one_of(st.floats(-1.0, 1.0), st.integers(3, 40), st.integers(-40, -3)))
+def test_nearest_from_a_guess_has_the_kdtree_bits(guess_domains, name, ts, depth, cells):
+    # a guess within a cell of a foot at depth below 1/kappa_max starts
+    # Newton from the kd-tree's node; one 3 or more cells off asks it
+    dom = guess_domains[name]
+    bd = dom.boundary
+    ts = np.array(ts)
+    X = bd.point(ts) - (depth / bd.kappa_max) * bd.normal(ts)
+    want = dom.nearest(X)
+    bd._tree = tree = CountingTree(bd)
+    try:
+        got = dom.nearest(X, guess=ts + cells / bd._n)
+    finally:
+        bd._tree = None
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    if isinstance(cells, int):  # guesses 3 or more cells off
+        assert tree.asked == len(X)
+
+
+def test_nearest_guess_leaves_tied_nodes_to_the_kdtree(unit_circle):
+    # feet at cell midpoints are equidistant from two nodes; rounding
+    # orders them, and the window's pick disagreed with the kd-tree's
+    # on 2 of these 20000 points, moving t in its last bits
+    dom = geo.PlanarDomain(unit_circle)
+    n = unit_circle._n
+    rng = np.random.default_rng(1)
+    t = (rng.integers(0, n, 20000) + 0.5) / n
+    X = unit_circle.point(t) - rng.uniform(0.0, 0.999, t.size)[:, None] * unit_circle.normal(t)
+    want, got = dom.nearest(X), dom.nearest(X, guess=t)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_nearest_guess_nan_means_no_guess(ell21):
+    dom = geo.PlanarDomain(ell21)
+    ts = np.array([0.1, 0.35, 0.8])
+    X = ell21.point(ts) - 0.2 * ell21.normal(ts)
+    ell21._tree = tree = CountingTree(ell21)
+    try:
+        got = dom.nearest(X, guess=np.array([np.nan, 0.35, np.nan]))
+    finally:
+        ell21._tree = None
+    assert tree.asked == 2
+    want = dom.nearest(X)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with pytest.raises(ConfigError):
+        dom.nearest(X, guess=ts[:2])
 
 
 def test_convexity_margin_circle_closed_form(unit_circle):

@@ -5,7 +5,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import closed_form_1d
-from spikecrown.errors import ConfigError, DecayFitError, NoGroundStateError
+from spikecrown import ground_state as gs
+from spikecrown.errors import ConfigError, DecayFitError, IntegrationError, NoGroundStateError
 from spikecrown.ground_state import (
     RadialProfile,
     load_profile,
@@ -130,6 +131,59 @@ def test_value_and_derivative_is_one_pass_of_both(profile_p3n2):
         w_ref, dw_ref = profile_p3n2.value(r), profile_p3n2.derivative(r)
         assert type(w) is type(w_ref) and type(dw) is type(dw_ref)
         assert np.array_equal(w, w_ref) and np.array_equal(dw, dw_ref)
+
+
+def test_value_far_field_is_the_value_of_the_full_far_field(profile_p3n2):
+    # value's tail skips the slope's kve pass but keeps its bits
+    prof = profile_p3n2
+    r = np.array([prof.r_tail + 1e-9, 14.2, 19.99, 20.0, 31.0, 55.0])
+    full = gs._tail_value_deriv(prof.p, prof.dim_n, prof.decay_A, r)[0]
+    assert np.array_equal(prof.value(r), full)
+    assert prof.value(31.0) == full[4]
+
+
+def _rhs_via_f(r, y, nl):
+    """Oracle: the profile ODE with f taken from Nonlinearity.f."""
+    w, wp = y
+    return (wp, w - nl.f(w) - (nl.dim_n - 1) / r * wp)
+
+
+@pytest.mark.parametrize("p,dim_n", [(3.0, 2), (4.0, 1), (5.0, 2), (3.0, 3)])
+def test_inline_rhs_matches_nonlinearity_f(p, dim_n, monkeypatch):
+    nl = Nonlinearity(p=p, dim_n=dim_n)
+    lean = shoot(nl)
+    monkeypatch.setattr(gs, "_rhs", _rhs_via_f)
+    ref = shoot(nl)
+    assert lean.w0 == ref.w0 and lean.decay_A == ref.decay_A
+    assert lean.r_tail == ref.r_tail
+    assert np.array_equal(lean.w_values, ref.w_values)
+    assert np.array_equal(lean.w_prime_values, ref.w_prime_values)
+
+
+def test_shot_that_leaves_the_finite_range_raises():
+    # w'' ~ -w^3 overflows at w(1) = 1e110: the integrator cannot place
+    # a finite step and stops short
+    with pytest.raises(IntegrationError):
+        gs._integrate(Nonlinearity(p=3.0, dim_n=2), (1.0, 5.0), [1e110, 0.0],
+                      1e-12, 1e-18)
+
+
+@pytest.mark.parametrize("fault", ["stalled", "non-finite"])
+def test_failed_shot_is_never_called_decay(fault, monkeypatch):
+    # a shot that stops short used to fall through to "decay"
+    real = gs.solve_ivp
+
+    def faulty(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if fault == "stalled":
+            sol.status, sol.message = -1, "Required step size is too small."
+        else:
+            sol.y[0, -1] = np.nan
+        return sol
+
+    monkeypatch.setattr(gs, "solve_ivp", faulty)
+    with pytest.raises(IntegrationError):
+        gs._classify(Nonlinearity(p=3.0, dim_n=1), 1.0, rtol=1e-11)
 
 
 def test_decay_constant_closed_forms(profile_p3n1, profile_p4n1):

@@ -455,16 +455,51 @@ def test_boundary_gap_degenerate_tube(disk):
         0.0, ds, (0, 0))
 
 
-def test_boundary_gap_violated_in_fat_tube(disk):
+def count_critical_delta(monkeypatch):
+    calls = []
+    solve = pk._critical_delta
+
+    def counted(dom, k, *args):
+        calls.append(k)
+        return solve(dom, k, *args)
+
+    monkeypatch.setattr(pk, "_critical_delta", counted)
+    return calls
+
+
+def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
     # with eta comparable to delta* a 7 ring plus one deep spike beats
-    # the critical 8 crown, so the margin claim must fail loudly
+    # the critical 8 crown, so the margin claim must fail loudly; the
+    # ring cannot be placed at the tube top, so its offset is solved for
     ds = circle_law(1.0, 8)
+    calls = count_critical_delta(monkeypatch)
     with pytest.raises(PropertyViolationError) as exc:
         pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds, 0.6,
                               n_samples=1500, seed=0)
     rep = exc.value.report
     assert rep["sup_boundary"] > ds
     assert len(rep["worst_points"]) == 8
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("domain,k,solves,want", [
+    ({"kind": "circle", "radius": 1.0}, 4, 0,
+     (0.40405567956331223, 0.010157882809811225, (200, 200))),
+    ({"kind": "circle", "radius": 1.0}, 6, 0,
+     (0.32605795884265854, 0.007275374490674835, (200, 200))),
+    ({"kind": "ellipse", "a": 1.2, "b": 1.0}, 4, 1,
+     (0.449302657379752, 0.00954306943223815, (200, 200))),
+])
+def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, monkeypatch):
+    # On the disk the (k-1)-ring's critical offset lies above the tube,
+    # so the ring sits at the tube top with no offset solve; on the
+    # ellipse it lies inside. want holds the results computed when
+    # every gap check solved for the ring's offset.
+    dom = geo.make_domain(domain)
+    ds, crown = pk.critical_distance(dom, k)
+    calls = count_critical_delta(monkeypatch)
+    assert pk.boundary_gap_check(dom, crown, ds, ds / 10.0, seed=0) == want
+    assert calls == [k - 1] * solves
 
 
 def test_boundary_gap_rejects_negative_eta(disk):

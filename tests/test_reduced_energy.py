@@ -466,6 +466,30 @@ def test_gradient_matches_oracle_psi_numeric(disk, profile_p3n2):
     assert_matches_oracle(m, SimpleNamespace(points=pts, signs=crown.signs))
 
 
+def test_psi_numeric_gradient_queries_each_point_once(disk, profile_p3n2, monkeypatch):
+    # one query for the configuration and one per slope read-off (4 per
+    # spike); boundary_correction's 2h guard reads the depth it is given
+    ds, crown = pk.critical_distance(disk, 4)
+    eps = ds / 5
+    grid = pde.discretize(disk, eps / 4)
+    m = re_.ReducedEnergyModel(disk, profile_p3n2, eps, delta=ds, eta=ds / 10,
+                               form="psi_numeric", grid=grid)
+    P = np.asarray(crown.points[0], dtype=float)
+    depth = -disk.signed_distance(P)
+    assert (pde.boundary_correction(grid, profile_p3n2, eps, P, depth=depth)[1]
+            == pde.boundary_correction(grid, profile_p3n2, eps, P)[1])
+    calls = []
+    nearest = geo.PlanarDomain.nearest
+
+    def counted(dom, X, guess=None):
+        calls.append(len(X))
+        return nearest(dom, X, guess)
+
+    monkeypatch.setattr(geo.PlanarDomain, "nearest", counted)
+    re_.energy_gradient(m, crown)
+    assert calls == [4] + [1] * 16
+
+
 def test_gradient_rejects_inadmissible(disk, crown8, profile_p3n2):
     ds, crown = crown8
     m = model_for(disk, profile_p3n2, ds / 12, ds)
