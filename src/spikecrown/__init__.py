@@ -6,8 +6,9 @@ The pipeline: compute the radial ground-state profile (ground_state),
 pack spikes on an inner parallel curve of the domain (geometry, packing),
 minimize the reduced interaction energy of the configuration
 (reduced_energy), and verify the result against a full nonlinear
-finite-difference solve (pde). The cli module batches everything behind
-the `spike-crown` command.
+finite-difference solve (pde). The verify module holds the ten-point
+acceptance checklist, and the cli module batches everything behind the
+`spike-crown` command.
 """
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Five subcommands cover the pipeline on one job config: ground-state
 tabulates the radial profile, pack builds the crown geometry, reduce
 minimizes the interaction energy per eps, solve runs the full Newton
-verification per eps, and verify executes the frozen acceptance
-checklist end to end.
+verification per eps, and verify runs the frozen acceptance checklist
+of the verify module end to end.
 
 Runs are reproducible: results depend only on (config, seed), floats
 are printed at 17 significant digits, every result JSON embeds the
@@ -33,6 +33,7 @@ from . import geometry as geo
 from . import packing as pk
 from . import pde
 from . import reduced_energy as red
+from . import verify
 from .errors import ConfigError, NumericalError, SpikeCrownError
 from .ground_state import load_profile, normalization_constants, save_profile, shoot
 from .nonlinearity import Nonlinearity
@@ -355,8 +356,7 @@ def run_reduce(cfg, out_dir):
         log_abs, sign, breakdown = red.evaluate_energy(model, cfg_min, check=False)
         rep = red.in_configuration_set(model, cfg_min)
         pts = cfg_min.points
-        depths = -dom.signed_distance(pts)
-        chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        depth_dev, chord_dev = pk._crown_deviations(dom, pts, delta_star)
         doc = {"eps": eps,
                "points": [[float(x), float(y)] for x, y in pts],
                "signs": [int(s) for s in cfg_min.signs],
@@ -365,8 +365,8 @@ def run_reduce(cfg, out_dir):
                "iterations": int(trace[-1][0]),
                "stop": stop,
                "checks": {"admissible": bool(rep),
-                          "max_depth_dev": float(np.abs(depths - delta_star).max()),
-                          "max_chord_dev": float(np.abs(chords - 2.0 * delta_star).max()),
+                          "max_depth_dev": depth_dev,
+                          "max_chord_dev": chord_dev,
                           "grad_norm": float(trace[-1][2]),
                           "cancellation": breakdown.cancellation},
                "inputs": _inputs(cfg, _REDUCE_INPUTS),
@@ -460,332 +460,6 @@ def run_solve(cfg, out_dir, continuation=False):
     return summaries
 
 
-# -------------------------------------------------- acceptance checks
-
-def _unit_disk():
-    return geo.PlanarDomain(geo.circle(1.0))
-
-
-def _best_phase_defect(gamma, k, chord, center, width):
-    """Polish the march phase near `center`: 4 rounds of 9-point grids."""
-    best, tb = np.inf, center
-    for _round in range(4):
-        for t in tb + np.linspace(-width, width, 9):
-            try:
-                g = pk.equal_chord_march(gamma, k, chord, float(t))[2]
-            except SpikeCrownError:
-                g = np.inf
-            if g < best:
-                best, tb = g, float(t)
-        width /= 4.0
-    return best, tb
-
-
-def _delta_grid_search(dom, k, levels=7):
-    """Locate the critical offset by pure grid refinement.
-
-    At each offset the closure defect of the equal-chord march (chord
-    2*delta) is minimized over the starting phase; the defect changes
-    sign at the critical offset, and each level shrinks the bracket to
-    one cell of a 9-point grid. Independent of the production solver's
-    bisection and phase handling.
-    """
-    bd = dom.boundary
-    lo = 0.05
-    hi = min(0.95 / bd.kappa_max, 0.9 * dom.inradius)
-    t_center = None
-    for _level in range(levels):
-        grid = np.linspace(lo, hi, 9)
-        vals, phases = [], []
-        for d in grid:
-            gamma = geo.inner_parallel_curve(bd, float(d))
-            if t_center is None:
-                best, tb = np.inf, 0.0
-                for t in np.arange(48) / 48.0:
-                    try:
-                        g = pk.equal_chord_march(gamma, k, 2.0 * d, float(t))[2]
-                    except SpikeCrownError:
-                        g = np.inf
-                    if g < best:
-                        best, tb = g, float(t)
-                best, tb = _best_phase_defect(gamma, k, 2.0 * d, tb, 1.0 / 48.0)
-            else:
-                best, tb = _best_phase_defect(gamma, k, 2.0 * d, t_center,
-                                              1.0 / 48.0)
-            vals.append(best)
-            phases.append(tb)
-        j = next((i for i in range(8) if vals[i] < 0.0 <= vals[i + 1]), None)
-        if j is None:
-            raise NumericalError("defect did not change sign across the bracket")
-        lo, hi = grid[j], grid[j + 1]
-        t_center = phases[j]
-    return 0.5 * (lo + hi)
-
-
-def _rotated_crown(dom, crown, delta_star, arc):
-    gamma = geo.inner_parallel_curve(dom.boundary, delta_star)
-    ts = dom.foot(crown.points)
-    ts2 = [gamma.param_at_arclength(gamma.arclength(t) + arc) for t in ts]
-    return pk.make_configuration(dom, np.array([gamma.point(t) for t in ts2]),
-                                 signs=crown.signs)
-
-
-def _polygon_fit_residual(pts):
-    """Max distance to the best regular polygon (mean radius and phase),
-    points assumed in cyclic order around the origin."""
-    k = len(pts)
-    r = np.linalg.norm(pts, axis=1)
-    th = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
-    orient = np.sign(th[1] - th[0])
-    slots = np.arange(k) * (2.0 * np.pi / k) * orient
-    phase = (th - slots).mean()
-    ideal = r.mean() * np.stack([np.cos(phase + slots),
-                                 np.sin(phase + slots)], axis=1)
-    return float(np.linalg.norm(pts - ideal, axis=1).max())
-
-
-def _alternating(peaks):
-    sgs = [sg for _, sg, _ in peaks]
-    return all(sgs[i] * sgs[(i + 1) % len(sgs)] == -1 for i in range(len(sgs)))
-
-
-def _dihedral_defect(grid, fld):
-    """Sup over the 7 nontrivial square-lattice symmetries of
-    |v(T(node)) - v(node)|; the maps permute the node set exactly on a
-    centered disk, and an alternating crown is invariant under all of
-    them (each map shifts the peak index by an even amount). A map that
-    sends a node off the node set raises NumericalError."""
-    i, j = grid.abs_index().T
-    maps = ((-j, i), (-i, -j), (j, -i), (i, -j), (-i, j), (j, i), (-j, -i))
-    nx, ny = grid.shape
-    v = fld.values
-    worst = 0.0
-    for ti, tj in maps:
-        li, lj = ti - grid.i0, tj - grid.j0
-        if not ((li >= 0) & (li < nx) & (lj >= 0) & (lj < ny)).all():
-            raise NumericalError("symmetry map sends a node outside the grid")
-        perm = grid.index[li, lj]
-        if (perm < 0).any():
-            raise NumericalError("symmetry map sends a node off the node set")
-        worst = max(worst, float(np.abs(v[perm] - v).max()))
-    return worst
-
-
-def _criterion_profile_closed_forms():
-    z = np.linspace(0.0, 15.0, 1501)
-    z_far = np.linspace(15.0, 20.0, 501)
-    closed = ((3.0, lambda r: 1.5 / np.cosh(0.5 * r) ** 2),
-              (4.0, lambda r: math.sqrt(2.0) / np.cosh(r)))
-    meas = {}
-    ok = True
-    for p, exact in closed:
-        profile = shoot(Nonlinearity(p=p, dim_n=1))
-        sup = float(np.abs(profile.value(z) - exact(z)).max())
-        ratio = profile.derivative(z_far) / profile.value(z_far)
-        dev = float(np.abs(ratio + 1.0).max())
-        meas[f"sup_error_p{p:g}"] = sup
-        meas[f"decay_ratio_dev_p{p:g}"] = dev
-        ok = ok and sup < 1e-6 and dev < 5e-3
-    return ok, meas
-
-
-def _criterion_circle_closed_form():
-    worst_rel = 0.0
-    worst_chord = 0.0
-    for radius in (0.5, 1.0, 2.0):
-        dom = geo.PlanarDomain(geo.circle(radius))
-        for k in (4, 8, 16, 32):
-            delta_star, crown = pk.critical_distance(dom, k)
-            s = math.sin(math.pi / k)
-            exact = radius * s / (1.0 + s)
-            worst_rel = max(worst_rel, abs(delta_star - exact) / exact)
-            steps = np.roll(crown.points, -1, axis=0) - crown.points
-            chords = np.hypot(steps[:, 0], steps[:, 1])
-            worst_chord = max(worst_chord,
-                              float(np.abs(chords - 2.0 * delta_star).max()))
-    ok = worst_rel < 1e-8 and worst_chord < 1e-8
-    return ok, {"worst_rel_error": worst_rel, "worst_chord_dev": worst_chord}
-
-
-def _criterion_ellipse_search():
-    dom = geo.PlanarDomain(geo.ellipse(2.0, 1.0))
-    delta_star, crown = pk.critical_distance(dom, 10)
-    found = _delta_grid_search(dom, 10)
-    pts = crown.points
-    k = len(pts)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    idx = np.arange(k)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, k - sep)
-    min_nonadj = float(dist[sep >= 2].min())
-    ok = abs(found - delta_star) < 1e-6 and min_nonadj > 2.0 * delta_star
-    return ok, {"delta_star": delta_star, "grid_search": found,
-                "difference": abs(found - delta_star),
-                "min_nonadjacent_dist": min_nonadj,
-                "twice_delta_star": 2.0 * delta_star}
-
-
-def _criterion_boundary_gap(dom, delta_star, crown, seed):
-    sup_phi, gap, _ = pk.boundary_gap_check(dom, crown, delta_star,
-                                            delta_star / 10.0,
-                                            n_samples=10_000, seed=seed)
-    ok = sup_phi < delta_star - 1e-3
-    return ok, {"sup_phi": sup_phi, "delta_star": delta_star, "gap": gap}
-
-
-def _criterion_exponent_trend(profile):
-    dom = _unit_disk()
-    P = np.array([0.7, 0.0])
-    devs, dropped = [], []
-    for eps in (0.1, 0.05, 0.025):
-        grid = pde.discretize(dom, eps / 4.0)
-        _, psi = pde.boundary_correction(grid, profile, eps, P)
-        devs.append(abs(psi - 0.6))
-        dropped.append(grid.n_reclassified)
-    ok = devs[0] > devs[1] > devs[2]
-    return ok, {"deviations": devs, "reclassified_nodes": dropped}
-
-
-def _criterion_energy_scaling(profile, dom, delta_star, crown):
-    devs = []
-    for frac in (8.0, 12.0, 16.0):
-        eps = delta_star / frac
-        model = red.ReducedEnergyModel(dom, profile, eps, delta_star,
-                                       delta_star / 10.0)
-        log_abs, _, _ = red.evaluate_energy(model, crown)
-        devs.append(abs(-eps * log_abs / (2.0 * delta_star) - 1.0))
-    ok = devs[0] > devs[1] > devs[2] and devs[-1] < 0.10
-    return ok, {"relative_deviations": devs}
-
-
-def _criterion_minimizer_location(profile, dom, delta_star, crown):
-    eps = delta_star / 12.0
-    eta = delta_star / 10.0
-    model = red.ReducedEnergyModel(dom, profile, eps, delta_star, eta)
-    init = _rotated_crown(dom, crown, delta_star, eta / 4.0)
-    cfg_min = red.minimize_energy(model, init)[0]
-    pts = cfg_min.points
-    depths = -dom.signed_distance(pts)
-    chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    depth_dev = float(np.abs(depths - delta_star).max())
-    chord_dev = float(np.abs(chords - 2.0 * delta_star).max())
-    fit = _polygon_fit_residual(pts)
-    ok = depth_dev < 5.0 * eps and chord_dev < 5.0 * eps and fit < 1e-6
-    return ok, {"max_depth_dev": depth_dev, "max_chord_dev": chord_dev,
-                "allowance": 5.0 * eps, "polygon_fit": fit}
-
-
-def _criterion_newton_family(profile, dom, delta_star, crown, nl):
-    """Newton from the raw crown ansatz at delta*/{8,12,16}; also hands
-    back the finest solve for the symmetry check."""
-    rows = []
-    finest = None
-    for frac in (8.0, 12.0, 16.0):
-        eps = delta_star / frac
-        grid = pde.discretize(dom, eps / 4.0)
-        ansatz = pde.assemble_ansatz(grid, profile, eps, crown)
-        sol, hist, _ = pde.newton_solve(grid, nl, eps, profile, crown)
-        peaks = pde.extract_peaks(grid, sol)
-        drift = max(
-            float(np.linalg.norm(crown.points - loc, axis=1).min())
-            for loc, _, _ in peaks)
-        scaled = math.exp(delta_star / (2.0 * eps)) * float(
-            np.abs(sol.values - ansatz.values).max())
-        rows.append({"eps": eps, "final_residual": float(hist[-1]),
-                     "n_peaks": len(peaks),
-                     "alternating": _alternating(peaks),
-                     "peak_drift": drift, "scaled_ansatz_gap": scaled,
-                     "reclassified_nodes": grid.n_reclassified})
-        finest = (grid, sol)
-    conv = all(r["final_residual"] < 1e-10 for r in rows)
-    peaks_ok = all(r["n_peaks"] == 8 and r["alternating"] for r in rows)
-    drift_ok = (rows[0]["peak_drift"] > rows[1]["peak_drift"]
-                > rows[2]["peak_drift"])
-    gap_ok = (rows[0]["scaled_ansatz_gap"] > rows[1]["scaled_ansatz_gap"]
-              > rows[2]["scaled_ansatz_gap"])
-    meas = {"family": rows, "converged": conv, "peaks_ok": peaks_ok,
-            "drift_decreasing": drift_ok, "scaled_gap_decreasing": gap_ok}
-    return conv and peaks_ok and drift_ok and gap_ok, meas, finest
-
-
-def _criterion_contraction(seed):
-    specs = ({"kind": "circle", "radius": 1.0},
-             {"kind": "ellipse", "a": 2.0, "b": 1.0},
-             {"kind": "ellipse", "a": 1.5, "b": 1.0})
-    total = 0
-    worst = math.inf
-    for spec in specs:
-        curve = geo.make_curve(spec)
-        for dsep in (0.3, 0.6):
-            margin = geo.check_strict_convexity(curve, dsep)
-            rep = geo.contraction_check(curve, dsep, margin / 2.0, 10_000,
-                                        seed=seed)
-            total += rep.n_violations
-            worst = min(worst, rep.worst_slack)
-    return total == 0, {"n_violations": total, "worst_slack": worst}
-
-
-def verification_report(seed=0, echo=None):
-    """Run the ten frozen acceptance checks and return the verdict dict.
-
-    Pure compute: nothing is written to disk, wall times go only
-    through `echo`, so the returned dict is deterministic for a given
-    seed. Checks that raise a toolkit error are recorded as failed with
-    the error named; later checks still run.
-    """
-    say = echo if echo is not None else (lambda line: None)
-    nl = Nonlinearity(p=3.0, dim_n=2)
-    profile = shoot(nl)
-    disk = _unit_disk()
-    delta_star, crown = pk.critical_distance(disk, 8)
-    entries = []
-    shared = {}
-
-    def run(cid, name, fn):
-        t0 = time.perf_counter()
-        try:
-            ok, meas = fn()
-            entry = {"id": cid, "name": name, "pass": bool(ok),
-                     "measured": meas}
-        except SpikeCrownError as exc:
-            entry = {"id": cid, "name": name, "pass": False,
-                     "error": f"{type(exc).__name__}: {exc}"}
-        entries.append(entry)
-        status = "PASS" if entry["pass"] else "FAIL"
-        say(f"criterion {cid:2d} {name}: {status} "
-            f"({time.perf_counter() - t0:.1f} s)")
-
-    def newton_family():
-        ok, meas, finest = _criterion_newton_family(profile, disk, delta_star,
-                                                    crown, nl)
-        shared["finest"] = finest
-        return ok, meas
-
-    def symmetry():
-        if "finest" not in shared:
-            raise NumericalError("newton family stage unavailable")
-        defect = _dihedral_defect(*shared["finest"])
-        return defect < 1e-8, {"dihedral_defect": defect}
-
-    run(1, "radial-profile-closed-forms", _criterion_profile_closed_forms)
-    run(2, "circle-crown-closed-form", _criterion_circle_closed_form)
-    run(3, "ellipse-crown-grid-search", _criterion_ellipse_search)
-    run(4, "admissible-boundary-gap",
-        lambda: _criterion_boundary_gap(disk, delta_star, crown, seed))
-    run(5, "boundary-exponent-trend",
-        lambda: _criterion_exponent_trend(profile))
-    run(6, "reduced-energy-scaling",
-        lambda: _criterion_energy_scaling(profile, disk, delta_star, crown))
-    run(7, "minimizer-location",
-        lambda: _criterion_minimizer_location(profile, disk, delta_star, crown))
-    run(8, "newton-from-crown-family", newton_family)
-    run(9, "inward-shift-contraction", lambda: _criterion_contraction(seed))
-    run(10, "solution-symmetry", symmetry)
-    return {"criteria": entries,
-            "all_pass": all(e["pass"] for e in entries),
-            "seed": seed}
-
-
 # ----------------------------------------------------------- commands
 
 def cmd_ground_state(cfg, out_dir):
@@ -830,10 +504,8 @@ def cmd_solve(cfg, out_dir, continuation=False):
 
 
 def cmd_verify(cfg, out_dir):
-    report = verification_report(seed=cfg.seed, echo=print)
-    doc = dict(report)
-    doc.update(_stamp(cfg))
-    _write_json(os.path.join(out_dir, "verdict.json"), doc)
+    report = verify.verification_report(seed=cfg.seed, echo=print)
+    _write_json(os.path.join(out_dir, "verdict.json"), {**report, **_stamp(cfg)})
     print("verdict: " + ("all-pass" if report["all_pass"] else "FAIL"))
     if report["all_pass"]:
         return 0

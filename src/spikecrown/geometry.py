@@ -15,8 +15,6 @@ for that, which is why providers expose exactly point, first derivative
 and curvature.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize
@@ -27,7 +25,6 @@ from .errors import (
     IntegrationError,
     NonUniqueProjectionError,
     ParallelCurveDegeneracyError,
-    PropertyViolationError,
 )
 
 _TABLE_N = 4096
@@ -594,124 +591,4 @@ def inner_parallel_curve(curve, delta):
         curve._n,
         flat_tol=2.0 * curve._flat_tol,
     )
-
-
-def _pair_scan(P, N, delta_sep, chunk=256):
-    """Exhaustive ordered-pair scan of nu_P.(P-Q) over |P-Q| >= delta_sep."""
-    best = np.inf
-    best_pair = (0, 0)
-    for lo in range(0, len(P), chunk):
-        hi = min(lo + chunk, len(P))
-        diff = P[lo:hi, None, :] - P[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        val = np.einsum("ik,ijk->ij", N[lo:hi], diff)
-        val = np.where(dist >= delta_sep, val, np.inf)
-        k = np.unravel_index(np.argmin(val), val.shape)
-        if val[k] < best:
-            best = float(val[k])
-            best_pair = (lo + k[0], k[1])
-    return best, best_pair
-
-
-def check_strict_convexity(curve, delta_sep):
-    """Minimum of nu_P.(P-Q) over boundary pairs with |P-Q| >= delta_sep.
-
-    Positive margin quantifies strict convexity at separation delta_sep.
-    A subsampled exhaustive scan locates the minimizing pair; a
-    constrained local polish then removes the grid bias. delta_sep = 0
-    degenerates to the coincident-pair value 0."""
-    delta_sep = float(delta_sep)
-    if delta_sep < 0:
-        raise ConfigError(f"separation must be nonnegative, got {delta_sep}")
-    stride = 2
-    P = curve.points[::stride]
-    N = curve.normals[::stride]
-    margin, (i0, j0) = _pair_scan(P, N, delta_sep)
-    if not np.isfinite(margin):
-        return np.inf  # delta_sep exceeds the diameter: empty pair set
-    if delta_sep == 0.0:
-        return margin
-    tp0 = curve.t_nodes[stride * i0]
-    tq0 = curve.t_nodes[stride * j0]
-
-    def objective(z):
-        p = curve.point(z[0])
-        nu = _outward_normal_from_d1(curve.d1(z[0]))
-        return float(np.dot(nu, p - curve.point(z[1])))
-
-    def constraint(z):
-        return float(np.linalg.norm(curve.point(z[0]) - curve.point(z[1])) - delta_sep)
-
-    res = minimize(
-        objective,
-        np.array([tp0, tq0]),
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": constraint}],
-        options={"ftol": 1e-14, "maxiter": 200},
-    )
-    if res.success and constraint(res.x) > -1e-10:
-        margin = min(margin, float(res.fun))
-    return margin
-
-
-@dataclass
-class ContractionReport:
-    """Outcome of sampling the two-point inward-shift inequality."""
-
-    n_samples: int
-    n_violations: int
-    worst_slack: float
-    eta_max: float
-    worst_case: tuple
-
-
-def contraction_check(curve, delta_sep, eta_max, n_samples, seed=0):
-    """Sample pairs P,Q with |P-Q| >= delta_sep and inward shifts
-    eta1, eta2 in [0, eta_max]; verify the shifted points are strictly
-    closer than |P-Q|. Raises PropertyViolationError (report attached)
-    on any failure; otherwise returns the report with the worst slack."""
-    eta_max = float(eta_max)
-    if eta_max < 0:
-        raise ConfigError(f"eta_max must be nonnegative, got {eta_max}")
-    rng = np.random.default_rng(seed)
-    tp = np.empty(0)
-    tq = np.empty(0)
-    for _ in range(200):
-        need = n_samples - len(tp)
-        if need <= 0:
-            break
-        cand_p = rng.uniform(0.0, 1.0, 2 * need + 16)
-        cand_q = rng.uniform(0.0, 1.0, 2 * need + 16)
-        d = np.linalg.norm(curve.point(cand_p) - curve.point(cand_q), axis=1)
-        ok = d >= delta_sep
-        tp = np.concatenate([tp, cand_p[ok]])
-        tq = np.concatenate([tq, cand_q[ok]])
-    if len(tp) < n_samples:
-        raise ConfigError(
-            f"separation {delta_sep} excludes almost every boundary pair"
-        )
-    tp, tq = tp[:n_samples], tq[:n_samples]
-    P, Q = curve.point(tp), curve.point(tq)
-    nup = _outward_normal_from_d1(curve.d1(tp))
-    nuq = _outward_normal_from_d1(curve.d1(tq))
-    eta1 = rng.uniform(0.0, eta_max, n_samples)
-    eta2 = rng.uniform(0.0, eta_max, n_samples)
-    orig = np.linalg.norm(P - Q, axis=1)
-    moved = np.linalg.norm((P - eta1[:, None] * nup) - (Q - eta2[:, None] * nuq), axis=1)
-    slack = orig - moved
-    worst = int(np.argmin(slack))
-    report = ContractionReport(
-        n_samples=int(n_samples),
-        n_violations=int(np.count_nonzero(slack <= 0.0)),
-        worst_slack=float(slack[worst]),
-        eta_max=eta_max,
-        worst_case=(float(tp[worst]), float(tq[worst]), float(eta1[worst]), float(eta2[worst])),
-    )
-    if report.n_violations > 0:
-        raise PropertyViolationError(
-            f"{report.n_violations} of {n_samples} sampled pairs moved apart "
-            f"(worst slack {report.worst_slack:.3e}); eta_max {eta_max} too large",
-            report,
-        )
-    return report
 

@@ -116,8 +116,16 @@ def _forward_solve(nl, w0, rtol=1e-13):
 
 
 def _backward_solve(nl, A, rtol=1e-13):
+    """Shot from the far field of decay constant A at r = 24 back to 10,
+    and its value there. That value rescales A, so one that is not
+    positive raises DecayFitError (A^(p-1) would be a NaN)."""
     w, dw = _tail_value_deriv(nl.p, nl.dim_n, A, _R_BACK)
-    return _integrate(nl, (_R_BACK, _R_MATCH), [w, dw], rtol, 1e-30, dense_output=True)
+    sol = _integrate(nl, (_R_BACK, _R_MATCH), [w, dw], rtol, 1e-30, dense_output=True)
+    w_match = sol.y[0, -1]
+    if not (np.isfinite(w_match) and w_match > 0.0):
+        raise DecayFitError(f"backward shot from A = {A:.6g} reaches "
+                            f"w({_R_MATCH:g}) = {w_match:.6g}")
+    return sol, w_match
 
 
 def _tail_coeffs(p, dim_n, A):
@@ -280,11 +288,10 @@ def shoot(nl: Nonlinearity, h_r: float = 0.005):
 
     m = (nl.dim_n - 1) / 2.0
     A = w_f * _R_MATCH**m * np.exp(_R_MATCH)
-    bw = None
+    bw, w_b = _backward_solve(nl, A)
     for _ in range(3):
-        bw = _backward_solve(nl, A)
-        A *= w_f / bw.y[0, -1]
-    bw = _backward_solve(nl, A)
+        A *= w_f / w_b
+        bw, w_b = _backward_solve(nl, A)
 
     r_grid = np.round(np.arange(0.0, _R_MAX + 0.5 * h_r, h_r), 12)
     w = np.empty_like(r_grid)

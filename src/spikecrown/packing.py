@@ -28,7 +28,6 @@ from .errors import (
 # project_to_curve is unused here; perfbench/layers.py hooks this binding
 from .geometry import inner_parallel_curve, project_to_curve  # noqa: F401
 
-_INFEASIBLE = 1e9  # closure defect of a march whose chord cannot be placed
 _CLOSURE_TOL = 1e-9  # a closed march misses its start by at most this times l
 _VERTEX_STEPS = 64  # Newton steps per vertex before a row is dropped
 _NEWTON_STEPS = 100  # steps of the closure, phase and offset iterations
@@ -160,13 +159,6 @@ def equal_chord_march(curve, k, chord, t0=0.0):
             pts[i + 1] = curve.point(ts[i + 1])
     defect = float(curve.arclength(ts[-1]) - curve.arclength(ts[0]) - curve.total_length)
     return pts, ts, defect
-
-
-def _defect(curve, k, chord, t0):
-    try:
-        return equal_chord_march(curve, k, chord, t0)[2]
-    except ChordInfeasibleError:
-        return _INFEASIBLE
 
 
 class _March(NamedTuple):
@@ -475,32 +467,43 @@ def critical_distance(dom, k, t0_samples=16):
     delta_star, pts = _critical_delta(dom, k, t0_samples)
     config = SpikeConfiguration(pts)
 
-    depth = -dom.signed_distance(pts)
-    if np.abs(depth - delta_star).max() > 1e-8:
+    depth_dev, chord_dev = _crown_deviations(dom, pts, delta_star)
+    if depth_dev > 1e-8:
         raise PackingConsistencyError(
-            f"vertex depths deviate from delta* by "
-            f"{np.abs(depth - delta_star).max():.2e}"
-        )
-    chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    if np.abs(chords - 2.0 * delta_star).max() > 1e-8:
+            f"vertex depths deviate from delta* by {depth_dev:.2e}")
+    if chord_dev > 1e-8:
         raise PackingConsistencyError(
-            f"adjacent chords deviate from 2*delta* by "
-            f"{np.abs(chords - 2 * delta_star).max():.2e}"
-        )
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    idx = np.arange(k)
-    sep = np.minimum((idx[:, None] - idx[None, :]) % k, (idx[None, :] - idx[:, None]) % k)
-    nonadj = dist[sep >= 2]
-    if len(nonadj) and nonadj.min() < 2.0 * delta_star - 1e-8:
+            f"adjacent chords deviate from 2*delta* by {chord_dev:.2e}")
+    nonadj = _min_nonadjacent(pts)
+    if nonadj < 2.0 * delta_star - 1e-8:
         raise PackingConsistencyError(
-            f"non-adjacent pair at distance {nonadj.min():.12g} < 2*delta*"
-        )
+            f"non-adjacent pair at distance {nonadj:.12g} < 2*delta*")
     phi = packing_functional(dom, pts)
     if abs(phi - delta_star) > 1e-8:
         raise PackingConsistencyError(
             f"packing functional {phi:.12g} != delta* {delta_star:.12g}"
         )
     return delta_star, config
+
+
+def _crown_deviations(dom, pts, delta):
+    """(max |depth - delta|, max |chord - 2*delta|) over the cyclic
+    points pts: how far they are from an equal-chord crown at delta."""
+    depth = -dom.signed_distance(pts)
+    chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    return (float(np.abs(depth - delta).max()),
+            float(np.abs(chords - 2.0 * delta).max()))
+
+
+def _min_nonadjacent(pts):
+    """Least distance between two of the cyclic points pts that are not
+    neighbours (inf for fewer than four points)."""
+    k = len(pts)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    idx = np.arange(k)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    sep = np.minimum(sep, k - sep)
+    return float(dist[sep >= 2].min(initial=np.inf))
 
 
 def choose_spike_count(dom, delta0):

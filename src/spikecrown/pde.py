@@ -184,9 +184,6 @@ class DiscreteField:
             raise NumericalError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    def sup_norm(self):
-        return float(np.abs(self.values).max(initial=0.0))
-
 
 class _Operator:
     """eps^2*Lap_h - I in CSR form plus the Dirichlet coupling data.
@@ -279,11 +276,6 @@ def _require_resolution(grid, eps):
         )
 
 
-def _free_profile(grid, profile, eps, P):
-    r = np.linalg.norm(grid.xy - np.asarray(P, dtype=float), axis=1) / eps
-    return profile.value(r)
-
-
 def boundary_correction(grid, profile, eps, P, depth=None):
     """Boundary layer D = w_free - w_proj and the exponent psi = -eps*log D(P).
 
@@ -318,13 +310,6 @@ def boundary_correction(grid, profile, eps, P, depth=None):
     return DiscreteField(grid, eps, d_vals), psi
 
 
-def solve_projection(grid, profile, eps, P):
-    """Profile minus its boundary layer: the Dirichlet-projected spike."""
-    d_field, _ = boundary_correction(grid, profile, eps, P)
-    w_free = _free_profile(grid, profile, eps, P)
-    return DiscreteField(grid, eps, w_free - d_field.values)
-
-
 def _interp_quadratic(grid, values, x):
     """Biquadratic read-off of a nodal field at an off-node point.
 
@@ -355,19 +340,9 @@ def assemble_ansatz(grid, profile, eps, config):
     seeds Newton and the solve itself enforces the boundary condition.
     """
     _require_resolution(grid, eps)
-    vals = np.zeros(grid.n_nodes)
-    for pt, sgn in zip(config.points, config.signs):
-        vals += sgn * _free_profile(grid, profile, eps, pt)
-    return DiscreteField(grid, eps, vals)
-
-
-def residual_norm(grid, nl, eps, fld):
-    """Sup and (h-weighted) l2 norm of the discrete operator at the field."""
-    op = grid.operator(eps)
-    res = op.A @ fld.values + nl.f(fld.values)
-    sup = float(np.abs(res).max(initial=0.0))
-    l2 = float(grid.h * np.sqrt((res * res).sum()))
-    return sup, l2
+    P = np.asarray(config.points, dtype=float).reshape(-1, 2)
+    U, _ = _ansatz_and_modes(grid, profile, eps, P, config.signs)
+    return DiscreteField(grid, eps, U)
 
 
 class _BorderedLU:
@@ -411,8 +386,9 @@ def _sup(x):
 def _ansatz_and_modes(grid, profile, eps, P, signs):
     """The ansatz U at spike positions P and its translation modes Z.
 
-    U is assemble_ansatz's sum; column 2i + a of Z is
-    s_i w'(r/eps)/eps * (P_i - x)_a / r, with one profile pass per spike.
+    U = sum_i s_i w(|x - P_i|/eps) is what assemble_ansatz returns; column
+    2i + a of Z is s_i w'(r/eps)/eps * (P_i - x)_a / r, with r = |x - P_i|.
+    One profile pass per spike gives both.
     """
     U, Z = np.zeros(grid.n_nodes), np.zeros((grid.n_nodes, 2 * len(P)))
     for i, (pt, sgn) in enumerate(zip(P, signs)):

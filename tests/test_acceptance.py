@@ -1,6 +1,6 @@
 """The ten acceptance checks, one test per criterion.
 
-The checklist is computed once per module by cli.verification_report
+The checklist is computed once per module by verify.verification_report
 (seed 0) and each test then asserts its criterion's measured values at
 the stated tolerances, so a failure names the exact quantity that
 missed. Closed-form oracles (sech profiles, circle crown offsets) are
@@ -11,12 +11,12 @@ independent of the production code paths; the rest are property checks
 import numpy as np
 import pytest
 
-from spikecrown import cli
+from spikecrown import verify
 
 
 @pytest.fixture(scope="module")
 def report():
-    return cli.verification_report(seed=0)
+    return verify.verification_report(seed=0)
 
 
 def entry(report, cid):

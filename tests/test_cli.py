@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikecrown
-from spikecrown import cli, pde
+from spikecrown import cli, pde, verify
 from spikecrown import geometry as geo
 from spikecrown.errors import ConfigError, NumericalError
 from spikecrown.ground_state import load_profile
@@ -189,14 +190,54 @@ def test_dihedral_defect_matches_node_lookup():
               lambda i, j: (-j, -i)):
         perm = [lut[T(int(i), int(j))] for i, j in grid.abs_index()]
         worst = max(worst, float(np.abs(vals[perm] - vals).max()))
-    assert cli._dihedral_defect(grid, fld) == worst
+    assert verify._dihedral_defect(grid, fld) == worst
 
 
 def test_dihedral_defect_off_center_is_numerical_error():
     grid = _grid((0.3, 0.1))
     fld = pde.DiscreteField(grid, 0.16, np.zeros(grid.n_nodes))
     with pytest.raises(NumericalError, match="symmetry map"):
-        cli._dihedral_defect(grid, fld)
+        verify._dihedral_defect(grid, fld)
+
+
+def _entry(cid, ok=True, error=None):
+    entry = {"id": cid, "name": f"check-{cid}", "pass": ok}
+    if error is None:
+        entry["measured"] = {"value": 0.5 * cid}
+    else:
+        entry["error"] = error
+    return entry
+
+
+@pytest.mark.parametrize("failing, error, code", [
+    (None, None, 0),
+    (8, None, 1),
+    (10, "NumericalError: newton family stage unavailable", 3),
+], ids=["all-pass", "criterion-fails", "criterion-raises"])
+def test_verify_exit_code_and_verdict(tmp_path, monkeypatch, failing, error, code):
+    # the checklist itself is stubbed: this covers only the command
+    entries = [_entry(cid, ok=cid != failing, error=error if cid == failing else None)
+               for cid in range(1, 11)]
+    report = {"criteria": entries, "all_pass": failing is None, "seed": 5}
+    calls = []
+
+    def fake_report(seed=0, echo=None):
+        calls.append(seed)
+        echo("criterion lines go to stdout")
+        return report
+
+    monkeypatch.setattr(verify, "verification_report", fake_report)
+    job = write_job(tmp_path / "job.json")
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert cli.main(["verify", "--config", str(job), "--out", str(out),
+                     "--seed", "5"]) == code
+    assert time.perf_counter() - t0 < 1.0
+    assert calls == [5]
+    cfg = dataclasses.replace(cli.parse_config(str(job)), seed=5)
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict == {**report, **cli._stamp(cfg)}
+    assert not (out / "error.json").exists()
 
 
 # --------------------------------------------------------- ground-state
@@ -240,6 +281,16 @@ def test_ground_state_subcritical_rejected(tmp_path):
     err = json.loads((tmp_path / "o" / "error.json").read_text())
     assert err["type"] == "ConfigError"
     assert "p" in err["error"]
+
+
+def test_ground_state_decay_fit_failure_exits_3(tmp_path):
+    write_job(tmp_path / "job.json", p=2.1, N=1, out=str(tmp_path / "o"))
+    r = run_cli(["ground-state", "--config", "job.json"], cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+    err = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert err["type"] == "DecayFitError"
+    assert err["exit_code"] == 3
 
 
 # ----------------------------------------------------------------- pack

@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
 from spikecrown import geometry as geo
+from spikecrown import verify
 from spikecrown.errors import (
     ConfigError,
     NonUniqueProjectionError,
@@ -300,12 +301,12 @@ def test_nearest_guess_nan_means_no_guess(ell21):
 def test_convexity_margin_circle_closed_form(unit_circle):
     # nu_P.(P-Q) = |P-Q|^2 / (2R) on a circle; minimum at |P-Q| = dsep
     for dsep in (0.3, 0.5, 1.0):
-        m = geo.check_strict_convexity(unit_circle, dsep)
+        m = verify.check_strict_convexity(unit_circle, dsep)
         assert abs(m - dsep**2 / 2.0) < 1e-9
 
 
 def test_convexity_margin_zero_sep(unit_circle):
-    assert geo.check_strict_convexity(unit_circle, 0.0) == 0.0
+    assert verify.check_strict_convexity(unit_circle, 0.0) == 0.0
 
 
 def _ellipse_margin_oracle(a, b, dsep):
@@ -350,14 +351,14 @@ def _ellipse_margin_oracle(a, b, dsep):
 
 def test_convexity_margin_ellipse_vs_brute_force(ell21):
     oracle = _ellipse_margin_oracle(2.0, 1.0, 0.5)
-    m = geo.check_strict_convexity(ell21, 0.5)
+    m = verify.check_strict_convexity(ell21, 0.5)
     assert m > 0
     assert abs(m - oracle) < 1e-6
 
 
 def test_contraction_circle_passes(unit_circle):
-    m = geo.check_strict_convexity(unit_circle, 0.5)
-    rep = geo.contraction_check(unit_circle, 0.5, m / 2, 10_000, seed=7)
+    m = verify.check_strict_convexity(unit_circle, 0.5)
+    rep = verify.contraction_check(unit_circle, 0.5, m / 2, 10_000, seed=7)
     assert rep.n_violations == 0
     assert rep.worst_slack > 0.0
 
@@ -381,9 +382,9 @@ def test_contraction_algebraic_bound(unit_circle):
 
 
 def test_contraction_large_eta_fails(unit_circle):
-    m = geo.check_strict_convexity(unit_circle, 0.5)
+    m = verify.check_strict_convexity(unit_circle, 0.5)
     with pytest.raises(PropertyViolationError) as exc:
-        geo.contraction_check(unit_circle, 0.5, 3 * m, 10_000, seed=7)
+        verify.contraction_check(unit_circle, 0.5, 3 * m, 10_000, seed=7)
     rep = exc.value.report
     assert rep.n_violations > 0
     assert rep.worst_slack <= 0.0

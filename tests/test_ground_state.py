@@ -1,3 +1,6 @@
+import time
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -184,6 +187,18 @@ def test_failed_shot_is_never_called_decay(fault, monkeypatch):
     monkeypatch.setattr(gs, "solve_ivp", faulty)
     with pytest.raises(IntegrationError):
         gs._classify(Nonlinearity(p=3.0, dim_n=1), 1.0, rtol=1e-11)
+
+
+def test_backward_shot_below_zero_is_a_decay_fit_error():
+    # at p = 2.1, N = 1 the first backward shot ends below zero at r = 10;
+    # rescaling by it made the decay constant negative and its far field
+    # NaN, which solve_ivp refused with a bare ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0 = time.perf_counter()
+        with pytest.raises(DecayFitError, match="backward shot"):
+            shoot(Nonlinearity(p=2.1, dim_n=1))
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_decay_constant_closed_forms(profile_p3n1, profile_p4n1):

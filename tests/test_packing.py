@@ -31,6 +31,14 @@ from spikecrown.errors import (
 )
 
 
+def _defect(curve, k, chord, t0):
+    """The scalar march's closure defect, 1e9 where a chord cannot be placed."""
+    try:
+        return pk.equal_chord_march(curve, k, chord, t0)[2]
+    except ChordInfeasibleError:
+        return 1e9
+
+
 def circle_law(R, k):
     s = np.sin(np.pi / k)
     return R * s / (1.0 + s)
@@ -185,8 +193,8 @@ def test_close_polygon_bracket_changes_sign(ratio, offset, k, t0):
     if delta > 0.0:  # a subnormal offset times ratio**2 can round to 0
         curve = geo.inner_parallel_curve(curve, delta)
     ell = curve.total_length
-    assert pk._defect(curve, k, 0.25 * ell / k, t0) < 0.0
-    assert pk._defect(curve, k, 1.2 * ell / k, t0) > 0.0
+    assert _defect(curve, k, 0.25 * ell / k, t0) < 0.0
+    assert _defect(curve, k, 1.2 * ell / k, t0) > 0.0
 
 
 # ------------------------------------------------------------ batched march
@@ -267,10 +275,10 @@ def test_batched_march_derivatives_match_differences(name):
         placed = np.isfinite(batch.defect)
         assert placed.sum() >= 3
         for i in np.nonzero(placed)[0]:
-            d_c = (pk._defect(curve, k, chord[i] + h, t0[i])
-                   - pk._defect(curve, k, chord[i] - h, t0[i])) / (2.0 * h)
-            d_t = (pk._defect(curve, k, chord[i], t0[i] + h)
-                   - pk._defect(curve, k, chord[i], t0[i] - h)) / (2.0 * h)
+            d_c = (_defect(curve, k, chord[i] + h, t0[i])
+                   - _defect(curve, k, chord[i] - h, t0[i])) / (2.0 * h)
+            d_t = (_defect(curve, k, chord[i], t0[i] + h)
+                   - _defect(curve, k, chord[i], t0[i] - h)) / (2.0 * h)
             assert abs(batch.d_chord[i] - d_c) < 1e-6 * max(1.0, abs(d_c))
             assert abs(batch.d_t0[i] - d_t) < 1e-6 * max(1.0, abs(d_t))
 
@@ -285,8 +293,8 @@ def test_batched_march_offset_derivative_matches_differences():
             chord = np.array([0.95, 1.0]) * gamma.total_length / k
             batch = pk._march(gamma, k, chord, t0)
             for i in range(2):
-                up, down = (pk._defect(geo.inner_parallel_curve(base, d), k,
-                                       chord[i], t0[i])
+                up, down = (_defect(geo.inner_parallel_curve(base, d), k,
+                                    chord[i], t0[i])
                             for d in (delta + h, delta - h))
                 fd = (up - down) / (2.0 * h)
                 assert abs(batch.d_offset[i] - fd) < 1e-6 * max(1.0, abs(fd))

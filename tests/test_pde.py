@@ -39,7 +39,7 @@ def grid_m(disk):
 
 @pytest.fixture(scope="module")
 def proj_center(grid_m, profile_p3n2):
-    return pde.solve_projection(grid_m, profile_p3n2, 0.1, (0.0, 0.0))
+    return solve_projection(grid_m, profile_p3n2, 0.1, (0.0, 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,38 @@ def mirror_rows(grid):
 
 def zero_field(grid, eps=0.1):
     return pde.DiscreteField(grid, eps, np.zeros(grid.n_nodes))
+
+
+# ---- oracles built on the public pieces
+
+
+def free_profile(grid, profile, eps, P):
+    r = np.linalg.norm(grid.xy - np.asarray(P, dtype=float), axis=1) / eps
+    return profile.value(r)
+
+
+def ansatz_per_spike(grid, profile, eps, config):
+    """The crown ansatz as a sum of one free profile per spike."""
+    vals = np.zeros(grid.n_nodes)
+    for pt, sgn in zip(config.points, config.signs):
+        vals += sgn * free_profile(grid, profile, eps, pt)
+    return vals
+
+
+def solve_projection(grid, profile, eps, P):
+    """Profile minus its boundary layer: the Dirichlet-projected spike."""
+    d_field, _ = pde.boundary_correction(grid, profile, eps, P)
+    return pde.DiscreteField(grid, eps, free_profile(grid, profile, eps, P) - d_field.values)
+
+
+def residual_norm(grid, nl, eps, fld):
+    """Sup and (h-weighted) l2 norm of the discrete operator at the field."""
+    res = grid.operator(eps).A @ fld.values + nl.f(fld.values)
+    return float(np.abs(res).max(initial=0.0)), float(grid.h * np.sqrt((res * res).sum()))
+
+
+def sup_norm(fld):
+    return float(np.abs(fld.values).max(initial=0.0))
 
 
 # ---- discretize
@@ -175,9 +207,24 @@ def test_ansatz_height_matches_profile(grid_m, profile_p3n2, pair2):
     w0 = profile_p3n2.value(0.0)
     # spikes at +-0.5 sit on lattice nodes; the only deficit is the
     # opposite spike's tail w(10) = 1.54e-4
-    assert abs(ans.sup_norm() - w0) < 1e-3
+    assert abs(sup_norm(ans) - w0) < 1e-3
     top = grid_m.xy[int(np.abs(ans.values).argmax())]
     assert min(np.linalg.norm(top - p) for p in pair2["cfg"].points) <= grid_m.h
+
+
+@pytest.mark.parametrize("make", [
+    lambda dom, pts: pk.make_configuration(dom, pts, [-1, 1, -1, 1]),
+    lambda dom, pts: SimpleNamespace(points=pts, signs=np.array([1.0, -1.0, 1.0, -1.0])),
+], ids=["configuration", "float-signs"])
+def test_ansatz_is_the_per_spike_sum_bit_for_bit(disk, grid_m, profile_p3n2, make):
+    # every spike has nodes on both sides of r_tail
+    pts = np.array([[0.31, 0.07], [-0.05, 0.52], [-0.44, -0.13], [0.12, -0.58]])
+    cfg = make(disk, pts)
+    r = np.linalg.norm(grid_m.xy[:, None, :] - pts, axis=-1) / 0.1
+    assert (r < profile_p3n2.r_tail).any(axis=0).all()
+    assert (r > profile_p3n2.r_tail).any(axis=0).all()
+    got = pde.assemble_ansatz(grid_m, profile_p3n2, 0.1, cfg).values
+    assert np.array_equal(got, ansatz_per_spike(grid_m, profile_p3n2, 0.1, cfg))
 
 
 def test_ansatz_boundary_trace_bound(grid_m, profile_p3n2, pair2):
@@ -193,7 +240,7 @@ def test_ansatz_boundary_trace_bound(grid_m, profile_p3n2, pair2):
 def test_newton_zero_init_stays_zero(grid_m, profile_p3n2):
     empty = SimpleNamespace(points=np.zeros((0, 2)), signs=np.zeros(0))
     sol, hist, trail = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, empty)
-    assert sol.sup_norm() == 0.0
+    assert sup_norm(sol) == 0.0
     assert hist.tolist() == [0.0]
     assert trail == []
 
@@ -343,7 +390,7 @@ def test_peak_order_ignores_the_sign_of_noise_behind_the_centroid(grid_m):
 
 def test_zero_field_is_inert(grid_m):
     z = zero_field(grid_m)
-    assert pde.residual_norm(grid_m, NL, 0.1, z) == (0.0, 0.0)
+    assert residual_norm(grid_m, NL, 0.1, z) == (0.0, 0.0)
     assert pde.discrete_energy(grid_m, NL, 0.1, z) == 0.0
     assert pde.extract_peaks(grid_m, z) == []
 
@@ -384,8 +431,8 @@ def test_crown_newton_converges(crown10, profile_p3n2):
 
 
 def test_crown_ansatz_residual_at_interaction_scale(crown10):
-    sup, _ = pde.residual_norm(crown10["grid"], NL, crown10["eps"],
-                               crown10["ans_raw"])
+    sup, _ = residual_norm(crown10["grid"], NL, crown10["eps"],
+                           crown10["ans_raw"])
     assert sup > 0.0
     # the residual of the bare ansatz should sit at the spike
     # interaction scale: eps*|log sup| comparable to the offset delta.
