@@ -159,6 +159,7 @@ class RadialProfile:
         spline = CubicHermiteSpline(self.r_grid, self.w_values, self.w_prime_values)
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "_dspline", spline.derivative())
+        object.__setattr__(self, "_d2spline", spline.derivative(2))
 
     def _tail_parts(self, r):
         return _tail_value_deriv(self.p, self.dim_n, self.decay_A, r)
@@ -202,6 +203,15 @@ class RadialProfile:
         return self._split(r, lambda x: self._dspline(x) / self._spline(x),
                            self._log_derivative_tail)
 
+    def log_second_derivative(self, r):
+        """w''(r)/w(r). Up to r_tail it is the table's own curvature, the
+        exact slope of log_derivative there (the profile equation differs
+        from it by about 2e-6 relative, the cubic's interpolation error);
+        beyond, the profile equation w'' = w - w^(p-1) - (N-1)/r w' in log
+        form."""
+        return self._split(r, lambda x: self._d2spline(x) / self._spline(x),
+                           self._log_second_derivative_tail)
+
     def _tail_terms(self, rt):
         """The far field as lin * (1 + ratio), lin = C rt^-nu kve(nu, rt) e^-rt
         and ratio = corr/lin (see _tail_value_deriv): nu, C, q, kve, ratio."""
@@ -218,6 +228,10 @@ class RadialProfile:
         # (lin' + corr') / (lin + corr), divided through by lin
         nu, _, q, kv_scaled, ratio = self._tail_terms(rt)
         return (-kve(nu + 1.0, rt) / kv_scaled - ratio * (self.p - 1.0 + q / rt)) / (1.0 + ratio)
+
+    def _log_second_derivative_tail(self, rt):
+        return (1.0 - np.exp((self.p - 2.0) * self._log_tail(rt))
+                - (self.dim_n - 1) / rt * self._log_derivative_tail(rt))
 
 
 def _check_radius(r):

@@ -365,7 +365,10 @@ def _min_defect(curve, k, delta, samples=16):
     d(defect)/dt0 turns from negative to positive; a batched secant on
     d(defect)/dt0 = 0, bracketed in each cell, polishes every local
     minimum at once. At a minimum the phase is stationary, so the slope
-    is 2*d_chord + d_offset there. The circle needs the phase 0 only."""
+    is 2*d_chord + d_offset there. Minima within 1e-12 of the curve's
+    length of the least go to the one with the smallest start foot
+    mod 1, so the crown's phase follows from the domain alone. The
+    circle needs the phase 0 only."""
     chord = 2.0 * delta
     t = np.zeros(1) if curve.kind == "circle" else np.arange(samples) / samples
     coarse = _march(curve, k, chord, t)
@@ -397,6 +400,11 @@ def _min_defect(curve, k, delta, samples=16):
     ts = np.concatenate([m.ts[d] for m, d in found])
     slope = np.concatenate([2.0 * m.d_chord[d] + m.d_offset[d] for m, d in found])
     i = int(np.argmin(defect))
+    if np.isfinite(defect[i]):
+        # at delta* every vertex of the critical polygon closes it, so the
+        # k minima tie up to rounding; the smallest foot breaks the tie
+        tied = np.nonzero(defect <= defect[i] + 1e-12 * curve.total_length)[0]
+        i = int(tied[np.argmin(np.mod(ts[tied, 0], 1.0))])
     return float(defect[i]), ts[i], float(slope[i])
 
 

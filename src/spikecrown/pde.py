@@ -340,8 +340,9 @@ def assemble_ansatz(grid, profile, eps, config):
     seeds Newton and the solve itself enforces the boundary condition.
     """
     _require_resolution(grid, eps)
-    P = np.asarray(config.points, dtype=float).reshape(-1, 2)
-    U, _ = _ansatz_and_modes(grid, profile, eps, P, config.signs)
+    U = np.zeros(grid.n_nodes)
+    for pt, sgn in zip(np.asarray(config.points, dtype=float).reshape(-1, 2), config.signs):
+        U += sgn * profile.value(np.linalg.norm(grid.xy - pt, axis=1) / eps)
     return DiscreteField(grid, eps, U)
 
 

@@ -121,16 +121,18 @@ class _Evaluation:
                                                  depth=d)[1]
                          for p, d in zip(self.pts, self.depths)])
 
-
-def _exponent_slopes(ev):
-    """grad psi at each spike, shape (k, 2); see energy_gradient."""
-    model = ev.model
-    if model.form == "leading":
-        return -2.0 * model.dom.boundary.normal(ev.feet)
-    h = max(1e-7, model.epsilon * 1e-5)
-    rows = [[boundary_exponent(model, p + e) - boundary_exponent(model, p - e)
-             for e in h * np.eye(2)] for p in ev.pts]
-    return np.array(rows) / (2.0 * h)
+    @cached_property
+    def slopes(self):
+        """grad psi at each spike, shape (k, 2); see energy_gradient. The
+        gradient and the Hessian share it, so psi_numeric pays its central
+        differences once per configuration."""
+        model = self.model
+        if model.form == "leading":
+            return -2.0 * model.dom.boundary.normal(self.feet)
+        h = max(1e-7, model.epsilon * 1e-5)
+        rows = [[boundary_exponent(model, p + e) - boundary_exponent(model, p - e)
+                 for e in h * np.eye(2)] for p in self.pts]
+        return np.array(rows) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,7 @@ def _gradient(ev, signs):
     eps = model.epsilon
     shift = 2.0 * model.delta / eps
     boundary = np.exp(shift - ev.psi / eps) / (-2.0 * eps)
-    g = boundary[:, None] * _exponent_slopes(ev)
+    g = boundary[:, None] * ev.slopes
     coef = (-(signs[iu] * signs[ju]) * np.exp(model.profile.log_value(r / eps) + shift)
             * model.profile.log_derivative(r / eps) / (eps * r))
     pull = coef[:, None] * (pts[iu] - pts[ju])
@@ -282,14 +284,69 @@ def _gradient(ev, signs):
     return g.ravel()
 
 
+def _hessian(ev, signs):
+    """Hessian of the rescaled energy e^{2*delta/eps} * S, shape (2k, 2k).
+
+    Closed form in the gradient's log arithmetic. The boundary term
+    b_i = 1/2 e^{(2 delta - psi_i)/eps} adds
+
+        b_i (grad psi grad psi'/eps^2 - hess psi/eps)
+
+    to block (i, i), with hess psi = -2 kappa/(1 - kappa d) T T' from the
+    boundary's curvature kappa and tangent T at the foot and the depth d
+    (psi = 2*depth; psi_numeric takes the same curvature term with its own
+    grad psi). With rho = r_ij/eps and u = (P_i - P_j)/r_ij, a pair adds
+
+        B = -s_i s_j e^{2 delta/eps} w(rho) [(w''/w)/eps^2 u u'
+                                             + (w'/w)/(eps r_ij) (I - u u')]
+
+    to blocks (i, i) and (j, j) and -B to (i, j) and (j, i); w''/w is
+    RadialProfile.log_second_derivative.
+    """
+    model, pts, iu, ju, r = ev.model, ev.pts, ev.iu, ev.ju, ev.r
+    eps, prof, bd = model.epsilon, model.profile, model.dom.boundary
+    shift = 2.0 * model.delta / eps
+    k = len(pts)
+    H = np.zeros((k, k, 2, 2))
+    kappa = bd.curvature(ev.feet)
+    T = bd.tangent(ev.feet)
+    gp = ev.slopes
+    b = 0.5 * np.exp(shift - ev.psi / eps)
+    hess_psi = (-2.0 * kappa / (1.0 - kappa * ev.depths))[:, None, None] * _outer(T, T)
+    H[np.arange(k), np.arange(k)] = b[:, None, None] * (_outer(gp, gp) / eps ** 2
+                                                         - hess_psi / eps)
+    rho = r / eps
+    log_w = prof.log_value(rho)
+    dw = prof.log_derivative(rho)
+    ddw = prof.log_second_derivative(rho)
+    u = (pts[iu] - pts[ju]) / r[:, None]
+    uu = _outer(u, u)
+    B = (-(signs[iu] * signs[ju]) * np.exp(log_w + shift))[:, None, None] * (
+        (ddw / eps ** 2)[:, None, None] * uu + (dw / (eps * r))[:, None, None] * (np.eye(2) - uu))
+    np.add.at(H, (iu, iu), B)
+    np.add.at(H, (ju, ju), B)
+    np.subtract.at(H, (iu, ju), B)
+    np.subtract.at(H, (ju, iu), B)
+    return H.transpose(0, 2, 1, 3).reshape(2 * k, 2 * k)
+
+
+def _outer(a, b):
+    """Row-wise outer products of (m, 2) arrays, shape (m, 2, 2)."""
+    return a[:, :, None] * b[:, None, :]
+
+
 def minimize_energy(model, init):
     """Minimize the rescaled energy over the admissible set.
 
-    BFGS on the 2k spike coordinates with the closed-form gradient;
-    steps leaving the admissible set are rejected by halving (up to 20
-    times). Each trial point is evaluated once: one nearest-point query
+    Modified Newton on the 2k spike coordinates with the closed-form
+    gradient and Hessian (_hessian): the step is -V diag(1/|lam|) V' g
+    over the Hessian's eigenpairs, each |lam| floored at 1e-8 of the
+    largest (the disk's rotation is a zero eigenvalue), so every step is
+    a descent direction. Steps leaving the admissible set are rejected by
+    halving (up to 20 times), and so are steps that miss the Armijo
+    decrease. Each trial point is evaluated once: one nearest-point query
     and one pair-distance pass serve its admissibility test, its energy
-    and, once accepted, its gradient and trace row. Returns
+    and, once accepted, its gradient, Hessian and trace row. Returns
     (SpikeConfiguration, log|S| at the minimizer, trace, stop); trace
     rows are (iteration, log_energy, gradient_norm, min adjacent chord,
     min pair distance), and stop is "gradient" (norm below _GRAD_TOL),
@@ -315,7 +372,6 @@ def minimize_energy(model, init):
     x = ev.pts.ravel().copy()
     log_e, f = energy(ev)
     g = _gradient(ev, signs)
-    H = np.eye(x.size)
     trace = []
     step = np.inf
     for it in range(_MAX_ITER + 1):
@@ -325,10 +381,9 @@ def minimize_energy(model, init):
         if gn < _GRAD_TOL or step < 1e-12 or it == _MAX_ITER:
             stop = "gradient" if gn < _GRAD_TOL else "step" if step < 1e-12 else "max_iter"
             break
-        d = -H @ g
-        if float(d @ g) >= 0.0:
-            H = np.eye(x.size)
-            d = -g
+        lam, V = np.linalg.eigh(_hessian(ev, signs))
+        lam = np.abs(lam)
+        d = -V @ ((V.T @ g) / np.maximum(lam, 1e-8 * lam.max()))
         alpha = 1.0
         new = None
         saw_admissible = False
@@ -350,15 +405,7 @@ def minimize_energy(model, init):
                 )
             stop = "line_search"
             break
-        g_new = _gradient(new, signs)
-        s = new.pts.ravel() - x
-        y = g_new - g
-        ys = float(y @ s)
-        if ys > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s):
-            rho = 1.0 / ys
-            I = np.eye(x.size)
-            H = (I - rho * np.outer(s, y)) @ H @ (I - rho * np.outer(y, s)) + rho * np.outer(s, s)
-        x, ev, log_e, f, g = new.pts.ravel(), new, log_cand, f_cand, g_new
-        step = float(np.linalg.norm(s))
+        step = float(np.linalg.norm(new.pts.ravel() - x))
+        x, ev, log_e, f, g = new.pts.ravel(), new, log_cand, f_cand, _gradient(new, signs)
 
     return SpikeConfiguration(x.reshape(-1, 2), signs=signs), log_e, np.array(trace), stop

@@ -362,6 +362,15 @@ def test_critical_distance_stable_under_phase_granularity(round_egg):
     assert abs(d1 - d2) < 1e-9
 
 
+def test_crown_phase_follows_from_the_domain(round_egg):
+    # at delta* every vertex of the critical polygon closes it; the
+    # smallest foot breaks the tie, whatever the phase sampling
+    _, a = pk.critical_distance(round_egg, 6, t0_samples=16)
+    _, b = pk.critical_distance(round_egg, 6, t0_samples=20)
+    assert np.linalg.norm(np.asarray(a.points)[0] - np.asarray(b.points)[0]) < 1e-9
+    assert list(a.signs) == list(b.signs)
+
+
 def test_too_few_spikes_on_elongated_domain_raises(egg):
     # a hexagon crown on the 2:1 ellipse would need delta past the
     # offset smoothness limit 0.95/kappa_max, so there is no root
@@ -496,13 +505,14 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
     ({"kind": "circle", "radius": 1.0}, 6, 0,
      (0.32605795884265854, 0.007275374490674835, (200, 200))),
     ({"kind": "ellipse", "a": 1.2, "b": 1.0}, 4, 1,
-     (0.449302657379752, 0.00954306943223815, (200, 200))),
+     (0.4483942335591808, 0.010451493252809307, (200, 200))),
 ])
 def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, monkeypatch):
     # On the disk the (k-1)-ring's critical offset lies above the tube,
     # so the ring sits at the tube top with no offset solve; on the
     # ellipse it lies inside. want holds the results computed when
-    # every gap check solved for the ring's offset.
+    # every gap check solved for the ring's offset; the ellipse's value
+    # is for the crown that starts at foot 0 (the smallest-foot tie rule).
     dom = geo.make_domain(domain)
     ds, crown = pk.critical_distance(dom, k)
     calls = count_critical_delta(monkeypatch)
@@ -516,10 +526,10 @@ def test_boundary_gap_rejects_negative_eta(disk):
 
 
 def test_boundary_gap_samples_around_the_critical_crown():
-    # On this asymmetric egg the critical crown starts at foot 0.6245,
-    # and the polygon closed from phase 0 has chord 0.8250 against
-    # 2*delta* = 0.8331; strata jittered around that polygon stayed
-    # 9.2 eta below delta*.
+    # On this asymmetric egg the critical crown's feet are 0.1200,
+    # 0.3794, 0.6245 and 0.8733, and the polygon closed from phase 0
+    # has chord 0.8250 against 2*delta* = 0.8331; strata jittered
+    # around that polygon stayed 9.2 eta below delta*.
     th = 2.0 * np.pi * np.arange(40) / 40
     r = 1.0 + 0.12 * np.cos(th) + 0.05 * np.sin(2.0 * th)
     rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
