@@ -74,6 +74,10 @@ class JobConfig:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.h_divisor <= 0:
             raise ConfigError(f"h_divisor must be positive, got {self.h_divisor}")
+        for key in ("epsilon", "eps_fractions"):
+            for val in getattr(self, key):
+                if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
+                    raise ConfigError(f"{key} entries must be finite and positive, got {val!r}")
         if self.form not in ("leading", "psi_numeric"):
             raise ConfigError(f"unknown form {self.form!r}")
         if not isinstance(self.out, str):
@@ -274,7 +278,7 @@ def run_pack(cfg, out_dir, dom=None):
     if not 0.0 < eta < delta_star / 2.0:
         raise ConfigError(f"eta must lie in (0, delta*/2), got {eta}")
     sup_phi, gap, (closed, tried) = pk.boundary_gap_check(
-        dom, crown, delta_star, eta, n_samples=10_000, seed=cfg.seed)
+        dom, crown, delta_star, eta, seed=cfg.seed)
     pts = crown.points
     steps = np.roll(pts, -1, axis=0) - pts
     chords = np.hypot(steps[:, 0], steps[:, 1])
@@ -286,7 +290,7 @@ def run_pack(cfg, out_dir, dom=None):
     _write_json(os.path.join(out_dir, "pack.json"),
                 {"k": k, "delta_star": delta_star, "eta": eta,
                  "sup_phi_boundary": sup_phi, "gap": gap,
-                 "n_samples": 10_000, "seed": cfg.seed,
+                 "n_samples": pk._GAP_SAMPLES, "seed": cfg.seed,
                  "ring_family": {"closed": closed, "tried": tried},
                  "inputs": _inputs(cfg, _PACK_INPUTS), **_stamp(cfg)})
     return k, delta_star, eta, crown
@@ -316,8 +320,6 @@ def _eps_list(cfg, delta_star):
     if not eps:
         raise ConfigError("config needs epsilon or eps_fractions")
     for e in eps:
-        if not (np.isfinite(e) and e > 0.0):
-            raise ConfigError(f"epsilon must be positive, got {e}")
         if e > delta_star / 5.0 * (1.0 + 1e-12):
             raise ConfigError(
                 f"scale separation needs eps <= delta*/5 = "

@@ -61,10 +61,6 @@ class ChordInfeasibleError(NumericalError):
     """No point of the curve lies at the requested chord distance."""
 
 
-class ClosureError(NumericalError):
-    """Equal-chord closure defect has no root in the chord bracket."""
-
-
 class NoCriticalDeltaError(NumericalError):
     """No offset distance balances chord and distance for this spike
     count on this domain."""

@@ -27,7 +27,7 @@ from .errors import (
     ParallelCurveDegeneracyError,
 )
 
-_TABLE_N = 4096
+_TABLE_N = 4096  # nodes of every curve's parameter table
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
 _FOOT_TOL, _FOOT_STEPS, _FOOT_FLOOR = 1e-15, 20, 1e-2  # see PlanarDomain.nearest
@@ -156,14 +156,11 @@ class ConvexCurve:
     points wobbles at the curvature zeros), and single winding.
     """
 
-    def __init__(self, provider, kind, n_table=_TABLE_N, flat_tol=0.0):
+    def __init__(self, provider, kind, flat_tol=0.0):
         self.kind = kind
         self._provider = provider
         self._flat_tol = float(flat_tol)
-        n = int(n_table)
-        if n < 64:
-            raise ConfigError(f"table resolution {n} too coarse")
-        self._n = n
+        n = self._n = _TABLE_N
 
         t_ext = np.arange(n + 1) / n
         pts_ext = provider.point(t_ext)
@@ -292,16 +289,16 @@ class ConvexCurve:
 # -- constructors -------------------------------------------------------------
 
 
-def circle(radius, center=(0.0, 0.0), n_table=_TABLE_N):
+def circle(radius, center=(0.0, 0.0)):
     if not radius > 0:
         raise ConfigError(f"circle radius must be positive, got {radius}")
-    return ConvexCurve(_CircleProvider(radius, center), "circle", n_table)
+    return ConvexCurve(_CircleProvider(radius, center), "circle")
 
 
-def ellipse(a, b, n_table=_TABLE_N):
+def ellipse(a, b):
     if not (a > 0 and b > 0):
         raise ConfigError(f"ellipse semi-axes must be positive, got {a}, {b}")
-    return ConvexCurve(_EllipseProvider(a, b), "ellipse", n_table)
+    return ConvexCurve(_EllipseProvider(a, b), "ellipse")
 
 
 def _superellipse_point(a, b, m, th):
@@ -311,7 +308,7 @@ def _superellipse_point(a, b, m, th):
     return np.stack([x, y], axis=-1)
 
 
-def superellipse(a, b, m, n_table=_TABLE_N):
+def superellipse(a, b, m):
     """|x/a|^m + |y/b|^m = 1, interpolated through exact points placed
     uniformly in arclength. For m > 2 the curvature vanishes at the four
     axis crossings, so the convexity gate tolerates the interpolation
@@ -320,23 +317,24 @@ def superellipse(a, b, m, n_table=_TABLE_N):
         raise ConfigError(f"superellipse exponent must be >= 2, got {m}")
     if not (a > 0 and b > 0):
         raise ConfigError(f"semi-axes must be positive, got {a}, {b}")
-    mm = 4 * int(n_table)
+    n = _TABLE_N
+    mm = 4 * n
     th = np.linspace(0.0, 2.0 * np.pi, mm + 1)
     pts = _superellipse_point(a, b, m, th)
     chord = np.concatenate(
         [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))]
     )
-    s_targets = chord[-1] * np.arange(n_table) / n_table
+    s_targets = chord[-1] * np.arange(n) / n
     th_nodes = np.interp(s_targets, chord, th)
     data = _superellipse_point(a, b, m, th_nodes)
     data = np.vstack([data, data[:1]])
-    ts = np.arange(n_table + 1) / n_table
+    ts = np.arange(n + 1) / n
     sp = CubicSpline(ts, data, axis=0, bc_type="periodic")
     flat_tol = 1e-3 if m > 2 else 0.0
-    return ConvexCurve(_SplineProvider(sp), "superellipse", n_table, flat_tol)
+    return ConvexCurve(_SplineProvider(sp), "superellipse", flat_tol)
 
 
-def spline_curve(points, n_table=_TABLE_N):
+def spline_curve(points):
     """Closed periodic cubic spline through sampled boundary points.
 
     Points may be listed clockwise; they are reoriented. Construction
@@ -358,36 +356,34 @@ def spline_curve(points, n_table=_TABLE_N):
     u = np.concatenate([[0.0], np.cumsum(seg)])
     u /= u[-1]
     sp = CubicSpline(u, closed, axis=0, bc_type="periodic")
-    return ConvexCurve(_SplineProvider(sp), "spline", n_table)
+    return ConvexCurve(_SplineProvider(sp), "spline")
 
 
-def curve_from_csv(path, n_table=_TABLE_N):
+def curve_from_csv(path):
     """Control points from a CSV of x,y rows (optional header)."""
     try:
         pts = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError:
         pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return spline_curve(pts, n_table)
+    return spline_curve(pts)
 
 
-def make_curve(spec, n_table=_TABLE_N):
+def make_curve(spec):
     """Curve from a plain dict, e.g. {"kind": "ellipse", "a": 2.0, "b": 1.0}."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"curve spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
     try:
         if kind == "circle":
-            return circle(
-                spec["radius"], spec.get("center", (0.0, 0.0)), n_table
-            )
+            return circle(spec["radius"], spec.get("center", (0.0, 0.0)))
         if kind == "ellipse":
-            return ellipse(spec["a"], spec["b"], n_table)
+            return ellipse(spec["a"], spec["b"])
         if kind == "superellipse":
-            return superellipse(spec["a"], spec["b"], spec["m"], n_table)
+            return superellipse(spec["a"], spec["b"], spec["m"])
         if kind == "spline":
             if "csv" in spec:
-                return curve_from_csv(spec["csv"], n_table)
-            return spline_curve(spec["points"], n_table)
+                return curve_from_csv(spec["csv"])
+            return spline_curve(spec["points"])
     except KeyError as exc:
         raise ConfigError(f"curve spec {spec!r} missing field {exc}") from None
     raise ConfigError(f"unknown curve kind {kind!r}")
@@ -511,8 +507,8 @@ class PlanarDomain:
         return self._inradius
 
 
-def make_domain(spec, n_table=_TABLE_N):
-    return PlanarDomain(make_curve(spec, n_table))
+def make_domain(spec):
+    return PlanarDomain(make_curve(spec))
 
 
 # -- module-level operations --------------------------------------------------
@@ -584,11 +580,10 @@ def inner_parallel_curve(curve, delta):
         )
     if curve.kind == "circle":
         prov = curve._provider
-        return circle(prov.radius - delta, prov.center, curve._n)
+        return circle(prov.radius - delta, prov.center)
     return ConvexCurve(
         _OffsetProvider(curve._provider, delta),
         f"parallel({curve.kind})",
-        curve._n,
         flat_tol=2.0 * curve._flat_tol,
     )
 

@@ -32,6 +32,8 @@ _R_BACK = 24.0
 _R_SERIES = 1e-3
 _R_MAX = 20.0  # shots run to here; the table ends here too
 _SHOOT_TOL = 1e-12  # w(0) bracket width that ends the bisection
+_H_R = 0.005  # spacing of the profile table
+_MATCH_RTOL = 1e-13  # rtol of the forward and backward shots the table is read from
 
 
 def _rhs(r, y, nl):
@@ -56,10 +58,10 @@ def _integrate(nl, span, y0, rtol, atol, **options):
     return sol
 
 
-def _series_start(nl, w0, r0=_R_SERIES):
+def _series_start(nl, w0):
     # removable singularity at r=0: w ~ w0 + (w0 - f(w0)) r^2 / (2N)
     a = (w0 - nl.f(w0)) / (2.0 * nl.dim_n)
-    return [w0 + a * r0 * r0, 2.0 * a * r0]
+    return [w0 + a * _R_SERIES * _R_SERIES, 2.0 * a * _R_SERIES]
 
 
 def _classify(nl, w0, rtol):
@@ -110,17 +112,18 @@ def _tail_value_deriv(p, dim_n, A, r):
     return lin + corr, dlin + dcorr
 
 
-def _forward_solve(nl, w0, rtol=1e-13):
-    return _integrate(nl, (_R_SERIES, _R_MATCH), _series_start(nl, w0), rtol, 1e-18,
-                      dense_output=True)
+def _forward_solve(nl, w0):
+    return _integrate(nl, (_R_SERIES, _R_MATCH), _series_start(nl, w0), _MATCH_RTOL,
+                      1e-18, dense_output=True)
 
 
-def _backward_solve(nl, A, rtol=1e-13):
+def _backward_solve(nl, A):
     """Shot from the far field of decay constant A at r = 24 back to 10,
     and its value there. That value rescales A, so one that is not
     positive raises DecayFitError (A^(p-1) would be a NaN)."""
     w, dw = _tail_value_deriv(nl.p, nl.dim_n, A, _R_BACK)
-    sol = _integrate(nl, (_R_BACK, _R_MATCH), [w, dw], rtol, 1e-30, dense_output=True)
+    sol = _integrate(nl, (_R_BACK, _R_MATCH), [w, dw], _MATCH_RTOL, 1e-30,
+                     dense_output=True)
     w_match = sol.y[0, -1]
     if not (np.isfinite(w_match) and w_match > 0.0):
         raise DecayFitError(f"backward shot from A = {A:.6g} reaches "
@@ -140,10 +143,10 @@ def _tail_coeffs(p, dim_n, A):
 class RadialProfile:
     """Tabulated decaying radial profile with its far-field formula.
 
-    The table covers [0, 20] at spacing h_r with exact nodal
-    derivatives; value/derivative use cubic Hermite interpolation up to
-    r_tail and the far-field formula beyond. decay_A is the constant of
-    the w ~ A r^{-(N-1)/2} e^{-r} law.
+    The table covers [0, 20] at the spacing of r_grid (shoot uses _H_R)
+    with exact nodal derivatives; value/derivative use cubic Hermite
+    interpolation up to r_tail and the far-field formula beyond. decay_A
+    is the constant of the w ~ A r^{-(N-1)/2} e^{-r} law.
     """
 
     p: float
@@ -221,17 +224,24 @@ class RadialProfile:
         return nu, C, q, kv_scaled, ratio
 
     def _log_tail(self, rt):
-        nu, C, _, kv_scaled, ratio = self._tail_terms(rt)
-        return np.log(C) - nu * np.log(rt) + np.log(kv_scaled) - rt + np.log1p(ratio)
+        return self._log_tail_of(rt, self._tail_terms(rt))
 
     def _log_derivative_tail(self, rt):
+        return self._log_derivative_tail_of(rt, self._tail_terms(rt))
+
+    def _log_tail_of(self, rt, terms):
+        nu, C, _, kv_scaled, ratio = terms
+        return np.log(C) - nu * np.log(rt) + np.log(kv_scaled) - rt + np.log1p(ratio)
+
+    def _log_derivative_tail_of(self, rt, terms):
         # (lin' + corr') / (lin + corr), divided through by lin
-        nu, _, q, kv_scaled, ratio = self._tail_terms(rt)
+        nu, _, q, kv_scaled, ratio = terms
         return (-kve(nu + 1.0, rt) / kv_scaled - ratio * (self.p - 1.0 + q / rt)) / (1.0 + ratio)
 
     def _log_second_derivative_tail(self, rt):
-        return (1.0 - np.exp((self.p - 2.0) * self._log_tail(rt))
-                - (self.dim_n - 1) / rt * self._log_derivative_tail(rt))
+        terms = self._tail_terms(rt)
+        return (1.0 - np.exp((self.p - 2.0) * self._log_tail_of(rt, terms))
+                - (self.dim_n - 1) / rt * self._log_derivative_tail_of(rt, terms))
 
 
 def _check_radius(r):
@@ -241,7 +251,7 @@ def _check_radius(r):
     return r
 
 
-def shoot(nl: Nonlinearity, h_r: float = 0.005):
+def shoot(nl: Nonlinearity):
     """Compute the decaying radial profile by bisection shooting.
 
     Bisects w(0) between shots that cross zero and shots that turn back
@@ -307,6 +317,7 @@ def shoot(nl: Nonlinearity, h_r: float = 0.005):
         A *= w_f / w_b
         bw, w_b = _backward_solve(nl, A)
 
+    h_r = _H_R
     r_grid = np.round(np.arange(0.0, _R_MAX + 0.5 * h_r, h_r), 12)
     w = np.empty_like(r_grid)
     wp = np.empty_like(r_grid)
@@ -319,26 +330,13 @@ def shoot(nl: Nonlinearity, h_r: float = 0.005):
     if np.any(w <= 0) or np.any(np.diff(w) >= 0) or np.any(wp[1:] > 0):
         raise NoGroundStateError("tabulated profile is not positive decreasing")
 
-    profile = None
     for r_tail in (12.0, 14.0, 16.0, 18.0):
-        cand = RadialProfile(
-            p=nl.p,
-            dim_n=nl.dim_n,
-            r_grid=r_grid,
-            w_values=w,
-            w_prime_values=wp,
-            w0=w_star,
-            decay_A=A,
-            r_tail=r_tail,
-        )
         idx = int(round(r_tail / h_r))
-        tail_val = cand._tail_parts(np.array([r_grid[idx]]))[0][0]
+        tail_val = _tail_value_deriv(nl.p, nl.dim_n, A, r_grid[idx:idx + 1])[0][0]
         if abs(w[idx] - tail_val) <= 1e-6 * abs(tail_val):
-            profile = cand
-            break
-    if profile is None:
-        raise DecayFitError("far-field formula never matched the table to 1e-6")
-    return profile
+            return RadialProfile(p=nl.p, dim_n=nl.dim_n, r_grid=r_grid, w_values=w,
+                                 w_prime_values=wp, w0=w_star, decay_A=A, r_tail=r_tail)
+    raise DecayFitError("far-field formula never matched the table to 1e-6")
 
 
 def _quad_checked(fun, a, b, points=None, what=""):

@@ -19,7 +19,6 @@ from scipy.optimize import brentq
 
 from .errors import (
     ChordInfeasibleError,
-    ClosureError,
     ConfigError,
     NoCriticalDeltaError,
     PackingConsistencyError,
@@ -32,6 +31,8 @@ _CLOSURE_TOL = 1e-9  # a closed march misses its start by at most this times l
 _VERTEX_STEPS = 64  # Newton steps per vertex before a row is dropped
 _NEWTON_STEPS = 100  # steps of the closure, phase and offset iterations
 _T_TOL, _C_TOL, _T0_TOL, _DELTA_TOL = 1e-14, 1e-14, 1e-12, 1e-13
+_PHASE_SAMPLES = 16  # start phases of _min_defect's coarse march
+_GAP_SAMPLES = 10_000  # sampled configurations of boundary_gap_check
 
 
 @dataclass(frozen=True)
@@ -336,32 +337,12 @@ def _close(curve, k, t0):
     return ts, c, defect, bracketed
 
 
-def close_polygon(curve, k, t0=0.0):
-    """Chord c* whose k-step equal-chord march from t0 closes, and its
-    polygon; returns (points, ts, c_star). The one-row case of _close: a
-    march at c* that misses closure by over 1e-9*l raises ClosureError.
-    """
-    if k < 3:
-        raise ConfigError(f"closure needs k >= 3, got {k}")
-    ts, c, defect, bracketed = _close(curve, k, np.array([float(t0)]))
-    ell = curve.total_length
-    if not bracketed[0]:
-        raise ClosureError(
-            f"closure defect has no sign change on chord bracket "
-            f"({0.25 * ell / k:.6g}, {1.2 * ell / k:.6g}) from t0={t0}"
-        )
-    if not abs(defect[0]) <= _CLOSURE_TOL * ell:
-        raise ClosureError(f"the march at chord {c[0]:.12g} from t0={t0} "
-                           f"misses closure by {defect[0]:.3e}")
-    return curve.point(ts[0, :k]), ts[0], float(c[0])
-
-
-def _min_defect(curve, k, delta, samples=16):
+def _min_defect(curve, k, delta):
     """Least closure defect over start phases of the chord-2*delta march
     on curve; returns (defect, ts, slope), slope its derivative in delta
     when curve is the inner parallel curve at delta.
 
-    One batched march over `samples` phases finds the cells in which
+    One batched march over _PHASE_SAMPLES phases finds the cells in which
     d(defect)/dt0 turns from negative to positive; a batched secant on
     d(defect)/dt0 = 0, bracketed in each cell, polishes every local
     minimum at once. At a minimum the phase is stationary, so the slope
@@ -370,6 +351,7 @@ def _min_defect(curve, k, delta, samples=16):
     mod 1, so the crown's phase follows from the domain alone. The
     circle needs the phase 0 only."""
     chord = 2.0 * delta
+    samples = _PHASE_SAMPLES
     t = np.zeros(1) if curve.kind == "circle" else np.arange(samples) / samples
     coarse = _march(curve, k, chord, t)
     f = coarse.d_t0
@@ -408,7 +390,7 @@ def _min_defect(curve, k, delta, samples=16):
     return float(defect[i]), ts[i], float(slope[i])
 
 
-def _critical_delta(dom, k, t0_samples=16):
+def _critical_delta(dom, k):
     """Root of min_t0 defect(delta, t0, chord=2*delta) in delta; returns
     (delta_star, points). Accepts any k >= 3; evenness is enforced
     by the public wrapper.
@@ -421,8 +403,7 @@ def _critical_delta(dom, k, t0_samples=16):
     d_hi = min(0.95 / bd.kappa_max, 0.9 * dom.inradius)
 
     def g(delta):
-        return _min_defect(inner_parallel_curve(bd, delta), k, delta,
-                           t0_samples)[0]
+        return _min_defect(inner_parallel_curve(bd, delta), k, delta)[0]
 
     g_hi = g(d_hi)
     tries = 0
@@ -445,7 +426,7 @@ def _critical_delta(dom, k, t0_samples=16):
     dx = dx_old = d_hi - d_lo
     for _ in range(_NEWTON_STEPS):
         gamma = inner_parallel_curve(bd, x)
-        val, ts, slope = _min_defect(gamma, k, x, t0_samples)
+        val, ts, slope = _min_defect(gamma, k, x)
         xn, lo, hi, dx, dx_old, done = _safeguarded_newton(
             x, val, slope, lo, hi, dx, dx_old, _DELTA_TOL)
         if done:
@@ -457,7 +438,7 @@ def _critical_delta(dom, k, t0_samples=16):
     )
 
 
-def critical_distance(dom, k, t0_samples=16):
+def critical_distance(dom, k):
     """Critical offset delta* and its equal-chord crown configuration.
 
     Solves closure-chord = 2*delta by a safeguarded Newton in delta,
@@ -472,7 +453,7 @@ def critical_distance(dom, k, t0_samples=16):
             "crown closure needs k >= 4 (at k=2 the closing chord equals "
             "the offset-curve diameter and the march degenerates)"
         )
-    delta_star, pts = _critical_delta(dom, k, t0_samples)
+    delta_star, pts = _critical_delta(dom, k)
     config = SpikeConfiguration(pts)
 
     depth_dev, chord_dev = _crown_deviations(dom, pts, delta_star)
@@ -565,11 +546,12 @@ def _known_feet(bd, ts, depths):
     return np.where(depths * bd.kappa_max < 1.0, ts, np.nan)
 
 
-def boundary_gap_check(dom, crown, delta_star, eta, n_samples=10_000, seed=0):
-    """Sample the boundary strata of the admissible neighborhood of the
-    critical crown (its points, (k, 2), or a SpikeConfiguration): depth
-    pinned at delta* +- eta, an adjacent chord pinned at 2*delta* - eta,
-    plus an adversarial ring-and-deep-point family. Returns (sup of the
+def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
+    """Sample _GAP_SAMPLES configurations on the boundary strata of the
+    admissible neighborhood of the critical crown (its points, (k, 2), or
+    a SpikeConfiguration): depth pinned at delta* +- eta, an adjacent
+    chord pinned at 2*delta* - eta, plus an adversarial ring-and-deep-point
+    family. Returns (sup of the
     packing functional over the samples, delta* - sup, (rings closed,
     rings tried)).
 
@@ -587,6 +569,7 @@ def boundary_gap_check(dom, crown, delta_star, eta, n_samples=10_000, seed=0):
     bd = dom.boundary
     base_t = dom.foot(np.asarray(crown, dtype=float))
 
+    n_samples = _GAP_SAMPLES
     n_family = min(max(n_samples // 50, 8), 256)
     n_chord = n_samples // 4
     n_depth = n_samples - n_chord - n_family

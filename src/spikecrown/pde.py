@@ -117,8 +117,7 @@ def discretize(dom, h):
         bad = theta < 1e-8
         if not bad.any():
             break
-        for (bi, bj, _leg) in legs[bad][:, :3]:
-            inside[bi, bj] = False
+        inside[legs[bad, 0], legs[bad, 1]] = False
     else:
         raise NumericalError("cut classification did not stabilize")
 
@@ -132,9 +131,7 @@ def discretize(dom, h):
     theta_arr = np.ones((n, 4))
     for leg, (di, dj) in enumerate(_LEG_SHIFT):
         nbr[:, leg] = index[order[:, 0] + di, order[:, 1] + dj]
-    for row in range(len(legs)):
-        li, lj, leg = legs[row]
-        theta_arr[index[li, lj], leg] = theta[row]
+    theta_arr[index[legs[:, 0], legs[:, 1]], legs[:, 2]] = theta
 
     return Grid2D(dom, h, i_lo, j_lo, (nx, ny), index, xy, nbr, theta_arr, n_inside - n)
 
@@ -233,8 +230,9 @@ class _Operator:
             self._lu = _splu(self.A.tocsc())
         return self._lu
 
-    def solve(self, b, what="linear solve"):
-        return _refine_solve(self.lu.solve, self.A.dot, self.norm_a, b, 1e-11, what)
+    def solve(self, b):
+        return _refine_solve(self.lu.solve, self.A.dot, self.norm_a, b, 1e-11,
+                             "boundary correction")
 
 
 def _splu(M):
@@ -298,7 +296,7 @@ def boundary_correction(grid, profile, eps, P, depth=None):
     g = profile.value(np.linalg.norm(op.cut_points - P, axis=1) / eps)
     b = np.zeros(grid.n_nodes)
     np.add.at(b, op.cut_rows, -op.cut_coefs * g)
-    d_vals = op.solve(b, what="boundary correction")
+    d_vals = op.solve(b)
     if d_vals.min() <= 0.0:
         raise ProjectionAccuracyError(
             f"boundary layer lost positivity (min {d_vals.min():.3e})"

@@ -101,7 +101,8 @@ class _Evaluation:
     """One configuration's feet, depths and pair distances, from one
     nearest-point query and one pair-distance pass. Admissibility, psi,
     the energy and the gradient all read them; psi is computed on first
-    use, since in psi_numeric form it costs k boundary-layer solves."""
+    use, since in psi_numeric form it costs k boundary-layer solves, and
+    so are the profile's logs at the scaled pair distances rho."""
 
     def __init__(self, model, pts):
         self.model, self.pts = model, pts
@@ -120,6 +121,20 @@ class _Evaluation:
         return np.array([pde.boundary_correction(model.grid, model.profile, model.epsilon, p,
                                                  depth=d)[1]
                          for p, d in zip(self.pts, self.depths)])
+
+    @cached_property
+    def rho(self):
+        return self.r / self.model.epsilon
+
+    @cached_property
+    def log_w(self):
+        """log w(rho) per pair."""
+        return self.model.profile.log_value(self.rho)
+
+    @cached_property
+    def dlog_w(self):
+        """w'(rho)/w(rho) per pair."""
+        return self.model.profile.log_derivative(self.rho)
 
     @cached_property
     def slopes(self):
@@ -208,14 +223,13 @@ def _require_admissible(ev, what="configuration"):
 
 
 def _signed_terms(ev, signs):
-    """Log-space terms of S: (positive logs, negative logs, breakdown parts)."""
-    model, iu, ju = ev.model, ev.iu, ev.ju
-    log_b = _LOG_HALF - ev.psi / model.epsilon
-    lw = model.profile.log_value(ev.r / model.epsilon)
-    repulsive = signs[iu] * signs[ju] < 0
-    rows = list(zip(iu.tolist(), ju.tolist(), lw.tolist(), repulsive))
-    parts = (log_b, [r[:3] for r in rows if r[3]], [r[:3] for r in rows if not r[3]])
-    return np.concatenate([log_b, lw[repulsive]]), lw[~repulsive], parts
+    """Log-space terms of S: (positive logs, negative logs, repulsive
+    pair mask). The positive logs are the k boundary terms followed by
+    the repulsive pairs'."""
+    repulsive = signs[ev.iu] * signs[ev.ju] < 0
+    log_b = _LOG_HALF - ev.psi / ev.model.epsilon
+    return (np.concatenate([log_b, ev.log_w[repulsive]]), ev.log_w[~repulsive],
+            repulsive)
 
 
 def _combine(pos, neg):
@@ -246,9 +260,12 @@ def evaluate_energy(model, config, check=True):
     ev = _Evaluation(model, np.asarray(config.points, dtype=float))
     if check:
         _require_admissible(ev)
-    pos, neg, parts = _signed_terms(ev, np.asarray(config.signs, dtype=int))
+    pos, neg, repulsive = _signed_terms(ev, np.asarray(config.signs, dtype=int))
     log_abs, sign, cancellation = _combine(pos, neg)
-    return log_abs, sign, EnergyBreakdown(*parts, cancellation)
+    rows = list(zip(ev.iu.tolist(), ev.ju.tolist(), ev.log_w.tolist(), repulsive))
+    return log_abs, sign, EnergyBreakdown(pos[:len(ev.pts)],
+                                          [r[:3] for r in rows if r[3]],
+                                          [r[:3] for r in rows if not r[3]], cancellation)
 
 
 def energy_gradient(model, config):
@@ -276,8 +293,7 @@ def _gradient(ev, signs):
     shift = 2.0 * model.delta / eps
     boundary = np.exp(shift - ev.psi / eps) / (-2.0 * eps)
     g = boundary[:, None] * ev.slopes
-    coef = (-(signs[iu] * signs[ju]) * np.exp(model.profile.log_value(r / eps) + shift)
-            * model.profile.log_derivative(r / eps) / (eps * r))
+    coef = (-(signs[iu] * signs[ju]) * np.exp(ev.log_w + shift) * ev.dlog_w / (eps * r))
     pull = coef[:, None] * (pts[iu] - pts[ju])
     np.add.at(g, iu, pull)
     np.subtract.at(g, ju, pull)
@@ -315,14 +331,11 @@ def _hessian(ev, signs):
     hess_psi = (-2.0 * kappa / (1.0 - kappa * ev.depths))[:, None, None] * _outer(T, T)
     H[np.arange(k), np.arange(k)] = b[:, None, None] * (_outer(gp, gp) / eps ** 2
                                                          - hess_psi / eps)
-    rho = r / eps
-    log_w = prof.log_value(rho)
-    dw = prof.log_derivative(rho)
-    ddw = prof.log_second_derivative(rho)
+    ddw = prof.log_second_derivative(ev.rho)
     u = (pts[iu] - pts[ju]) / r[:, None]
     uu = _outer(u, u)
-    B = (-(signs[iu] * signs[ju]) * np.exp(log_w + shift))[:, None, None] * (
-        (ddw / eps ** 2)[:, None, None] * uu + (dw / (eps * r))[:, None, None] * (np.eye(2) - uu))
+    B = (-(signs[iu] * signs[ju]) * np.exp(ev.log_w + shift))[:, None, None] * (
+        (ddw / eps ** 2)[:, None, None] * uu + (ev.dlog_w / (eps * r))[:, None, None] * (np.eye(2) - uu))
     np.add.at(H, (iu, iu), B)
     np.add.at(H, (ju, ju), B)
     np.subtract.at(H, (iu, ju), B)

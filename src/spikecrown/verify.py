@@ -21,13 +21,17 @@ from .errors import ConfigError, NumericalError, PropertyViolationError, SpikeCr
 from .ground_state import shoot
 from .nonlinearity import Nonlinearity
 
+_PAIR_CHUNK = 256  # rows of P per block of _pair_scan
+_GRID_LEVELS = 7  # bracket refinements of _delta_grid_search
+
 
 # ------------------------------------------- convexity and contraction
 
-def _pair_scan(P, N, delta_sep, chunk=256):
+def _pair_scan(P, N, delta_sep):
     """Exhaustive ordered-pair scan of nu_P.(P-Q) over |P-Q| >= delta_sep."""
     best = np.inf
     best_pair = (0, 0)
+    chunk = _PAIR_CHUNK
     for lo in range(0, len(P), chunk):
         hi = min(lo + chunk, len(P))
         diff = P[lo:hi, None, :] - P[None, :, :]
@@ -173,7 +177,7 @@ def _best_phase_defect(gamma, k, chord, center, width):
     return best, tb
 
 
-def _delta_grid_search(dom, k, levels=7):
+def _delta_grid_search(dom, k):
     """Locate the critical offset by pure grid refinement.
 
     At each offset the closure defect of the equal-chord march (chord
@@ -186,7 +190,7 @@ def _delta_grid_search(dom, k, levels=7):
     lo = 0.05
     hi = min(0.95 / bd.kappa_max, 0.9 * dom.inradius)
     t_center = None
-    for _level in range(levels):
+    for _level in range(_GRID_LEVELS):
         grid = np.linspace(lo, hi, 9)
         vals, phases = [], []
         for d in grid:
@@ -306,8 +310,7 @@ def _criterion_ellipse_search():
 
 def _criterion_boundary_gap(dom, delta_star, crown, seed):
     sup_phi, gap, _ = pk.boundary_gap_check(dom, crown, delta_star,
-                                            delta_star / 10.0,
-                                            n_samples=10_000, seed=seed)
+                                            delta_star / 10.0, seed=seed)
     ok = sup_phi < delta_star - 1e-3
     return ok, {"sup_phi": sup_phi, "delta_star": delta_star, "gap": gap}
 

@@ -334,6 +334,16 @@ def test_eps_above_scale_separation_rejected(tmp_path):
     assert "delta*/5" in r.stderr
 
 
+def test_zero_eps_fraction_is_config_error(tmp_path):
+    # delta*/0 used to raise a bare ZeroDivisionError: a traceback, exit
+    # 1 and no error.json; the config check now refuses it up front
+    write_job(tmp_path / "job.json", k=4, eps_fractions=[0])
+    r = run_cli(["reduce", "--config", "job.json"], cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["type"] == "ConfigError"
+
+
 def test_reduce_recomputes_pack_for_another_domain(tmp_path):
     # pack.json from the unit disk must not serve a reduce on radius 1.02,
     # whose k=4 critical offset is 1.02 * (sqrt(2) - 1)

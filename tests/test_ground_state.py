@@ -275,15 +275,31 @@ def test_energy_identity(profile_p3n2):
     npt.assert_allclose(e1, (prof.p / 2.0 - 1.0) * intF, rtol=1e-8)
 
 
-def test_self_convergence_under_refinement():
+def test_self_convergence_under_refinement(monkeypatch):
     nl = Nonlinearity(p=4.0, dim_n=2)
-    coarse = shoot(nl, h_r=0.005)
-    fine = shoot(nl, h_r=0.0025)
+    coarse = shoot(nl)
+    monkeypatch.setattr(gs, "_H_R", 0.0025)
+    fine = shoot(nl)
     e1_c, g_c = normalization_constants(coarse)
     e1_f, g_f = normalization_constants(fine)
     assert abs(e1_c - e1_f) / abs(e1_f) < 1e-5
     assert abs(g_c - g_f) / abs(g_f) < 1e-5
     assert abs(coarse.w0 - fine.w0) < 1e-9
+
+
+def test_shoot_builds_one_profile(monkeypatch):
+    # each r_tail candidate is checked against the far-field formula
+    # alone; only the accepted one becomes a RadialProfile
+    built = []
+    init = RadialProfile.__post_init__
+
+    def counted(self):
+        built.append(self.r_tail)
+        init(self)
+
+    monkeypatch.setattr(RadialProfile, "__post_init__", counted)
+    prof = shoot(Nonlinearity(p=2.7, dim_n=2))
+    assert built == [prof.r_tail]
 
 
 def _collocation_oracle(p, n_nodes=4000):

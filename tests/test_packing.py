@@ -24,7 +24,6 @@ from spikecrown import geometry as geo
 from spikecrown import packing as pk
 from spikecrown.errors import (
     ChordInfeasibleError,
-    ClosureError,
     ConfigError,
     NoCriticalDeltaError,
     PropertyViolationError,
@@ -37,6 +36,16 @@ def _defect(curve, k, chord, t0):
         return pk.equal_chord_march(curve, k, chord, t0)[2]
     except ChordInfeasibleError:
         return 1e9
+
+
+def _close_one(curve, k, t0=0.0):
+    """pk._close from the one start phase t0, whose chord bracket must
+    change sign and whose march must close to _CLOSURE_TOL*l:
+    (points, ts, closing chord, closure defect)."""
+    ts, c, defect, bracketed = pk._close(curve, k, np.array([float(t0)]))
+    assert bracketed[0]
+    assert abs(defect[0]) <= pk._CLOSURE_TOL * curve.total_length
+    return curve.point(ts[0, :k]), ts[0], float(c[0]), float(defect[0])
 
 
 def circle_law(R, k):
@@ -136,26 +145,26 @@ def test_march_chord_exceeding_diameter_raises():
 
 def test_close_polygon_octagon():
     c = geo.circle(1.4)
-    pts, ts, cstar = pk.close_polygon(c, 8)
+    pts, ts, cstar, _ = _close_one(c, 8)
     assert abs(cstar - 2.0 * 1.4 * np.sin(np.pi / 8)) < 1e-9
 
 
 def test_close_polygon_triangle():
     c = geo.circle(0.7)
-    pts, ts, cstar = pk.close_polygon(c, 3)
+    pts, ts, cstar, _ = _close_one(c, 3)
     assert abs(cstar - np.sqrt(3.0) * 0.7) < 1e-9
 
 
 def test_close_polygon_rotation_invariant_on_circle():
     c = geo.circle(1.0)
-    _, _, c0 = pk.close_polygon(c, 8, t0=0.0)
-    _, _, c1 = pk.close_polygon(c, 8, t0=0.37)
+    _, _, c0, _ = _close_one(c, 8, t0=0.0)
+    _, _, c1, _ = _close_one(c, 8, t0=0.37)
     assert abs(c0 - c1) < 1e-10
 
 
 def test_close_polygon_ellipse_equal_chords():
     gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.2)
-    pts, ts, cstar = pk.close_polygon(gamma, 6)
+    pts, ts, cstar, _ = _close_one(gamma, 6)
     ch = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     assert ch.max() - ch.min() < 1e-9
     # vertices sit on the offset curve
@@ -168,18 +177,20 @@ def test_close_polygon_phase_dependence_on_ellipse():
     # circle: k=4 on an ellipse offset gives a rhombus from one phase
     # and a near square from another, with very different sides.
     gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.05)
-    _, _, ca = pk.close_polygon(gamma, 4, t0=0.0)
-    _, _, cb = pk.close_polygon(gamma, 4, t0=0.2)
+    _, _, ca, _ = _close_one(gamma, 4, t0=0.0)
+    _, _, cb, _ = _close_one(gamma, 4, t0=0.2)
     assert abs(ca - cb) > 0.1
 
 
 def test_close_polygon_rejects_open_march():
     # From t0=0.125 the march's first root ahead jumps across the chord
-    # bracket, and brentq converges onto the jump: the march there ends
-    # a whole chord short of its start, so no polygon is returned.
+    # bracket, and the chord iteration converges onto the jump: the march
+    # there ends a whole chord short of its start, so its defect stays
+    # above the closure tolerance that callers filter on.
     gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.05)
-    with pytest.raises(ClosureError, match="misses closure"):
-        pk.close_polygon(gamma, 4, t0=0.125)
+    _, _, defect, bracketed = pk._close(gamma, 4, np.array([0.125]))
+    assert bracketed[0]
+    assert abs(defect[0]) > 1e-9 * gamma.total_length
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,9 +324,10 @@ def test_packing_reaches_neither_scalar_march_nor_brentq(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(pk, name, counted(name))
+    monkeypatch.setattr(pk, "_GAP_SAMPLES", 1500)
     dom = geo.PlanarDomain(geo.ellipse(1.2, 1.0))
     ds, crown = pk.critical_distance(dom, 4)
-    pk.boundary_gap_check(dom, crown, ds, ds / 10.0, n_samples=1500, seed=0)
+    pk.boundary_gap_check(dom, crown, ds, ds / 10.0, seed=0)
     assert calls == {"equal_chord_march": 0, "brentq": 0}
 
 
@@ -356,17 +368,21 @@ def test_critical_crown_consistency_on_ellipse(round_egg):
     assert abs(pk.packing_functional(round_egg, pts) - ds) < 1e-8
 
 
-def test_critical_distance_stable_under_phase_granularity(round_egg):
-    d1, _ = pk.critical_distance(round_egg, 6, t0_samples=12)
-    d2, _ = pk.critical_distance(round_egg, 6, t0_samples=24)
+def test_critical_distance_stable_under_phase_granularity(round_egg, monkeypatch):
+    monkeypatch.setattr(pk, "_PHASE_SAMPLES", 12)
+    d1, _ = pk.critical_distance(round_egg, 6)
+    monkeypatch.setattr(pk, "_PHASE_SAMPLES", 24)
+    d2, _ = pk.critical_distance(round_egg, 6)
     assert abs(d1 - d2) < 1e-9
 
 
-def test_crown_phase_follows_from_the_domain(round_egg):
+def test_crown_phase_follows_from_the_domain(round_egg, monkeypatch):
     # at delta* every vertex of the critical polygon closes it; the
     # smallest foot breaks the tie, whatever the phase sampling
-    _, a = pk.critical_distance(round_egg, 6, t0_samples=16)
-    _, b = pk.critical_distance(round_egg, 6, t0_samples=20)
+    monkeypatch.setattr(pk, "_PHASE_SAMPLES", 16)
+    _, a = pk.critical_distance(round_egg, 6)
+    monkeypatch.setattr(pk, "_PHASE_SAMPLES", 20)
+    _, b = pk.critical_distance(round_egg, 6)
     assert np.linalg.norm(np.asarray(a.points)[0] - np.asarray(b.points)[0]) < 1e-9
     assert list(a.signs) == list(b.signs)
 
@@ -458,10 +474,11 @@ def circle_crown(R, k):
     return (R - circle_law(R, k)) * np.stack([np.cos(th), np.sin(th)], axis=1)
 
 
-def test_boundary_gap_positive_in_thin_tube(disk):
+def test_boundary_gap_positive_in_thin_tube(disk, monkeypatch):
+    monkeypatch.setattr(pk, "_GAP_SAMPLES", 1500)
     ds = circle_law(1.0, 8)
     sup, gap, _ = pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds,
-                                        ds / 10.0, n_samples=1500, seed=0)
+                                        ds / 10.0, seed=0)
     assert gap > 0.0
     assert sup < ds - 1e-3
 
@@ -488,11 +505,11 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
     # with eta comparable to delta* a 7 ring plus one deep spike beats
     # the critical 8 crown, so the margin claim must fail loudly; the
     # ring cannot be placed at the tube top, so its offset is solved for
+    monkeypatch.setattr(pk, "_GAP_SAMPLES", 1500)
     ds = circle_law(1.0, 8)
     calls = count_critical_delta(monkeypatch)
     with pytest.raises(PropertyViolationError) as exc:
-        pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds, 0.6,
-                              n_samples=1500, seed=0)
+        pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds, 0.6, seed=0)
     rep = exc.value.report
     assert rep["sup_boundary"] > ds
     assert len(rep["worst_points"]) == 8
