@@ -6,13 +6,19 @@ minimizes the interaction energy per eps, solve runs the full Newton
 verification per eps, and verify runs the frozen acceptance checklist
 of the verify module end to end.
 
+JobConfig coerces and checks every field when it is built, whether
+from a JSON file, by direct construction or by dataclasses.replace.
+This module alone knows the artifact formats: every file, the profile
+table included, goes through one atomic writer (temp file plus rename),
+CSVs end their lines with LF, and each stage reloads what an earlier
+stage wrote when its recorded inputs match the config.
+
 Runs are reproducible: results depend only on (config, seed), floats
-are printed at 17 significant digits, every result JSON embeds the
-config hash and the package version, and files are written atomically
-(temp file plus rename). Wall-clock timings go to stdout only, never
-into result files, so repeated runs produce byte-identical artifacts.
-The SPIKE_CROWN_THREADS environment variable caps the worker pool used
-for independent eps jobs.
+are printed at 17 significant digits, and every result JSON embeds the
+config hash and the package version. Wall-clock timings go to stdout
+only, never into result files, so repeated runs produce byte-identical
+artifacts. The SPIKE_CROWN_THREADS environment variable caps the worker
+pool used for independent eps jobs.
 """
 
 import argparse
@@ -35,7 +41,7 @@ from . import pde
 from . import reduced_energy as red
 from . import verify
 from .errors import ConfigError, NumericalError, SpikeCrownError
-from .ground_state import load_profile, normalization_constants, save_profile, shoot
+from .ground_state import RadialProfile, normalization_constants, shoot
 from .nonlinearity import Nonlinearity
 
 
@@ -49,7 +55,9 @@ class JobConfig:
     entry f once the critical distance is known, so a config can pin
     scales relative to a crown it has not computed yet. h_divisor sets
     the grid rule h = eps/h_divisor. Either k or delta0 sizes the
-    crown; eta defaults to delta*/10.
+    crown; eta defaults to delta*/10. Every field is coerced and checked
+    here, so config_from_dict, direct construction and dataclasses.replace
+    all give the same config, with the same digest.
     """
 
     domain: dict = None
@@ -66,9 +74,26 @@ class JobConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.domain is not None and not isinstance(self.domain, dict):
+            raise ConfigError("domain must be a JSON object")
+        for key in ("epsilon", "eps_fractions"):
+            object.__setattr__(self, key, _as_float_tuple(key, getattr(self, key)))
+        for key in ("p", "h_divisor", "delta0", "eta"):
+            val = getattr(self, key)
+            if val is not None:
+                try:
+                    object.__setattr__(self, key, float(val))
+                except (TypeError, ValueError, OverflowError):
+                    raise ConfigError(f"{key} must be a number") from None
+        for key in ("N", "k", "seed"):
+            val = getattr(self, key)
+            if isinstance(val, float) and val.is_integer():
+                object.__setattr__(self, key, int(val))
+            elif val is not None and (isinstance(val, bool) or not isinstance(val, int)):
+                raise ConfigError(f"{key} must be an integer")
         for key in ("p", "N", "h_divisor", "seed"):
             val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
+            if val is None:
                 raise ConfigError(f"{key} must be a number, got {val!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
@@ -76,7 +101,7 @@ class JobConfig:
             raise ConfigError(f"h_divisor must be positive, got {self.h_divisor}")
         for key in ("epsilon", "eps_fractions"):
             for val in getattr(self, key):
-                if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
+                if not (math.isfinite(val) and val > 0):
                     raise ConfigError(f"{key} entries must be finite and positive, got {val!r}")
         if self.form not in ("leading", "psi_numeric"):
             raise ConfigError(f"unknown form {self.form!r}")
@@ -100,25 +125,7 @@ def config_from_dict(raw):
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    data = dict(raw)
-    if data.get("domain") is not None and not isinstance(data["domain"], dict):
-        raise ConfigError("domain must be a JSON object")
-    for key in ("epsilon", "eps_fractions"):
-        if key in data:
-            data[key] = _as_float_tuple(key, data[key])
-    for key in ("p", "h_divisor", "delta0", "eta"):
-        if data.get(key) is not None:
-            try:
-                data[key] = float(data[key])
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{key} must be a number") from None
-    for key in ("N", "k", "seed"):
-        val = data.get(key)
-        if isinstance(val, float) and val.is_integer():
-            data[key] = int(val)
-        elif val is not None and (isinstance(val, bool) or not isinstance(val, int)):
-            raise ConfigError(f"{key} must be an integer")
-    return JobConfig(**data)
+    return JobConfig(**raw)
 
 
 def parse_config(path):
@@ -234,34 +241,21 @@ def _domain_from_config(cfg):
     return geo.make_domain(cfg.domain)
 
 
+_PROFILE_COLUMNS = ("r", "w", "w_prime")
+
+
 def run_ground_state(cfg, out_dir):
-    nl = Nonlinearity(p=cfg.p, dim_n=cfg.N)
-    profile = shoot(nl)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "profile.csv")
-    json_path = os.path.join(out_dir, "profile.json")
-    save_profile(profile, csv_path + ".tmp", json_path + ".tmp")
-    with open(json_path + ".tmp") as fh:
-        header = json.load(fh)
-    header.update(_stamp(cfg))
-    with open(json_path + ".tmp", "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(csv_path + ".tmp", csv_path)
-    os.replace(json_path + ".tmp", json_path)
+    profile = shoot(Nonlinearity(p=cfg.p, dim_n=cfg.N))
+    _write_csv(os.path.join(out_dir, "profile.csv"), _PROFILE_COLUMNS,
+               zip(profile.r_grid, profile.w_values, profile.w_prime_values))
+    _write_json(os.path.join(out_dir, "profile.json"),
+                {"p": profile.p, "N": profile.dim_n, "w0": profile.w0,
+                 "A": profile.decay_A, "r_tail": profile.r_tail, **_stamp(cfg)})
     e1, gamma = normalization_constants(profile)
     _write_json(os.path.join(out_dir, "constants.json"),
                 {"w0": profile.w0, "A": profile.decay_A,
                  "e1": e1, "gamma": gamma, **_stamp(cfg)})
     return profile, e1, gamma
-
-
-def _load_or_make_profile(cfg, out_dir):
-    profile = _reread(load_profile, os.path.join(out_dir, "profile.csv"),
-                      os.path.join(out_dir, "profile.json"))
-    if profile is not None and profile.p == cfg.p and profile.dim_n == cfg.N:
-        return profile
-    return run_ground_state(cfg, out_dir)[0]
 
 
 def run_pack(cfg, out_dir, dom=None):
@@ -314,11 +308,29 @@ def _load_or_make_pack(cfg, out_dir, dom):
     return _reread(_read_pack, cfg, out_dir, dom) or run_pack(cfg, out_dir, dom)
 
 
+def _read_profile(cfg, out_dir):
+    with open(os.path.join(out_dir, "profile.json")) as fh:
+        header = json.load(fh)
+    if float(header["p"]) != cfg.p or int(header["N"]) != cfg.N:
+        return None
+    with open(os.path.join(out_dir, "profile.csv")) as fh:
+        names, *rows = fh.readlines()
+    # a file cut mid-row ends without a newline; a header-only one has no rows[-1]
+    if names != ",".join(_PROFILE_COLUMNS) + "\n" or not rows[-1].endswith("\n"):
+        return None
+    table = np.array([row.split(",") for row in rows], dtype=float)
+    return RadialProfile(p=cfg.p, dim_n=cfg.N, r_grid=table[:, 0],
+                         w_values=table[:, 1], w_prime_values=table[:, 2],
+                         w0=float(header["w0"]), decay_A=float(header["A"]),
+                         r_tail=float(header["r_tail"]))
+
+
+def _load_or_make_profile(cfg, out_dir):
+    return _reread(_read_profile, cfg, out_dir) or run_ground_state(cfg, out_dir)[0]
+
+
 def _eps_list(cfg, delta_star):
-    eps = [float(e) for e in cfg.epsilon]
-    eps += [delta_star / f for f in cfg.eps_fractions]
-    if not eps:
-        raise ConfigError("config needs epsilon or eps_fractions")
+    eps = list(cfg.epsilon) + [delta_star / f for f in cfg.eps_fractions]
     for e in eps:
         if e > delta_star / 5.0 * (1.0 + 1e-12):
             raise ConfigError(
@@ -332,6 +344,8 @@ def _planar_inputs(cfg, out_dir, command):
     each loaded from out_dir or computed there."""
     if cfg.N != 2:
         raise ConfigError(f"{command} works on planar domains; config N must be 2")
+    if not (cfg.epsilon or cfg.eps_fractions):
+        raise ConfigError("config needs epsilon or eps_fractions")
     dom = _domain_from_config(cfg)
     k, delta_star, eta, crown = _load_or_make_pack(cfg, out_dir, dom)
     eps_list = _eps_list(cfg, delta_star)

@@ -7,9 +7,6 @@ integration started on the asymptotic series at large radius, which
 keeps the growing mode out of the data the decay-constant fit sees.
 """
 
-import csv
-import json
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -388,54 +385,3 @@ def normalization_constants(profile: RadialProfile):
     if gamma <= 0:
         raise IntegrationError("gamma must be positive for a positive profile")
     return float(e1), float(gamma)
-
-
-def save_profile(profile: RadialProfile, csv_path, json_path=None):
-    """Write the table as CSV (r, w, w_prime) and the scalars as JSON.
-
-    Floats are printed with 17 significant digits so a save/load/save
-    cycle is byte-identical.
-    """
-    if json_path is None:
-        json_path = os.path.splitext(csv_path)[0] + ".json"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "w", "w_prime"])
-        for r, wv, wp in zip(profile.r_grid, profile.w_values, profile.w_prime_values):
-            writer.writerow([f"{r:.17g}", f"{wv:.17g}", f"{wp:.17g}"])
-    header = {
-        "p": profile.p,
-        "N": profile.dim_n,
-        "w0": profile.w0,
-        "A": profile.decay_A,
-        "r_tail": profile.r_tail,
-    }
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_profile(csv_path, json_path=None):
-    if json_path is None:
-        json_path = os.path.splitext(csv_path)[0] + ".json"
-    with open(json_path) as fh:
-        header = json.load(fh)
-    rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader)
-        if names != ["r", "w", "w_prime"]:
-            raise ConfigError(f"unexpected profile CSV columns {names}")
-        for row in reader:
-            rows.append([float(x) for x in row])
-    table = np.asarray(rows)
-    return RadialProfile(
-        p=float(header["p"]),
-        dim_n=int(header["N"]),
-        r_grid=table[:, 0],
-        w_values=table[:, 1],
-        w_prime_values=table[:, 2],
-        w0=float(header["w0"]),
-        decay_A=float(header["A"]),
-        r_tail=float(header["r_tail"]),
-    )

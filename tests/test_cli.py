@@ -20,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spikecrown
 from spikecrown import cli, pde, verify
 from spikecrown import geometry as geo
 from spikecrown.errors import ConfigError, NumericalError
-from spikecrown.ground_state import load_profile
 
 SQRT2M1 = 0.41421356237309503  # critical offset of the k=4 crown on the unit disk
 
@@ -89,10 +88,14 @@ def test_config_rejects_unknown_key():
     {"epsilon": 0.1},
     {"N": 2.5},
     {"domain": "circle"},
+    {"k": "x"},
 ])
 def test_config_rejects_bad_values(raw):
+    # parsing and direct construction run the same checks
     with pytest.raises(ConfigError):
         cli.config_from_dict(raw)
+    with pytest.raises(ConfigError):
+        cli.JobConfig(**raw)
 
 
 @pytest.mark.parametrize("key", ["seed", "p"])
@@ -118,12 +121,17 @@ _JSON_VALUES = st.recursive(
 @given(st.dictionaries(
     st.sampled_from(sorted(f.name for f in dataclasses.fields(cli.JobConfig))),
     _JSON_VALUES))
+@example({"p": 3})  # an int p once stayed an int on construction
 def test_fuzzed_config_is_job_or_config_error(raw):
     try:
         cfg = cli.config_from_dict(raw)
     except ConfigError:
         return
     assert isinstance(cfg, cli.JobConfig)
+    # direct construction runs the same coercions, so it stamps the same digest
+    direct = cli.JobConfig(**raw)
+    assert direct == cfg
+    assert cli.config_digest(direct) == cli.config_digest(cfg)
 
 
 def test_thread_cap_env(monkeypatch):
@@ -265,8 +273,9 @@ def test_ground_state_profile_reloads_identically(tmp_path):
     assert r.returncode == 0, r.stderr
     out = tmp_path / "o"
     # the stamped header keys must not break the loader
-    prof = load_profile(out / "profile.csv", out / "profile.json")
-    again = load_profile(out / "profile.csv", out / "profile.json")
+    cfg = cli.config_from_dict({"p": 4.0, "N": 2})
+    prof = cli._read_profile(cfg, out)
+    again = cli._read_profile(cfg, out)
     assert prof.w0 == again.w0
     assert np.array_equal(prof.w_values, again.w_values)
     header = json.loads((out / "profile.json").read_text())
@@ -326,12 +335,26 @@ def test_pack_rejects_nonconvex_spline(tmp_path):
 
 
 def test_eps_above_scale_separation_rejected(tmp_path):
-    # delta*/5 = 0.0828 for the k=4 crown; 0.1 must be refused up front
+    # delta*/5 = 0.0828 for the k=4 crown; 0.1 is refused once the pack
+    # gives delta*, before any minimization
     write_job(tmp_path / "job.json", k=4, epsilon=[0.1],
               out=str(tmp_path / "o"))
     r = run_cli(["reduce", "--config", "job.json"], cwd=tmp_path)
     assert r.returncode == 2
     assert "delta*/5" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve"])
+def test_missing_scales_rejected_before_pack(tmp_path, command):
+    # the check used to run after the pack, which wrote pack.json and
+    # crown.csv before the command failed
+    job = write_job(tmp_path / "job.json", k=4)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(job), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "ConfigError"
+    assert err["error"] == "config needs epsilon or eps_fractions"
+    assert sorted(os.listdir(out)) == ["error.json"]
 
 
 def test_zero_eps_fraction_is_config_error(tmp_path):
@@ -533,6 +556,35 @@ def test_pool_jobs_record_their_own_diagnostics(tmp_path, monkeypatch):
         assert doc["reclassified_nodes"] == expected
 
 
+def _no_shoot(nl):
+    raise AssertionError("the profile was recomputed")
+
+
+def test_crlf_profile_is_reused(tmp_path, monkeypatch, profile_p3n2):
+    # csv.writer wrote profile.csv with CRLF line ends; such a file
+    # still loads, bit for bit, and is left as it is
+    cfg = cli.config_from_dict({"p": 3.0, "N": 2})
+    monkeypatch.setattr(cli, "shoot", lambda nl: profile_p3n2)
+    cli.run_ground_state(cfg, str(tmp_path))
+    path = tmp_path / "profile.csv"
+    crlf = path.read_bytes().replace(b"\n", b"\r\n")
+    path.write_bytes(crlf)
+    monkeypatch.setattr(cli, "shoot", _no_shoot)
+    prof = cli._load_or_make_profile(cfg, str(tmp_path))
+    assert path.read_bytes() == crlf
+    for name in ("r_grid", "w_values", "w_prime_values"):
+        assert np.array_equal(getattr(prof, name), getattr(profile_p3n2, name)), name
+    for name in ("p", "dim_n", "w0", "decay_A", "r_tail"):
+        assert getattr(prof, name) == getattr(profile_p3n2, name), name
+
+
+def _cut_mid_row(text):
+    # end inside the third cell of a middle row: what is left still
+    # parses as three numbers, but the file ends without a newline
+    start = text.index("\n", len(text) // 2) + 1
+    return text[:text.index(",", text.index(",", start) + 1) + 4]
+
+
 def _drop_key(key):
     return lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items() if k != key})
@@ -543,8 +595,11 @@ def _drop_key(key):
     ("profile.json", _drop_key("N")),
     ("reduce_000.json", lambda text: text[:len(text) // 2]),
     ("crown.csv", lambda text: ""),
+    ("profile.csv", lambda text: text.partition("\n")[0] + "\n"),
+    ("profile.csv", _cut_mid_row),
 ], ids=["truncated-pack", "profile-without-N", "truncated-minimizer",
-        "empty-crown"])
+        "empty-crown", "header-only-profile", "profile-cut-mid-row"])
+@pytest.mark.filterwarnings("error")
 def test_unreadable_artifact_is_recomputed(tmp_path, monkeypatch, name, corrupt):
     # a truncated or incomplete upstream file is recomputed, as a stale
     # one is, to the same bytes; it used to escape main as a traceback

@@ -8,15 +8,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import closed_form_1d
+from spikecrown import cli
 from spikecrown import ground_state as gs
 from spikecrown.errors import ConfigError, DecayFitError, IntegrationError, NoGroundStateError
-from spikecrown.ground_state import (
-    RadialProfile,
-    load_profile,
-    normalization_constants,
-    save_profile,
-    shoot,
-)
+from spikecrown.ground_state import RadialProfile, normalization_constants, shoot
 from spikecrown.nonlinearity import Nonlinearity
 
 
@@ -367,14 +362,17 @@ def test_collocation_oracle_2d():
     npt.assert_allclose(coef[0], prof.decay_A, rtol=1e-3)
 
 
-def test_profile_round_trip(tmp_path, profile_p4n2):
-    csv1 = tmp_path / "prof.csv"
-    save_profile(profile_p4n2, csv1)
-    loaded = load_profile(csv1)
-    csv2 = tmp_path / "prof2.csv"
-    save_profile(loaded, csv2)
-    assert csv1.read_bytes() == csv2.read_bytes()
-    assert (tmp_path / "prof.json").read_bytes() == (tmp_path / "prof2.json").read_bytes()
+def test_profile_round_trip(tmp_path, monkeypatch, profile_p4n2):
+    # the CLI's writer and reader are the profile's only file format
+    cfg = cli.config_from_dict({"p": 4.0, "N": 2})
+    first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.setattr(cli, "shoot", lambda nl: profile_p4n2)
+    cli.run_ground_state(cfg, str(first))
+    loaded = cli._read_profile(cfg, str(first))
+    monkeypatch.setattr(cli, "shoot", lambda nl: loaded)
+    cli.run_ground_state(cfg, str(second))
+    for name in ("profile.csv", "profile.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
     npt.assert_array_equal(loaded.w_values, profile_p4n2.w_values)
     assert loaded.decay_A == profile_p4n2.decay_A
 

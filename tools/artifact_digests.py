@@ -38,6 +38,7 @@ CASES = [
      ["--continuation"]),
     ("config-error-seed", "ground-state", {"seed": None}, []),
     ("config-error-p", "ground-state", {"p": None}, []),
+    ("config-error-no-scales", "reduce", {"domain": DISK, "k": 4}, []),
 ]
 VERIFY_CASE = ("verify", "verify", {}, ["--seed", "0"])
 
