@@ -81,10 +81,7 @@ class JobConfig:
         for key in ("p", "h_divisor", "delta0", "eta"):
             val = getattr(self, key)
             if val is not None:
-                try:
-                    object.__setattr__(self, key, float(val))
-                except (TypeError, ValueError, OverflowError):
-                    raise ConfigError(f"{key} must be a number") from None
+                object.__setattr__(self, key, _as_float(val, f"{key} must be a number"))
         for key in ("N", "k", "seed"):
             val = getattr(self, key)
             if isinstance(val, float) and val.is_integer():
@@ -109,13 +106,20 @@ class JobConfig:
             raise ConfigError("out must be a path string")
 
 
+def _as_float(val, message):
+    # float() would also take True as 1.0 and "3" as 3.0
+    if isinstance(val, (bool, np.bool_, str, bytes)):
+        raise ConfigError(message)
+    try:
+        return float(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(message) from None
+
+
 def _as_float_tuple(key, val):
     if not isinstance(val, (list, tuple)):
         raise ConfigError(f"{key} must be a list of numbers")
-    try:
-        return tuple(float(v) for v in val)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a list of numbers") from None
+    return tuple(_as_float(v, f"{key} must be a list of numbers") for v in val)
 
 
 def config_from_dict(raw):
@@ -197,6 +201,8 @@ def _write_json(path, obj):
 
 
 def _cell(v):
+    if type(v) is float:
+        return f"{v:.17g}"
     if isinstance(v, (bool, np.bool_)):
         raise ValueError("no boolean CSV cells")
     if isinstance(v, (int, np.integer)):
@@ -431,10 +437,8 @@ def run_solve(cfg, out_dir, continuation=False):
         peaks = pde.extract_peaks(grid, sol, expected=k)
         energy = pde.discrete_energy(grid, nl, eps, sol)
         tag = f"{idx:03d}"
-        _write_csv(os.path.join(out_dir, f"field_{tag}.csv"),
-                   ("x", "y", "value"),
-                   [(grid.xy[r, 0], grid.xy[r, 1], sol.values[r])
-                    for r in range(grid.n_nodes)])
+        _write_csv(os.path.join(out_dir, f"field_{tag}.csv"), ("x", "y", "value"),
+                   np.column_stack([grid.xy, sol.values]).tolist())
         steps = [(0.0, 0.0, False)] + trail
         _write_csv(os.path.join(out_dir, f"residuals_{tag}.csv"),
                    ("iter", "sup_residual", "step", "lam_norm", "moved"),

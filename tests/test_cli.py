@@ -89,6 +89,11 @@ def test_config_rejects_unknown_key():
     {"N": 2.5},
     {"domain": "circle"},
     {"k": "x"},
+    # float() reads True as 1.0 and "3" as 3.0; a config must not
+    {"h_divisor": True},
+    {"epsilon": [True, "0.05"]},
+    {"p": "3"},
+    {"eta": False},
 ])
 def test_config_rejects_bad_values(raw):
     # parsing and direct construction run the same checks
@@ -176,6 +181,38 @@ def test_continuation_is_a_solve_option(tmp_path):
         cli.main(["pack", "--continuation", "--config",
                   str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+# -------------------------------------------------------------- writers
+
+def per_cell(v):
+    # oracle: the CSV cell formatter before its Python-float fast path
+    if isinstance(v, (bool, np.bool_)):
+        raise ValueError("no boolean CSV cells")
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
+
+
+def test_csv_bytes_match_the_per_cell_formatter(tmp_path):
+    floats = [0.1, -0.0, 1e-310, 1e300, -2.5e-17, 1.0 / 3.0, 7.0]
+    ints = [0, -3, np.int64(2 ** 40), np.int32(-7), 5, 6, 7]
+    path = tmp_path / "t.csv"
+    for cast in (float, np.float64):
+        rows = [(i, cast(x), cast(-x)) for i, x in zip(ints, floats)]
+        want = "i,x,y\n" + "".join(",".join(per_cell(v) for v in row) + "\n"
+                                  for row in rows)
+        cli._write_csv(path, ("i", "x", "y"), rows)
+        assert path.read_bytes() == want.encode()
+    # the field writer's rows: one float array, as Python floats
+    table = np.array(floats).reshape(-1, 1) * [1.0, -1.0, 3.0]
+    cli._write_csv(path, ("x", "y", "value"), table.tolist())
+    want = "x,y,value\n" + "".join(",".join(per_cell(v) for v in row) + "\n"
+                                   for row in table)
+    assert path.read_bytes() == want.encode()
+    for flag in (True, np.bool_(False)):
+        with pytest.raises(ValueError, match="boolean"):
+            cli._write_csv(tmp_path / "b.csv", ("a",), [(flag,)])
 
 
 # ------------------------------------------------- acceptance helpers

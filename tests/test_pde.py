@@ -145,6 +145,38 @@ def test_discretize_rejects_coarse_or_bad_spacing(disk):
         pde.discretize(disk, -0.01)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "circle", "radius": 1.0},
+    {"kind": "ellipse", "a": 1.2, "b": 1.0},
+    {"kind": "ellipse", "a": 2.0, "b": 1.0},
+    {"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0},
+], ids=["disk", "ellipse-1.2x1", "ellipse-2x1", "superellipse"])
+def test_band_classification_matches_every_node(spec, monkeypatch):
+    # oracle: the signed distance of every lattice node, deep ones too
+    dom = geo.make_domain(spec)
+    for h in (0.04, 0.021, 0.009):
+        got = pde.discretize(dom, h)
+        with monkeypatch.context() as m:
+            m.setattr(pde, "_inside", lambda d, nodes, _h: d.signed_distance(nodes) < 0.0)
+            want = pde.discretize(dom, h)
+        assert np.array_equal(got.index, want.index)
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.xy, want.xy)
+        assert got.n_reclassified == want.n_reclassified
+
+
+def test_inside_is_exact_between_table_chord_and_arc(disk):
+    # these points lie inside the curve but outside the inscribed table
+    # polygon, so only the exact distance near the curve gets them right
+    bd = disk.boundary
+    arc_mid = bd.point(bd.t_nodes + 0.5 / len(bd.t_nodes))
+    chord_mid = 0.5 * (bd.points + np.roll(bd.points, -1, axis=0))
+    X = 0.5 * (arc_mid + chord_mid)
+    assert (disk.signed_distance(X) < 0.0).all()
+    assert pde._inside(disk, X, 1e-4).all()
+    assert pde._inside(disk, X, 0.04).all()
+
+
 def test_field_validation(grid_m):
     with pytest.raises(ConfigError):
         pde.DiscreteField(grid_m, 0.1, np.zeros(3))
@@ -262,8 +294,7 @@ def test_newton_factorizes_only_the_jacobian_once_per_iteration(
                           signs=np.array([1.0, -1.0]))
     _, hist, trail = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
     assert len(seen) == len(hist) - 1 == len(trail)
-    pattern = (A.shape, A.indices.tobytes(), A.indptr.tobytes(),
-               {"permc_spec": "MMD_AT_PLUS_A"})
+    pattern = (A.shape, A.indices.tobytes(), A.indptr.tobytes(), pde._SPLU_OPTIONS)
     assert all(entry == pattern for entry in seen)
     assert any(moved for _, _, moved in trail)
 

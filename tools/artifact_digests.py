@@ -2,7 +2,7 @@
 
 Usage:
 
-    python tools/artifact_digests.py [CHECKOUT] [--verify]
+    python tools/artifact_digests.py [CHECKOUT] [--verify] [--against OTHER]
 
 Runs each case below with `python -m spikecrown` from CHECKOUT's `src`
 (default: the checkout holding this script), each in a fresh temporary
@@ -11,11 +11,20 @@ one `exit  case  code` line per command, sorted. Two checkouts that
 write the same bits print the same lines, so `diff` of two outputs is
 the bit-for-bit check of a refactor. `--verify` adds `verify --seed 0`,
 which takes about 90 s.
+
+`--against OTHER` runs every case in both checkouts and prints, instead
+of the digests, one line per file whose bytes differ: the largest
+absolute difference over its numeric CSV cells and JSON leaves, or what
+keeps the two from lining up (a missing file, a changed header, shape
+or text cell). Exit codes that differ get an `exit` line, and the last
+line counts the files that are byte-identical.
 """
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,8 +52,8 @@ CASES = [
 VERIFY_CASE = ("verify", "verify", {}, ["--seed", "0"])
 
 
-def run_case(src, case, command, config, extra):
-    """Lines for one case: its exit code and the digest of each file it wrote."""
+def run_case(src, command, config, extra):
+    """Exit code of one case and {path: bytes} of the files it wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "config.json")
         with open(cfg_path, "w") as fh:
@@ -55,14 +64,97 @@ def run_case(src, case, command, config, extra):
             [sys.executable, "-m", "spikecrown", command, "--config", cfg_path,
              "--out", out, *extra],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        lines = [f"exit  {case}  {proc.returncode}"]
-        for root, _, files in os.walk(out):
-            for name in files:
+        files = {}
+        for root, _, names in os.walk(out):
+            for name in names:
                 path = os.path.join(root, name)
                 with open(path, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                lines.append(f"{digest}  {case}/{os.path.relpath(path, out)}")
+                    files[os.path.relpath(path, out)] = fh.read()
+    return proc.returncode, files
+
+
+def digest_lines(case, code, files):
+    lines = [f"exit  {case}  {code}"]
+    lines.extend(f"{hashlib.sha256(data).hexdigest()}  {case}/{name}"
+                 for name, data in files.items())
     return lines
+
+
+class Mismatch(Exception):
+    """The two files do not line up value for value."""
+
+
+def _number_gap(a, b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b)
+
+
+def _csv_gap(a, b):
+    ra = list(csv.reader(a.decode().splitlines()))
+    rb = list(csv.reader(b.decode().splitlines()))
+    if not ra or not rb or ra[0] != rb[0]:
+        raise Mismatch("header differs")
+    if [len(r) for r in ra] != [len(r) for r in rb]:
+        raise Mismatch("shape differs")
+    gap = 0.0
+    for row_a, row_b in zip(ra[1:], rb[1:]):
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                gap = max(gap, _number_gap(float(x), float(y)))
+            except ValueError:
+                raise Mismatch(f"text cell {x!r} against {y!r}") from None
+    return gap
+
+
+def _json_gap(a, b):
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise Mismatch(f"keys differ: {sorted(a.keys() ^ b.keys())}")
+        return max((_json_gap(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Mismatch("list length differs")
+        return max((_json_gap(x, y) for x, y in zip(a, b)), default=0.0)
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    if numbers:
+        return _number_gap(float(a), float(b))
+    if a != b:
+        raise Mismatch(f"leaf {a!r} against {b!r}")
+    return 0.0
+
+
+def value_gap(name, a, b):
+    """Largest absolute difference between two versions of one artifact."""
+    if name.endswith(".csv"):
+        return _csv_gap(a, b)
+    if name.endswith(".json"):
+        return _json_gap(json.loads(a), json.loads(b))
+    raise Mismatch("neither CSV nor JSON")
+
+
+def compare_lines(case, mine, theirs):
+    """Report lines for one case run in two checkouts, and the count of
+    byte-identical files."""
+    (code_a, files_a), (code_b, files_b) = mine, theirs
+    lines = [] if code_a == code_b else [f"exit  {case}  {code_a} against {code_b}"]
+    same = 0
+    for name in sorted(files_a.keys() | files_b.keys()):
+        label = f"{case}/{name}"
+        if name not in files_b or name not in files_a:
+            where = "this checkout" if name in files_a else "the other"
+            lines.append(f"only in {where}  {label}")
+        elif files_a[name] == files_b[name]:
+            same += 1
+        else:
+            try:
+                lines.append(f"max |diff| {value_gap(name, files_a[name], files_b[name]):.3g}"
+                             f"  {label}")
+            except Mismatch as exc:
+                lines.append(f"differs  {label}  ({exc})")
+    return lines, same
 
 
 def main(argv=None):
@@ -72,13 +164,26 @@ def main(argv=None):
                     help="repository checkout to run (default: this one)")
     ap.add_argument("--verify", action="store_true",
                     help="also run `verify --seed 0` (about 90 s)")
+    ap.add_argument("--against", metavar="OTHER", default=None,
+                    help="also run OTHER checkout and report how each differing "
+                         "file's values differ")
     args = ap.parse_args(argv)
     src = os.path.join(os.path.abspath(args.checkout), "src")
     cases = CASES + ([VERIFY_CASE] if args.verify else [])
-    lines = []
-    for case in cases:
-        lines.extend(run_case(src, *case))
-    print("\n".join(sorted(lines)))
+    if args.against is None:
+        lines = []
+        for case, *spec in cases:
+            lines.extend(digest_lines(case, *run_case(src, *spec)))
+        print("\n".join(sorted(lines)))
+        return 0
+    other = os.path.join(os.path.abspath(args.against), "src")
+    lines, same = [], 0
+    for case, *spec in cases:
+        case_lines, case_same = compare_lines(
+            case, run_case(src, *spec), run_case(other, *spec))
+        lines.extend(case_lines)
+        same += case_same
+    print("\n".join(lines + [f"{same} files byte-identical"]))
     return 0
 
 
