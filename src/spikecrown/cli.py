@@ -23,6 +23,7 @@ pool used for independent eps jobs.
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -40,7 +41,7 @@ from . import packing as pk
 from . import pde
 from . import reduced_energy as red
 from . import verify
-from .errors import ConfigError, NumericalError, SpikeCrownError
+from .errors import ConfigError, SpikeCrownError
 from .ground_state import RadialProfile, normalization_constants, shoot
 from .nonlinearity import Nonlinearity
 
@@ -483,43 +484,33 @@ def run_solve(cfg, out_dir, continuation=False):
 # ----------------------------------------------------------- commands
 
 def cmd_ground_state(cfg, out_dir):
-    t0 = time.perf_counter()
     profile, e1, gamma = run_ground_state(cfg, out_dir)
     print(f"w0 = {profile.w0:.17g}")
     print(f"A = {profile.decay_A:.17g}")
     print(f"e1 = {e1:.17g}")
     print(f"gamma = {gamma:.17g}")
-    print(f"done in {time.perf_counter() - t0:.1f} s")
     return 0
 
 
 def cmd_pack(cfg, out_dir):
-    t0 = time.perf_counter()
     k, delta_star, eta, _ = run_pack(cfg, out_dir)
     print(f"k = {k}")
     print(f"delta_star = {delta_star:.17g}")
     print(f"eta = {eta:.17g}")
-    print(f"done in {time.perf_counter() - t0:.1f} s")
     return 0
 
 
 def cmd_reduce(cfg, out_dir):
-    t0 = time.perf_counter()
-    jobs = run_reduce(cfg, out_dir)
-    for job in jobs:
+    for job in run_reduce(cfg, out_dir):
         print(f"eps = {job['eps']:.6g}: log_M = {job['log_M']:.6g} "
               f"after {job['iterations']} iterations")
-    print(f"done in {time.perf_counter() - t0:.1f} s")
     return 0
 
 
-def cmd_solve(cfg, out_dir, continuation=False):
-    t0 = time.perf_counter()
-    summaries = run_solve(cfg, out_dir, continuation=continuation)
-    for job in summaries:
+def cmd_solve(cfg, out_dir, continuation):
+    for job in run_solve(cfg, out_dir, continuation=continuation):
         print(f"eps = {job['eps']:.6g}: residual {job['final_residual']:.3g} "
               f"after {job['iterations']} iterations")
-    print(f"done in {time.perf_counter() - t0:.1f} s")
     return 0
 
 
@@ -534,21 +525,19 @@ def cmd_verify(cfg, out_dir):
     return 1
 
 
+# name: (help, handler, the subcommand's own flags, which reach the
+# handler as keyword arguments)
 _COMMANDS = {
-    "ground-state": cmd_ground_state,
-    "pack": cmd_pack,
-    "reduce": cmd_reduce,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
+    "ground-state": ("tabulate the radial profile and its constants", cmd_ground_state, {}),
+    "pack": ("compute the critical offset and the crown polygon", cmd_pack, {}),
+    "reduce": ("minimize the reduced interaction energy per eps", cmd_reduce, {}),
+    "solve": ("run the full Newton verification per eps", cmd_solve,
+              {"--continuation": {"action": "store_true",
+                                  "help": "solve the eps list in descending order, "
+                                          "seeding each run with the previous peak "
+                                          "locations"}}),
+    "verify": ("run the acceptance checklist and write a verdict", cmd_verify, {}),
 }
-
-
-def _emit_error(out_dir, exc, code):
-    doc = {"error": str(exc), "type": type(exc).__name__, "exit_code": code}
-    try:
-        _write_json(os.path.join(out_dir, "error.json"), doc)
-    except OSError:
-        pass
 
 
 def main(argv=None):
@@ -557,46 +546,37 @@ def main(argv=None):
         description="Construct and verify alternating-sign spike crowns "
                     "on convex planar domains.")
     sub = ap.add_subparsers(dest="command", required=True)
-    helps = {
-        "ground-state": "tabulate the radial profile and its constants",
-        "pack": "compute the critical offset and the crown polygon",
-        "reduce": "minimize the reduced interaction energy per eps",
-        "solve": "run the full Newton verification per eps",
-        "verify": "run the acceptance checklist and write a verdict",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (help_text, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="path to a JSON job config")
         p.add_argument("--out", default=None,
                        help="output directory (default: the config's out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        if name == "solve":
-            p.add_argument("--continuation", action="store_true",
-                           help="solve the eps list in descending order, "
-                                "seeding each run with the previous peak "
-                                "locations")
-    args = ap.parse_args(argv)
-    out_dir = args.out or "."
+        for flag, opts in flags.items():
+            p.add_argument(flag, **opts)
+    own = vars(ap.parse_args(argv))
+    command, config, out, seed = (own.pop(key) for key in ("command", "config", "out", "seed"))
+    out_dir = out or "."
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        out_dir = args.out or cfg.out
-        os.makedirs(out_dir, exist_ok=True)
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir, continuation=args.continuation)
-        return _COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        _emit_error(out_dir, exc, 2)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        _emit_error(out_dir, exc, 3)
-        return 3
+        cfg = parse_config(config)
+        if seed is not None:
+            cfg = dataclasses.replace(cfg, seed=seed)
+        out_dir = out or cfg.out
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {out_dir!r}: {exc}") from None
+        t0 = time.perf_counter()
+        code = _COMMANDS[command][1](cfg, out_dir, **own)
+        print(f"done in {time.perf_counter() - t0:.1f} s")
+        return code
     except SpikeCrownError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        _emit_error(out_dir, exc, 3)
-        return 3
+        code = 2 if isinstance(exc, ConfigError) else 3
+        print(f"{'config error' if code == 2 else 'numerical failure'}: {exc}",
+              file=sys.stderr)
+        with contextlib.suppress(OSError):
+            _write_json(os.path.join(out_dir, "error.json"),
+                        {"error": str(exc), "type": type(exc).__name__, "exit_code": code})
+        return code

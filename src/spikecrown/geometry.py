@@ -289,15 +289,37 @@ class ConvexCurve:
 # -- constructors -------------------------------------------------------------
 
 
+def _finite(what, val):
+    """val as a float; a bool, string, None or non-finite value is a ConfigError."""
+    try:
+        if isinstance(val, (bool, np.bool_, str, bytes)):
+            raise TypeError
+        x = float(val)
+    except (TypeError, ValueError, OverflowError):
+        x = np.nan
+    if not np.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {val!r}")
+    return x
+
+
+def _positive(what, val):
+    x = _finite(what, val)
+    if not x > 0:
+        raise ConfigError(f"{what} must be positive, got {val!r}")
+    return x
+
+
 def circle(radius, center=(0.0, 0.0)):
-    if not radius > 0:
-        raise ConfigError(f"circle radius must be positive, got {radius}")
-    return ConvexCurve(_CircleProvider(radius, center), "circle")
+    try:
+        cx, cy = center
+    except (TypeError, ValueError):
+        raise ConfigError(f"circle center must be a pair of numbers, got {center!r}") from None
+    center = (_finite("circle center", cx), _finite("circle center", cy))
+    return ConvexCurve(_CircleProvider(_positive("circle radius", radius), center), "circle")
 
 
 def ellipse(a, b):
-    if not (a > 0 and b > 0):
-        raise ConfigError(f"ellipse semi-axes must be positive, got {a}, {b}")
+    a, b = _positive("ellipse semi-axis a", a), _positive("ellipse semi-axis b", b)
     return ConvexCurve(_EllipseProvider(a, b), "ellipse")
 
 
@@ -313,10 +335,10 @@ def superellipse(a, b, m):
     uniformly in arclength. For m > 2 the curvature vanishes at the four
     axis crossings, so the convexity gate tolerates the interpolation
     wobble there (below 1e-3) instead of demanding a positive floor."""
+    a, b = _positive("superellipse semi-axis a", a), _positive("superellipse semi-axis b", b)
+    m = _finite("superellipse exponent", m)
     if m < 2:
         raise ConfigError(f"superellipse exponent must be >= 2, got {m}")
-    if not (a > 0 and b > 0):
-        raise ConfigError(f"semi-axes must be positive, got {a}, {b}")
     n = _TABLE_N
     mm = 4 * n
     th = np.linspace(0.0, 2.0 * np.pi, mm + 1)
@@ -340,7 +362,13 @@ def spline_curve(points):
     Points may be listed clockwise; they are reoriented. Construction
     fails with ConfigError when the interpolant is not strictly convex.
     """
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points)
+    except ValueError:  # ragged nesting
+        pts = None
+    if pts is None or pts.dtype.kind not in "iuf" or not np.isfinite(pts).all():
+        raise ConfigError(f"spline control points must be finite numbers, got {points!r}")
+    pts = pts.astype(float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise ConfigError("need at least 4 planar control points")
     if np.linalg.norm(pts[0] - pts[-1]) < 1e-12:
@@ -362,10 +390,19 @@ def spline_curve(points):
 def curve_from_csv(path):
     """Control points from a CSV of x,y rows (optional header)."""
     try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
-        pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError:
+            pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read spline points from {path!r}: {exc}") from None
     return spline_curve(pts)
+
+
+# the keys each curve kind reads besides "kind"; a spline takes one of
+# points and csv
+_SPEC_KEYS = {"circle": {"radius", "center"}, "ellipse": {"a", "b"},
+              "superellipse": {"a", "b", "m"}, "spline": {"points", "csv"}}
 
 
 def make_curve(spec):
@@ -373,6 +410,13 @@ def make_curve(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"curve spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ConfigError(f"unknown curve kind {kind!r}")
+    unknown = sorted(set(spec) - _SPEC_KEYS[kind] - {"kind"})
+    if unknown:
+        raise ConfigError(f"unknown {kind} spec keys {unknown}")
+    if {"points", "csv"} <= spec.keys():
+        raise ConfigError("a spline spec takes points or csv, not both")
     try:
         if kind == "circle":
             return circle(spec["radius"], spec.get("center", (0.0, 0.0)))
@@ -380,13 +424,11 @@ def make_curve(spec):
             return ellipse(spec["a"], spec["b"])
         if kind == "superellipse":
             return superellipse(spec["a"], spec["b"], spec["m"])
-        if kind == "spline":
-            if "csv" in spec:
-                return curve_from_csv(spec["csv"])
-            return spline_curve(spec["points"])
+        if "csv" in spec:
+            return curve_from_csv(spec["csv"])
+        return spline_curve(spec["points"])
     except KeyError as exc:
         raise ConfigError(f"curve spec {spec!r} missing field {exc}") from None
-    raise ConfigError(f"unknown curve kind {kind!r}")
 
 
 class PlanarDomain:

@@ -574,19 +574,22 @@ def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
     n_chord = n_samples // 4
     n_depth = n_samples - n_chord - n_family
 
+    def jitter(m):
+        """Parameters and depths of m copies of the crown jittered inside the tube."""
+        ts = base_t[None, :] + rng.uniform(-1.0, 1.0, (m, k)) * (
+            eta / (3.0 * np.maximum(bd.speed(base_t), 1e-9))[None, :]
+        )
+        return ts, delta_star + rng.uniform(-0.9, 0.9, (m, k)) * eta
+
     def tube_points(ts, depths):
         return bd.point(ts) - depths[..., None] * bd.normal(ts)
 
     # depth strata: jitter the crown inside the tube, then pin one spike
     # at delta* - eta or delta* + eta
-    m = n_depth
-    ts = base_t[None, :] + rng.uniform(-1.0, 1.0, (m, k)) * (
-        eta / (3.0 * np.maximum(bd.speed(base_t), 1e-9))[None, :]
-    )
-    ds = delta_star + rng.uniform(-0.9, 0.9, (m, k)) * eta
-    pin_idx = rng.integers(0, k, m)
-    pin_val = np.where(rng.random(m) < 0.5, delta_star - eta, delta_star + eta)
-    ds[np.arange(m), pin_idx] = pin_val
+    ts, ds = jitter(n_depth)
+    pin_idx = rng.integers(0, k, n_depth)
+    pin_val = np.where(rng.random(n_depth) < 0.5, delta_star - eta, delta_star + eta)
+    ds[np.arange(n_depth), pin_idx] = pin_val
     pts_depth = tube_points(ts, ds)
     # below 1/kappa_max a tube point's building parameter is its foot
     # (Blaschke's rolling theorem), so it seeds the foot query
@@ -594,47 +597,37 @@ def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
 
     # chord stratum: place one neighbor at exactly 2*delta* - eta from
     # its predecessor, nearly along the curve direction
-    m2 = n_chord
-    ts2 = base_t[None, :] + rng.uniform(-1.0, 1.0, (m2, k)) * (
-        eta / (3.0 * np.maximum(bd.speed(base_t), 1e-9))[None, :]
-    )
-    ds2 = delta_star + rng.uniform(-0.9, 0.9, (m2, k)) * eta
+    ts2, ds2 = jitter(n_chord)
     pts_chord = tube_points(ts2, ds2)
-    j = rng.integers(0, k, m2)
-    tang = bd.tangent(ts2[np.arange(m2), j])
-    ang = rng.uniform(-0.2, 0.2, m2)
+    j = rng.integers(0, k, n_chord)
+    tang = bd.tangent(ts2[np.arange(n_chord), j])
+    ang = rng.uniform(-0.2, 0.2, n_chord)
     ca, sa = np.cos(ang), np.sin(ang)
     rot = np.stack(
         [ca * tang[:, 0] - sa * tang[:, 1], sa * tang[:, 0] + ca * tang[:, 1]],
         axis=1,
     )
-    target = pts_chord[np.arange(m2), j] + (2.0 * delta_star - eta) * rot
-    pts_chord[np.arange(m2), (j + 1) % k] = target
+    target = pts_chord[np.arange(n_chord), j] + (2.0 * delta_star - eta) * rot
+    pts_chord[np.arange(n_chord), (j + 1) % k] = target
     feet_chord = _known_feet(bd, ts2, ds2)
     # the moved neighbour's foot is unknown; its own query supplies it
     foot_t, dist_t = dom.nearest(target)
-    feet_chord[np.arange(m2), (j + 1) % k] = foot_t
+    feet_chord[np.arange(n_chord), (j + 1) % k] = foot_t
     keep = (-dist_t > delta_star - eta) & (-dist_t < delta_star + eta)
     pts_chord, feet_chord = pts_chord[keep], feet_chord[keep]
 
     fam, feet_fam, n_closed = _ring_plus_deep_family(dom, k, delta_star, eta, rng,
                                                      n_family)
 
-    batches = [(b, f) for b, f in ((pts_depth, feet_depth), (pts_chord, feet_chord),
-                                   (fam, feet_fam)) if len(b)]
-    sup = -np.inf
-    worst = None
-    for b, feet in batches:
-        phis = _phi_batch(dom, b, feet)
-        i = int(np.argmax(phis))
-        if phis[i] > sup:
-            sup = float(phis[i])
-            worst = b[i]
+    batch = np.concatenate([pts_depth, pts_chord, fam])
+    phis = _phi_batch(dom, batch, np.concatenate([feet_depth, feet_chord, feet_fam]))
+    worst = int(np.argmax(phis))
+    sup = float(phis[worst])
     gap = float(delta_star - sup)
     if gap <= 0.0:
         raise PropertyViolationError(
             f"boundary stratum reaches phi = {sup:.8g} >= delta* = "
             f"{delta_star:.8g}; eta = {eta} too large",
-            report={"sup_boundary": sup, "worst_points": worst},
+            report={"sup_boundary": sup, "worst_points": batch[worst]},
         )
     return sup, gap, (n_closed, n_family)

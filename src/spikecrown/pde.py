@@ -383,10 +383,8 @@ def assemble_ansatz(grid, profile, eps, config):
     seeds Newton and the solve itself enforces the boundary condition.
     """
     _require_resolution(grid, eps)
-    U = np.zeros(grid.n_nodes)
-    for pt, sgn in zip(np.asarray(config.points, dtype=float).reshape(-1, 2), config.signs):
-        U += sgn * profile.value(np.linalg.norm(grid.xy - pt, axis=1) / eps)
-    return DiscreteField(grid, eps, U)
+    P = np.asarray(config.points, dtype=float).reshape(-1, 2)
+    return DiscreteField(grid, eps, _ansatz_and_modes(grid, profile, eps, P, config.signs)[0])
 
 
 class _BorderedLU:

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spikecrown
-from spikecrown import cli, pde, verify
+from spikecrown import cli, errors, pde, verify
 from spikecrown import geometry as geo
 from spikecrown.errors import ConfigError, NumericalError
 
@@ -181,6 +182,89 @@ def test_continuation_is_a_solve_option(tmp_path):
         cli.main(["pack", "--continuation", "--config",
                   str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+# every failure class the package defines, ConfigError and NumericalError included
+SPIKE_CROWN_ERRORS = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type)
+     and issubclass(c, errors.SpikeCrownError) and c is not errors.SpikeCrownError),
+    key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("exc_type", SPIKE_CROWN_ERRORS, ids=lambda c: c.__name__)
+def test_failure_exit_rule(tmp_path, monkeypatch, capsys, exc_type):
+    def failing_stage(cfg, out_dir):
+        raise exc_type("stubbed stage failure")
+
+    monkeypatch.setattr(cli, "run_pack", failing_stage)
+    job = write_job(tmp_path / "job.json", k=4)
+    code = 2 if exc_type in (ConfigError, errors.ParallelCurveDegeneracyError) else 3
+    assert cli.main(["pack", "--config", str(job), "--out", str(tmp_path)]) == code
+    prefix = "config error" if code == 2 else "numerical failure"
+    out, err = capsys.readouterr()
+    assert err == f"{prefix}: stubbed stage failure\n"
+    assert "done in" not in out
+    doc = json.loads((tmp_path / "error.json").read_text())
+    assert doc == {"error": "stubbed stage failure", "type": exc_type.__name__,
+                   "exit_code": code}
+
+
+@pytest.mark.parametrize("argv", [["ground-state"], ["pack"], ["reduce"], ["solve"],
+                                  ["solve", "--continuation"], ["verify"]],
+                         ids=" ".join)
+def test_every_command_prints_done_in_once(tmp_path, monkeypatch, capsys, argv):
+    # the stages are stubbed: this covers only the command layer
+    solves = []
+    profile = types.SimpleNamespace(w0=1.5, decay_A=2.0)
+    job = {"eps": 0.1, "log_M": -1.0, "iterations": 3, "final_residual": 1e-12}
+    monkeypatch.setattr(cli, "run_ground_state", lambda cfg, out: (profile, 1.2, 12.0))
+    monkeypatch.setattr(cli, "run_pack", lambda cfg, out: (4, 0.4, 0.04, None))
+    monkeypatch.setattr(cli, "run_reduce", lambda cfg, out: [job])
+    monkeypatch.setattr(cli, "run_solve",
+                        lambda cfg, out, continuation: solves.append(continuation) or [job])
+    monkeypatch.setattr(verify, "verification_report",
+                        lambda seed, echo: {"criteria": [], "all_pass": True})
+    cfg_path = write_job(tmp_path / "job.json", k=4)
+    assert cli.main([*argv, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "done in" in line] == [lines[-1]]
+    assert lines[-1].startswith("done in ") and lines[-1].endswith(" s")
+    assert solves == ([argv == ["solve", "--continuation"]] if argv[0] == "solve" else [])
+
+
+@pytest.mark.parametrize("domain", [
+    {"kind": "circle", "radius": "a"},
+    {"kind": "ellipse", "a": None, "b": 1},
+    {"kind": "superellipse", "a": 1, "b": 1, "m": "x"},
+    {"kind": "circle", "radius": float("inf")},
+    {"kind": "circle", "radius": -1.0},
+    {"kind": "spline", "points": "abc"},
+    {"kind": "spline", "points": [[0, 0], [1, 0], [1, 1], [0, "x"]]},
+    {"kind": "spline", "csv": "missing.csv"},
+    {"kind": "spline", "csv": "missing.csv", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
+    {"kind": "circle", "radius": 1.0, "center": "ab"},
+    {"kind": "circle", "radius": 1.0, "center": [0]},
+    {"kind": "circle", "radius": 1.0, "center": [0.0, float("nan")]},
+    {"kind": "ellipse", "a": True, "b": 1},
+    {"kind": "circle", "radius": 1.0, "centre": [0.5, 0]},
+    {"kind": ["circle"], "radius": 1.0},
+], ids=lambda d: json.dumps(d, allow_nan=True))
+def test_malformed_domain_exits_2(tmp_path, monkeypatch, domain):
+    monkeypatch.chdir(tmp_path)  # "missing.csv" is looked up here
+    job = write_job(tmp_path / "job.json", domain=domain, k=4)
+    out = tmp_path / "o"
+    assert cli.main(["pack", "--config", str(job), "--out", str(out)]) == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["type"] == "ConfigError" and doc["exit_code"] == 2
+    assert not (out / "pack.json").exists()
+
+
+def test_output_path_under_a_file_exits_2(tmp_path, capsys):
+    job = write_job(tmp_path / "job.json", k=4)
+    (tmp_path / "afile").write_text("")
+    assert cli.main(["pack", "--config", str(job), "--out",
+                     str(tmp_path / "afile" / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot use output directory")
 
 
 # -------------------------------------------------------------- writers

@@ -48,6 +48,10 @@ CASES = [
     ("config-error-seed", "ground-state", {"seed": None}, []),
     ("config-error-p", "ground-state", {"p": None}, []),
     ("config-error-no-scales", "reduce", {"domain": DISK, "k": 4}, []),
+    ("config-error-domain-number", "pack", {"domain": {"kind": "circle", "radius": "a"},
+                                            "k": 4}, []),
+    ("config-error-domain-key", "pack",
+     {"domain": {"kind": "circle", "radius": 1.0, "centre": [0.5, 0.0]}, "k": 4}, []),
 ]
 VERIFY_CASE = ("verify", "verify", {}, ["--seed", "0"])
 
