@@ -75,8 +75,10 @@ class JobConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.domain is not None and not isinstance(self.domain, dict):
-            raise ConfigError("domain must be a JSON object")
+        if self.domain is not None:
+            if not isinstance(self.domain, dict):
+                raise ConfigError("domain must be a JSON object")
+            geo.check_curve_spec(self.domain)
         for key in ("epsilon", "eps_fractions"):
             object.__setattr__(self, key, _as_float_tuple(key, getattr(self, key)))
         for key in ("p", "h_divisor", "delta0", "eta"):

@@ -12,8 +12,14 @@ with m >= 2, and periodic cubic splines through sampled control points.
 Offsetting inward by delta < 1/kappa_max yields the inner parallel curve
 with curvature kappa/(1 - delta*kappa); no third derivatives are needed
 for that, which is why providers expose exactly point, first derivative
-and curvature.
+and frame: point, first derivative and curvature from one pass, with
+the bits of point and first derivative alone. The offset's table
+comes from its base's by Steiner's formula: the same tangents, points
+moved by -delta*nu, speeds and curvatures rescaled by (1 - delta*kappa),
+and each arc shortened by delta times its turning angle.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -64,8 +70,12 @@ class _CircleProvider:
             [-np.sin(th), np.cos(th)], axis=-1
         )
 
-    def curvature(self, t):
-        return np.full(np.shape(np.asarray(t, dtype=float)), 1.0 / self.radius)
+    def frame(self, t):
+        th = 2.0 * np.pi * np.asarray(t, dtype=float)
+        c, s = np.cos(th), np.sin(th)
+        return (self.center + self.radius * np.stack([c, s], axis=-1),
+                (2.0 * np.pi * self.radius) * np.stack([-s, c], axis=-1),
+                np.full(np.shape(th), 1.0 / self.radius))
 
 
 class _EllipseProvider:
@@ -83,10 +93,13 @@ class _EllipseProvider:
             [-self.a * np.sin(th), self.b * np.cos(th)], axis=-1
         )
 
-    def curvature(self, t):
+    def frame(self, t):
         th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        g = self.a**2 * np.sin(th) ** 2 + self.b**2 * np.cos(th) ** 2
-        return self.a * self.b / g**1.5
+        c, s = np.cos(th), np.sin(th)
+        g = self.a**2 * s**2 + self.b**2 * c**2
+        return (np.stack([self.a * c, self.b * s], axis=-1),
+                2.0 * np.pi * np.stack([-self.a * s, self.b * c], axis=-1),
+                self.a * self.b / g**1.5)
 
 
 class _SplineProvider:
@@ -103,13 +116,13 @@ class _SplineProvider:
     def d1(self, t):
         return self._s1(np.mod(np.asarray(t, dtype=float), 1.0))
 
-    def curvature(self, t):
+    def frame(self, t):
         tm = np.mod(np.asarray(t, dtype=float), 1.0)
         d1 = self._s1(tm)
         d2 = self._s2(tm)
         cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
         speed = np.linalg.norm(d1, axis=-1)
-        return cross / speed**3
+        return self._s(tm), d1, cross / speed**3
 
 
 class _OffsetProvider:
@@ -123,16 +136,16 @@ class _OffsetProvider:
         self.delta = float(delta)
 
     def point(self, t):
-        nu = _outward_normal_from_d1(self.base.d1(t))
-        return self.base.point(t) - self.delta * nu
+        return self.frame(t)[0]
 
     def d1(self, t):
-        k = self.base.curvature(t)
-        return self.base.d1(t) * (1.0 - self.delta * k)[..., None]
+        return self.frame(t)[1]
 
-    def curvature(self, t):
-        k = self.base.curvature(t)
-        return k / (1.0 - self.delta * k)
+    def frame(self, t):
+        p, d1, k = self.base.frame(t)
+        return (p - self.delta * _outward_normal_from_d1(d1),
+                d1 * (1.0 - self.delta * k)[..., None],
+                k / (1.0 - self.delta * k))
 
 
 def _polygon_area_centroid(pts):
@@ -145,47 +158,105 @@ def _polygon_area_centroid(pts):
     return area, np.array([cx, cy])
 
 
+class _Table(NamedTuple):
+    """A curve's values at the nodes t_j = j/_TABLE_N, with its point at
+    t = 1 (for the closure check) and its length."""
+
+    end: np.ndarray
+    points: np.ndarray
+    speeds: np.ndarray
+    tangents: np.ndarray
+    curvatures: np.ndarray
+    arclengths: np.ndarray
+    total_length: float
+
+
+def _segment_lengths(provider, t_nodes, rule):
+    nodes, weights = rule
+    n = len(t_nodes)
+    h = 1.0 / n
+    # Gauss points of every [t_j, t_j+h], evaluated in one vector call
+    tt = t_nodes[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)
+    sp = np.linalg.norm(provider.d1(tt.ravel()), axis=1).reshape(n, -1)
+    return (h / 2.0) * sp @ weights
+
+
+def _quadrature_table(provider):
+    """The table from the provider, arclengths by Gauss-10 quadrature per
+    cell, checked against Gauss-5."""
+    n = _TABLE_N
+    t_nodes = np.arange(n) / n
+    points, d1, curvatures = provider.frame(t_nodes)
+    speeds = np.linalg.norm(d1, axis=1)
+    seg5 = _segment_lengths(provider, t_nodes, _GAUSS5)
+    seg10 = _segment_lengths(provider, t_nodes, _GAUSS10)
+    ell5, ell10 = seg5.sum(), seg10.sum()
+    if abs(ell5 - ell10) > 1e-8 * ell10:
+        raise IntegrationError(
+            f"arclength quadrature not converged: {ell5!r} vs {ell10!r}"
+        )
+    s = np.concatenate([[0.0], np.cumsum(seg10)])
+    return _Table(provider.point(1.0), points, speeds, d1 / speeds[:, None],
+                  curvatures, s[:-1], float(s[-1]))
+
+
+def _offset_table(curve, provider):
+    """The table of the inward offset by provider.delta of curve, from
+    curve's own table (Steiner's formula): arcs shorten by delta times
+    their turning angle, and the whole curve by 2*pi*delta."""
+    delta = provider.delta
+    shrink = 1.0 - delta * curve.curvatures
+    return _Table(provider.point(1.0), curve.points - delta * curve.normals,
+                  curve.speeds * shrink, curve.tangents,
+                  curve.curvatures / shrink,
+                  curve.arclengths - delta * curve.tangent_angles,
+                  curve.total_length - 2.0 * np.pi * delta)
+
+
 class ConvexCurve:
     """Closed strictly convex curve with a dense parameter table.
 
     The parameter t lives on [0,1) and wraps; all evaluation methods
-    accept scalars or arrays and any real t. Construction validates
-    closure, counterclockwise orientation, outward normals, positive
+    accept scalars or arrays and any real t. The table comes from the
+    provider by quadrature, or is given (inner_parallel_curve derives it
+    from the base curve's). Either way _check_table validates closure,
+    counterclockwise orientation, outward normals, positive
     curvature (a small negative dip is tolerated only for flat-vertex
     kinds like superellipses, where spline interpolation of the exact
     points wobbles at the curvature zeros), and single winding.
     """
 
-    def __init__(self, provider, kind, flat_tol=0.0):
+    def __init__(self, provider, kind, flat_tol=0.0, table=None):
         self.kind = kind
         self._provider = provider
         self._flat_tol = float(flat_tol)
         n = self._n = _TABLE_N
-
-        t_ext = np.arange(n + 1) / n
-        pts_ext = provider.point(t_ext)
-        gap = np.linalg.norm(pts_ext[-1] - pts_ext[0])
-        if gap > 1e-10:
-            raise ConfigError(f"curve does not close: endpoint gap {gap:.2e}")
-
-        self.t_nodes = t_ext[:n]
-        self.points = np.ascontiguousarray(pts_ext[:n])
-        d1 = provider.d1(self.t_nodes)
-        self.speeds = np.linalg.norm(d1, axis=1)
-        self.tangents = d1 / self.speeds[:, None]
+        if table is None:
+            table = _quadrature_table(provider)
+        self.t_nodes = np.arange(n) / n
+        self.points = table.points
+        self.speeds = table.speeds
+        self.tangents = table.tangents
         self.normals = np.stack(
             [self.tangents[:, 1], -self.tangents[:, 0]], axis=-1
         )
-        self.curvatures = np.asarray(provider.curvature(self.t_nodes), dtype=float)
+        self.curvatures = table.curvatures
+        self.arclengths, self.total_length = table.arclengths, table.total_length
+        self.kappa_max = float(self.curvatures.max())
+        self.kappa_min = max(float(self.curvatures.min()), 0.0)
+        self._check_table(table.end)
+        self._tree = None
+        self._angles = None
 
+    def _check_table(self, end):
+        gap = np.linalg.norm(end - self.points[0])
+        if gap > 1e-10:
+            raise ConfigError(f"curve does not close: endpoint gap {gap:.2e}")
         kmin = float(self.curvatures.min())
         if kmin <= 0.0 and kmin < -self._flat_tol:
             raise ConfigError(
                 f"curve is not strictly convex: min curvature {kmin:.3e}"
             )
-        self.kappa_max = float(self.curvatures.max())
-        self.kappa_min = max(kmin, 0.0)
-
         area, centroid = _polygon_area_centroid(self.points)
         if area <= 0.0:
             raise ConfigError("parameterization must run counterclockwise")
@@ -193,9 +264,6 @@ class ConvexCurve:
         out = np.einsum("ij,ij->i", self.normals, self.points - centroid)
         if out.min() <= 0.0:
             raise ConfigError("normals are not consistently outward")
-
-        self.arclengths, self.total_length = self._build_arclength()
-
         turning = float(
             np.sum(self.curvatures * np.diff(self.arclengths, append=self.total_length))
         )
@@ -205,29 +273,16 @@ class ConvexCurve:
                 "more than once or is not simple"
             )
 
-        self._tree = None
-
-    # -- construction helpers -------------------------------------------------
-
-    def _segment_lengths(self, rule):
-        nodes, weights = rule
-        n = self._n
-        h = 1.0 / n
-        # Gauss points of every [t_j, t_j+h], evaluated in one vector call
-        tt = self.t_nodes[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)
-        sp = np.linalg.norm(self._provider.d1(tt.ravel()), axis=1).reshape(n, -1)
-        return (h / 2.0) * sp @ weights
-
-    def _build_arclength(self):
-        seg5 = self._segment_lengths(_GAUSS5)
-        seg10 = self._segment_lengths(_GAUSS10)
-        ell5, ell10 = seg5.sum(), seg10.sum()
-        if abs(ell5 - ell10) > 1e-8 * ell10:
-            raise IntegrationError(
-                f"arclength quadrature not converged: {ell5!r} vs {ell10!r}"
-            )
-        s = np.concatenate([[0.0], np.cumsum(seg10)])
-        return s[:-1], float(s[-1])
+    @property
+    def tangent_angles(self):
+        """Tangent angle at each node less that at t = 0: the sum of the
+        exact angles between consecutive node tangents."""
+        if self._angles is None:
+            t, t_next = self.tangents[:-1], self.tangents[1:]
+            cross = t[:, 0] * t_next[:, 1] - t[:, 1] * t_next[:, 0]
+            step = np.arctan2(cross, np.einsum("ij,ij->i", t, t_next))
+            self._angles = np.concatenate([[0.0], np.cumsum(step)])
+        return self._angles
 
     # -- evaluation -----------------------------------------------------------
 
@@ -236,6 +291,11 @@ class ConvexCurve:
 
     def d1(self, t):
         return self._provider.d1(t)
+
+    def point_d1(self, t):
+        """(point(t), d1(t)), the same bits, from one provider pass."""
+        p, d1, _ = self._provider.frame(t)
+        return p, d1
 
     def speed(self, t):
         return np.linalg.norm(self._provider.d1(t), axis=-1)
@@ -247,7 +307,7 @@ class ConvexCurve:
         return _outward_normal_from_d1(self._provider.d1(t))
 
     def curvature(self, t):
-        return self._provider.curvature(t)
+        return self._provider.frame(t)[2]
 
     def arclength(self, t):
         """Cumulative arclength s(t) from t=0, valid for any real t."""
@@ -309,18 +369,25 @@ def _positive(what, val):
     return x
 
 
-def circle(radius, center=(0.0, 0.0)):
+def _circle_args(radius, center=(0.0, 0.0)):
     try:
         cx, cy = center
     except (TypeError, ValueError):
         raise ConfigError(f"circle center must be a pair of numbers, got {center!r}") from None
     center = (_finite("circle center", cx), _finite("circle center", cy))
-    return ConvexCurve(_CircleProvider(_positive("circle radius", radius), center), "circle")
+    return _positive("circle radius", radius), center
+
+
+def circle(radius, center=(0.0, 0.0)):
+    return ConvexCurve(_CircleProvider(*_circle_args(radius, center)), "circle")
+
+
+def _ellipse_args(a, b):
+    return _positive("ellipse semi-axis a", a), _positive("ellipse semi-axis b", b)
 
 
 def ellipse(a, b):
-    a, b = _positive("ellipse semi-axis a", a), _positive("ellipse semi-axis b", b)
-    return ConvexCurve(_EllipseProvider(a, b), "ellipse")
+    return ConvexCurve(_EllipseProvider(*_ellipse_args(a, b)), "ellipse")
 
 
 def _superellipse_point(a, b, m, th):
@@ -330,15 +397,20 @@ def _superellipse_point(a, b, m, th):
     return np.stack([x, y], axis=-1)
 
 
+def _superellipse_args(a, b, m):
+    a, b = _positive("superellipse semi-axis a", a), _positive("superellipse semi-axis b", b)
+    m = _finite("superellipse exponent", m)
+    if m < 2:
+        raise ConfigError(f"superellipse exponent must be >= 2, got {m}")
+    return a, b, m
+
+
 def superellipse(a, b, m):
     """|x/a|^m + |y/b|^m = 1, interpolated through exact points placed
     uniformly in arclength. For m > 2 the curvature vanishes at the four
     axis crossings, so the convexity gate tolerates the interpolation
     wobble there (below 1e-3) instead of demanding a positive floor."""
-    a, b = _positive("superellipse semi-axis a", a), _positive("superellipse semi-axis b", b)
-    m = _finite("superellipse exponent", m)
-    if m < 2:
-        raise ConfigError(f"superellipse exponent must be >= 2, got {m}")
+    a, b, m = _superellipse_args(a, b, m)
     n = _TABLE_N
     mm = 4 * n
     th = np.linspace(0.0, 2.0 * np.pi, mm + 1)
@@ -356,12 +428,8 @@ def superellipse(a, b, m):
     return ConvexCurve(_SplineProvider(sp), "superellipse", flat_tol)
 
 
-def spline_curve(points):
-    """Closed periodic cubic spline through sampled boundary points.
-
-    Points may be listed clockwise; they are reoriented. Construction
-    fails with ConfigError when the interpolant is not strictly convex.
-    """
+def _spline_args(points):
+    """The control points, counterclockwise and closed (first repeated last)."""
     try:
         pts = np.asarray(points)
     except ValueError:  # ragged nesting
@@ -378,10 +446,19 @@ def spline_curve(points):
     if area < 0:
         pts = pts[::-1]
     closed = np.vstack([pts, pts[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    if seg.min() < 1e-12:
+    if np.linalg.norm(np.diff(closed, axis=0), axis=1).min() < 1e-12:
         raise ConfigError("duplicate consecutive control points")
-    u = np.concatenate([[0.0], np.cumsum(seg)])
+    return closed
+
+
+def spline_curve(points):
+    """Closed periodic cubic spline through sampled boundary points.
+
+    Points may be listed clockwise; they are reoriented. Construction
+    fails with ConfigError when the interpolant is not strictly convex.
+    """
+    closed = _spline_args(points)
+    u = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(closed, axis=0), axis=1))])
     u /= u[-1]
     sp = CubicSpline(u, closed, axis=0, bc_type="periodic")
     return ConvexCurve(_SplineProvider(sp), "spline")
@@ -405,8 +482,9 @@ _SPEC_KEYS = {"circle": {"radius", "center"}, "ellipse": {"a", "b"},
               "superellipse": {"a", "b", "m"}, "spline": {"points", "csv"}}
 
 
-def make_curve(spec):
-    """Curve from a plain dict, e.g. {"kind": "ellipse", "a": 2.0, "b": 1.0}."""
+def _spec_call(spec):
+    """The constructor a curve spec names, the check of its arguments,
+    and the arguments as given."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"curve spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
@@ -419,16 +497,43 @@ def make_curve(spec):
         raise ConfigError("a spline spec takes points or csv, not both")
     try:
         if kind == "circle":
-            return circle(spec["radius"], spec.get("center", (0.0, 0.0)))
+            return circle, _circle_args, (spec["radius"], spec.get("center", (0.0, 0.0)))
         if kind == "ellipse":
-            return ellipse(spec["a"], spec["b"])
+            return ellipse, _ellipse_args, (spec["a"], spec["b"])
         if kind == "superellipse":
-            return superellipse(spec["a"], spec["b"], spec["m"])
+            return superellipse, _superellipse_args, (spec["a"], spec["b"], spec["m"])
         if "csv" in spec:
-            return curve_from_csv(spec["csv"])
-        return spline_curve(spec["points"])
+            # the file is read only when the curve is built
+            return curve_from_csv, lambda path: path, (spec["csv"],)
+        return spline_curve, _spline_args, (spec["points"],)
     except KeyError as exc:
         raise ConfigError(f"curve spec {spec!r} missing field {exc}") from None
+
+
+def check_curve_spec(spec):
+    """Raise ConfigError unless spec has a known kind, that kind's keys
+    and valid numbers; builds no curve, so a config is checked when it
+    is read."""
+    _, check, args = _spec_call(spec)
+    check(*args)
+
+
+def make_curve(spec):
+    """Curve from a plain dict, e.g. {"kind": "ellipse", "a": 2.0, "b": 1.0}."""
+    build, _, args = _spec_call(spec)
+    return build(*args)
+
+
+def _vertex_offset(X, points, j):
+    """Per row of X, the vertex of the parabola through its squared
+    distances to nodes j-1, j and j+1, in cells from node j, clipped to
+    one cell. Its three node differences per row are freed on return,
+    before the foot iteration's own temporaries are made."""
+    near = X[:, None, :] - points[(j[:, None] + np.arange(-1, 2)) % len(points)]
+    d2m, d20, d2p = np.einsum("ijk,ijk->ji", near, near)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.nan_to_num(0.5 * (d2m - d2p) / (d2m - 2.0 * d20 + d2p))
+    return np.clip(alpha, -1.0, 1.0)
 
 
 class PlanarDomain:
@@ -449,7 +554,7 @@ class PlanarDomain:
         From the parabolic vertex through the nearest table node, Newton
         on the tangency residual (P - x).P' with slope |P'|^2 (1 - kappa*d)
         converges quadratically until a step is at most _FOOT_TOL in t, or
-        for _FOOT_STEPS steps. The slope floor _FOOT_FLOOR*|P'|^2 and the
+        for _FOOT_STEPS steps, with one provider frame per step. The slope floor _FOOT_FLOOR*|P'|^2 and the
         one-cell step clip keep focal and medial-axis points finite.
 
         guess, optional, holds a foot parameter per row (NaN for none)
@@ -465,19 +570,15 @@ class PlanarDomain:
         bd = self.boundary
         n = bd._n
         j = self._nearest_nodes(X, guess)
-        near = X[:, None, :] - bd.points[(j[:, None] + np.arange(-1, 2)) % n]
-        d2m, d20, d2p = np.einsum("ijk,ijk->ji", near, near)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.nan_to_num(0.5 * (d2m - d2p) / (d2m - 2.0 * d20 + d2p))
-        t = bd.t_nodes[j] + np.clip(alpha, -1.0, 1.0) / n
+        t = bd.t_nodes[j] + _vertex_offset(X, bd.points, j) / n
         rows = np.arange(len(X))
         for _ in range(_FOOT_STEPS):
             tr = t[rows]
-            d1 = bd.d1(tr)
-            diff = bd.point(tr) - X[rows]
+            p, d1, kappa = bd._provider.frame(tr)
+            diff = p - X[rows]
             depth = np.einsum("ij,ij->i", diff, _outward_normal_from_d1(d1))
             slope = np.einsum("ij,ij->i", d1, d1) * np.maximum(
-                1.0 - bd.curvature(tr) * depth, _FOOT_FLOOR)
+                1.0 - kappa * depth, _FOOT_FLOOR)
             step = np.clip(np.einsum("ij,ij->i", diff, d1) / slope, -1.0 / n, 1.0 / n)
             t[rows] = tr - step
             rows = rows[np.abs(step) > _FOOT_TOL]
@@ -611,7 +712,8 @@ def project_to_curve(curve, x):
 
 
 def inner_parallel_curve(curve, delta):
-    """Locus of interior points at distance delta from the curve."""
+    """Locus of interior points at distance delta from the curve; its
+    table is derived from the curve's (_offset_table)."""
     delta = float(delta)
     if not delta > 0.0:
         raise ConfigError(f"offset distance must be positive, got {delta}")
@@ -623,9 +725,7 @@ def inner_parallel_curve(curve, delta):
     if curve.kind == "circle":
         prov = curve._provider
         return circle(prov.radius - delta, prov.center)
-    return ConvexCurve(
-        _OffsetProvider(curve._provider, delta),
-        f"parallel({curve.kind})",
-        flat_tol=2.0 * curve._flat_tol,
-    )
+    prov = _OffsetProvider(curve._provider, delta)
+    return ConvexCurve(prov, f"parallel({curve.kind})", flat_tol=2.0 * curve._flat_tol,
+                       table=_offset_table(curve, prov))
 

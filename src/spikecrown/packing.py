@@ -228,8 +228,8 @@ def _next_vertex(curve, t, p, c):
         if not rows.size:
             break
         xr = x[rows]
-        r = curve.point(xr) - p[rows]
-        d1 = curve.d1(xr)
+        q, d1 = curve.point_d1(xr)
+        r = q - p[rows]
         g = np.hypot(r[:, 0], r[:, 1])
         f = g - c[rows]
         slope = np.einsum("ij,ij->i", r, d1) / g
@@ -265,13 +265,13 @@ def _march(curve, k, chord, t0):
     w = np.zeros((3, m))  # dt_i / d(chord, t0, offset)
     w[1] = 1.0
     rows = np.arange(m)
-    p, d1_0 = curve.point(t0), curve.d1(t0)
+    p, d1_0 = curve.point_d1(t0)
     d1 = d1_0
     for i in range(k):
         t_next, placed = _next_vertex(curve, ts[rows, i], p, chord[rows])
         rows, p, d1 = rows[placed], p[placed], d1[placed]
         t_next = t_next[placed]
-        q, e1 = curve.point(t_next), curve.d1(t_next)
+        q, e1 = curve.point_d1(t_next)
         u = (q - p) / chord[rows, None]
         a = np.einsum("ij,ij->i", u, d1)
         b = np.einsum("ij,ij->i", u, e1)
@@ -395,12 +395,16 @@ def _critical_delta(dom, k):
     (delta_star, points). Accepts any k >= 3; evenness is enforced
     by the public wrapper.
 
-    The bracket is as wide as the offset curves allow; a safeguarded
-    Newton in delta then takes its slope from _min_defect."""
+    The bracket is as wide as the offset curves allow, its lower end
+    l/(4k) for the curve length l, or half the upper end when l/(4k)
+    is no lower; a safeguarded Newton in delta then takes its slope
+    from _min_defect."""
     bd = dom.boundary
     ell = bd.total_length
     d_lo = ell / (4.0 * k)
     d_hi = min(0.95 / bd.kappa_max, 0.9 * dom.inradius)
+    if d_lo >= d_hi:
+        d_lo = 0.5 * d_hi
 
     def g(delta):
         return _min_defect(inner_parallel_curve(bd, delta), k, delta)[0]

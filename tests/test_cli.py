@@ -259,6 +259,22 @@ def test_malformed_domain_exits_2(tmp_path, monkeypatch, domain):
     assert not (out / "pack.json").exists()
 
 
+@pytest.mark.parametrize("command", ["ground-state", "verify"])
+def test_malformed_domain_exits_2_on_commands_without_a_domain(tmp_path, monkeypatch,
+                                                               command):
+    # the domain spec is checked when the config is read, so a command
+    # that never builds the domain still refuses it
+    monkeypatch.setattr(verify, "verification_report",
+                        lambda seed, echo: {"criteria": [], "all_pass": True})
+    job = write_job(tmp_path / "job.json", domain={"kind": "circle", "radius": "a"})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(job), "--out", str(out)]) == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc == {"error": "circle radius must be a finite number, got 'a'",
+                   "type": "ConfigError", "exit_code": 2}
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_output_path_under_a_file_exits_2(tmp_path, capsys):
     job = write_job(tmp_path / "job.json", k=4)
     (tmp_path / "afile").write_text("")

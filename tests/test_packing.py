@@ -394,6 +394,19 @@ def test_too_few_spikes_on_elongated_domain_raises(egg):
         pk.critical_distance(egg, 6)
 
 
+@pytest.mark.parametrize("domain", [
+    {"kind": "ellipse", "a": 2.0, "b": 1.0},
+    {"kind": "ellipse", "a": 3.0, "b": 1.0},
+    {"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0},
+], ids=lambda d: d["kind"] + str(d["a"]))
+def test_four_spikes_past_the_offset_limit_have_no_critical_delta(domain):
+    # l/16 lies above 0.95/kappa_max on these domains, so the bracket's
+    # lower end starts below its upper one instead of building an offset
+    # curve past 1/kappa_max; the defect is negative on all of it
+    with pytest.raises(NoCriticalDeltaError, match="defect spans"):
+        pk.critical_distance(geo.make_domain(domain), 4)
+
+
 def test_critical_delta_is_maximal(disk):
     # G(delta) = min over phases of the closure defect at chord 2*delta
     # changes sign at delta*: short at delta* - h, long at delta* + h.
@@ -522,7 +535,7 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
     ({"kind": "circle", "radius": 1.0}, 6, 0,
      (0.32605795884265854, 0.007275374490674835, (200, 200))),
     ({"kind": "ellipse", "a": 1.2, "b": 1.0}, 4, 1,
-     (0.4483942335591808, 0.010451493252809307, (200, 200))),
+     (0.4483942335591808, 0.010451493252809252, (200, 200))),
 ])
 def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, monkeypatch):
     # On the disk the (k-1)-ring's critical offset lies above the tube,

@@ -32,6 +32,7 @@ import tempfile
 
 DISK = {"kind": "circle", "radius": 1.0}
 ELLIPSE = {"kind": "ellipse", "a": 1.2, "b": 1.0}
+SUPERELLIPSE = {"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0}
 
 # (case, command, config, extra arguments)
 CASES = [
@@ -39,6 +40,7 @@ CASES = [
     ("ground-state-p4n1", "ground-state", {"p": 4.0, "N": 1}, []),
     ("pack-ellipse", "pack", {"domain": ELLIPSE, "k": 4}, ["--seed", "7"]),
     ("pack-disk", "pack", {"domain": DISK, "k": 8}, []),
+    ("pack-superellipse", "pack", {"domain": SUPERELLIPSE, "k": 6}, []),
     ("reduce-disk", "reduce", {"domain": DISK, "k": 6, "eps_fractions": [5, 6]}, []),
     ("reduce-ellipse-psi", "reduce",
      {"domain": ELLIPSE, "k": 4, "eps_fractions": [6], "form": "psi_numeric"}, []),
