@@ -1,7 +1,11 @@
 """Radial ground-state profile of lap(w) - w + f(w) = 0 on R^N.
 
-The profile is found by bisection shooting on w(0), tabulated on a fine
-grid with exact nodal derivatives, and continued by its far-field
+w(0) is found by Brent's method on the signed miss of each shot: a shot
+from too low a w(0) turns back up at some radius r_ev, one from too high
+a w(0) crosses zero there, and either leaves the ground state like
+(w(0) - w*) e^r against its e^-r decay, so +-exp(-2 r_ev) is nearly
+linear in w(0) through the root. The profile is tabulated on a fine
+grid with exact nodal derivatives and continued by its far-field
 formula beyond r_tail. The far part of the table comes from a backward
 integration started on the asymptotic series at large radius, which
 keeps the growing mode out of the data the decay-constant fit sees.
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
-from scipy.special import i0e, kve
+from scipy.optimize import brentq
+from scipy.special import i0e, k0e, k1e, kve
 
 from .errors import (
     ConfigError,
@@ -28,7 +33,9 @@ _R_MATCH = 10.0
 _R_BACK = 24.0
 _R_SERIES = 1e-3
 _R_MAX = 20.0  # shots run to here; the table ends here too
-_SHOOT_TOL = 1e-12  # w(0) bracket width that ends the bisection
+_SHOOT_XTOL = 1e-13  # brentq's absolute and relative tolerances on w(0)
+_SHOOT_RTOL = 1e-15
+_SHOOT_MAXITER = 100  # brentq iterations before shoot gives up
 _H_R = 0.005  # spacing of the profile table
 _MATCH_RTOL = 1e-13  # rtol of the forward and backward shots the table is read from
 
@@ -56,9 +63,13 @@ def _integrate(nl, span, y0, rtol, atol, **options):
 
 
 def _series_start(nl, w0):
-    # removable singularity at r=0: w ~ w0 + (w0 - f(w0)) r^2 / (2N)
+    # removable singularity at r=0: w ~ w0 + a r^2 + b r^4 with
+    # a = (w0 - f(w0)) / (2N) and b = (1 - f'(w0)) a / (4 (N + 2)); without
+    # the r^4 term the threshold w(0) is biased by up to 2e-12 (N=1, p=5)
     a = (w0 - nl.f(w0)) / (2.0 * nl.dim_n)
-    return [w0 + a * _R_SERIES * _R_SERIES, 2.0 * a * _R_SERIES]
+    b = (1.0 - nl.fprime(w0)) * a / (4.0 * (nl.dim_n + 2))
+    r2 = _R_SERIES * _R_SERIES
+    return [w0 + (a + b * r2) * r2, (2.0 * a + 4.0 * b * r2) * _R_SERIES]
 
 
 def _classify(nl, w0, rtol):
@@ -77,13 +88,35 @@ def _classify(nl, w0, rtol):
     sol = _integrate(nl, (_R_SERIES, _R_MAX), _series_start(nl, w0), rtol, 1e-18,
                      events=[hit_zero, turn_up])
     if sol.t_events[0].size:
-        return "cross", sol.t_events[0][0], 0.0
-    if sol.t_events[1].size:
-        w_at = sol.y_events[1][0][0]
-        if w_at > 1e-12:
-            return "turn", sol.t_events[1][0], w_at
-        return "decay", _R_MAX, abs(sol.y[0, -1])
-    return "decay", _R_MAX, abs(sol.y[0, -1])
+        return "cross", sol.t_events[0][0]
+    if sol.t_events[1].size and sol.y_events[1][0][0] > 1e-12:
+        return "turn", sol.t_events[1][0]
+    return "decay", _R_MAX
+
+
+def _miss(nl, w0):
+    """Signed miss of the strict shot from w0: +exp(-2 r_ev) for a shot
+    that turns up at r_ev, -exp(-2 r_ev) for one that crosses zero there,
+    0 for one that decays through r = 20."""
+    kind, r_ev = _classify(nl, w0, rtol=1e-12)
+    if kind == "decay":
+        return 0.0
+    miss = np.exp(-2.0 * r_ev)
+    return miss if kind == "turn" else -miss
+
+
+def _kve(order, r):
+    """kve(order, r) = K_order(r) e^r, on the fast kernels where there is
+    one: k0e/k1e for orders 0 and 1, the closed forms for +-1/2 and 3/2."""
+    if order == 0.0:
+        return k0e(r)
+    if order == 1.0:
+        return k1e(r)
+    if abs(order) == 0.5:
+        return np.sqrt(np.pi / (2.0 * r))
+    if order == 1.5:
+        return np.sqrt(np.pi / (2.0 * r)) * (1.0 + 1.0 / r)
+    return kve(order, r)
 
 
 def _tail_pieces(p, dim_n, A, r):
@@ -91,7 +124,7 @@ def _tail_pieces(p, dim_n, A, r):
     Returns (nu, C, q, damp, lin, corr), the value being lin + corr."""
     nu, C, B, q = _tail_coeffs(p, dim_n, A)
     damp = np.exp(-r)
-    lin = C * r ** (-nu) * kve(nu, r) * damp
+    lin = C * r ** (-nu) * _kve(nu, r) * damp
     corr = B * np.exp(-(p - 1.0) * r) * r ** (-q)
     return nu, C, q, damp, lin, corr
 
@@ -104,7 +137,7 @@ def _tail_value(p, dim_n, A, r):
 
 def _tail_value_deriv(p, dim_n, A, r):
     nu, C, q, damp, lin, corr = _tail_pieces(p, dim_n, A, r)
-    dlin = -C * r ** (-nu) * kve(nu + 1.0, r) * damp
+    dlin = -C * r ** (-nu) * _kve(nu + 1.0, r) * damp
     dcorr = corr * (-(p - 1.0) - q / r)
     return lin + corr, dlin + dcorr
 
@@ -216,7 +249,7 @@ class RadialProfile:
         """The far field as lin * (1 + ratio), lin = C rt^-nu kve(nu, rt) e^-rt
         and ratio = corr/lin (see _tail_value_deriv): nu, C, q, kve, ratio."""
         nu, C, B, q = _tail_coeffs(self.p, self.dim_n, self.decay_A)
-        kv_scaled = kve(nu, rt)
+        kv_scaled = _kve(nu, rt)
         ratio = (B / C) * np.exp(-(self.p - 2.0) * rt) * rt ** (nu - q) / kv_scaled
         return nu, C, q, kv_scaled, ratio
 
@@ -233,7 +266,7 @@ class RadialProfile:
     def _log_derivative_tail_of(self, rt, terms):
         # (lin' + corr') / (lin + corr), divided through by lin
         nu, _, q, kv_scaled, ratio = terms
-        return (-kve(nu + 1.0, rt) / kv_scaled - ratio * (self.p - 1.0 + q / rt)) / (1.0 + ratio)
+        return (-_kve(nu + 1.0, rt) / kv_scaled - ratio * (self.p - 1.0 + q / rt)) / (1.0 + ratio)
 
     def _log_second_derivative_tail(self, rt):
         terms = self._tail_terms(rt)
@@ -249,12 +282,14 @@ def _check_radius(r):
 
 
 def shoot(nl: Nonlinearity):
-    """Compute the decaying radial profile by bisection shooting.
+    """Compute the decaying radial profile by shooting on w(0).
 
-    Bisects w(0) between shots that cross zero and shots that turn back
-    up, until a shot decays monotonically through r = 20 or the bracket
-    is below 1e-12. The returned table is forward-integrated on the core
-    and backward-integrated from the asymptotic series on the far side,
+    Brackets w(0) between a shot that turns back up and one that crosses
+    zero, then finds the threshold by Brent's method on the signed miss
+    +-exp(-2 r_ev) of each shot (see _miss), to 1e-13 in w(0). A shot
+    that decays monotonically through r = 20 ends the search at once.
+    The returned table is forward-integrated on the core and
+    backward-integrated from the asymptotic series on the far side,
     matched at r = 10, which pins the decay constant to ~1e-8.
     """
     lo, hi = 0.1, 10.0
@@ -279,28 +314,16 @@ def shoot(nl: Nonlinearity):
                     f"no shooting bracket for p={nl.p}, N={nl.dim_n}"
                 )
             lo, hi = bracket
-        w_star = None
-        for _ in range(220):
-            mid = 0.5 * (lo + hi)
-            kind, r_ev, w_ev = _classify(nl, mid, rtol=1e-12)
-            if kind == "decay":
-                w_star = mid
-                break
-            if kind == "turn":
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < _SHOOT_TOL:
-                # bracket resolved; accept a shot that survives far out
-                # at tiny amplitude even if an event fires eventually
-                if r_ev >= 16.0 and w_ev < 1e-4:
-                    w_star = mid
-                    break
-                if hi - lo < max(_SHOOT_TOL * 1e-3, 1e-15):
-                    w_star = mid
-                    break
-        if w_star is None:
-            raise IterationError("shooting bisection did not converge")
+        try:
+            w_star, info = brentq(lambda w0: _miss(nl, w0), lo, hi, xtol=_SHOOT_XTOL,
+                                  rtol=_SHOOT_RTOL, maxiter=_SHOOT_MAXITER,
+                                  full_output=True, disp=False)
+        except ValueError as exc:  # the strict shots disagree with the bracket
+            raise IterationError(f"shooting on w(0) in [{lo:.16g}, {hi:.16g}]: "
+                                 f"{exc}") from exc
+        if not info.converged:
+            raise IterationError(f"shooting on w(0) in [{lo:.16g}, {hi:.16g}] did not "
+                                 f"converge in {info.iterations} iterations")
 
     fw = _forward_solve(nl, w_star)
     w_f, wp_f = fw.y[0, -1], fw.y[1, -1]

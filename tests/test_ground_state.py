@@ -10,7 +10,13 @@ import scipy.sparse.linalg as spla
 from conftest import closed_form_1d
 from spikecrown import cli
 from spikecrown import ground_state as gs
-from spikecrown.errors import ConfigError, DecayFitError, IntegrationError, NoGroundStateError
+from spikecrown.errors import (
+    ConfigError,
+    DecayFitError,
+    IntegrationError,
+    IterationError,
+    NoGroundStateError,
+)
 from spikecrown.ground_state import RadialProfile, normalization_constants, shoot
 from spikecrown.nonlinearity import Nonlinearity
 
@@ -47,6 +53,42 @@ def test_shoot_p4_closed_form(profile_p4n1):
     r = np.linspace(0.0, 15.0, 1500)
     err = np.abs(profile_p4n1.value(r) - closed_form_1d(4.0, r))
     assert err.max() < 1e-6
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.0])
+def test_shoot_w0_matches_closed_form_1d(p):
+    # w(0) = (p/2)^(1/(p-2)) in 1d; a series start truncated at r^2
+    # biased the threshold by up to 2.3e-12 (p = 5)
+    w0 = shoot(Nonlinearity(p=p, dim_n=1)).w0
+    assert abs(w0 - (p / 2.0) ** (1.0 / (p - 2.0))) <= 2e-13
+
+
+def test_shoot_makes_at_most_24_shots(monkeypatch):
+    # two bracket shots and Brent's search on the signed miss; the
+    # bisection it replaced made 46
+    shots = []
+    real = gs._classify
+
+    def counted(nl, w0, rtol):
+        shots.append(w0)
+        return real(nl, w0, rtol)
+
+    monkeypatch.setattr(gs, "_classify", counted)
+    shoot(Nonlinearity(p=3.0, dim_n=2))
+    assert len(shots) <= 24
+
+
+@pytest.mark.parametrize("fault", ["iteration cap", "same sign"])
+def test_stalled_shooting_never_returns_a_w0(fault, monkeypatch):
+    if fault == "iteration cap":
+        monkeypatch.setattr(gs, "_SHOOT_MAXITER", 2)
+    else:
+        # the strict shots call every w(0) low, the bracket shots do not
+        real = gs._classify
+        monkeypatch.setattr(gs, "_classify", lambda nl, w0, rtol: (
+            ("turn", 5.0) if rtol == 1e-12 else real(nl, w0, rtol)))
+    with pytest.raises(IterationError, match=r"w\(0\) in \[0.1, 10\]"):
+        shoot(Nonlinearity(p=3.0, dim_n=2))
 
 
 def test_decay_ratio_window(profile_p3n1, profile_p4n1):

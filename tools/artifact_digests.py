@@ -14,8 +14,9 @@ which takes about 90 s.
 
 `--against OTHER` runs every case in both checkouts and prints, instead
 of the digests, one line per file whose bytes differ: the largest
-absolute difference over its numeric CSV cells and JSON leaves, or what
-keeps the two from lining up (a missing file, a changed header, shape
+absolute difference over its numeric CSV cells and JSON leaves and the
+largest relative one, |a - b| / max(|a|, |b|), or what keeps the two
+from lining up (a missing file, a changed header, shape
 or text cell). Exit codes that differ get an `exit` line, and the last
 line counts the files that are byte-identical.
 """
@@ -91,9 +92,20 @@ class Mismatch(Exception):
 
 
 def _number_gap(a, b):
+    """(absolute, relative) difference of two numbers."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    return abs(a - b)
+        return 0.0, 0.0
+    diff = abs(a - b)
+    return diff, diff / max(abs(a), abs(b))
+
+
+def _max_gap(gaps):
+    """Largest absolute and largest relative difference of a sequence of
+    (absolute, relative) pairs, each taken on its own."""
+    gap_abs = gap_rel = 0.0
+    for a, r in gaps:
+        gap_abs, gap_rel = max(gap_abs, a), max(gap_rel, r)
+    return gap_abs, gap_rel
 
 
 def _csv_gap(a, b):
@@ -103,37 +115,38 @@ def _csv_gap(a, b):
         raise Mismatch("header differs")
     if [len(r) for r in ra] != [len(r) for r in rb]:
         raise Mismatch("shape differs")
-    gap = 0.0
+    gaps = []
     for row_a, row_b in zip(ra[1:], rb[1:]):
         for x, y in zip(row_a, row_b):
             if x == y:
                 continue
             try:
-                gap = max(gap, _number_gap(float(x), float(y)))
+                gaps.append(_number_gap(float(x), float(y)))
             except ValueError:
                 raise Mismatch(f"text cell {x!r} against {y!r}") from None
-    return gap
+    return _max_gap(gaps)
 
 
 def _json_gap(a, b):
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             raise Mismatch(f"keys differ: {sorted(a.keys() ^ b.keys())}")
-        return max((_json_gap(a[k], b[k]) for k in a), default=0.0)
+        return _max_gap(_json_gap(a[k], b[k]) for k in a)
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Mismatch("list length differs")
-        return max((_json_gap(x, y) for x, y in zip(a, b)), default=0.0)
+        return _max_gap(_json_gap(x, y) for x, y in zip(a, b))
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
     if numbers:
         return _number_gap(float(a), float(b))
     if a != b:
         raise Mismatch(f"leaf {a!r} against {b!r}")
-    return 0.0
+    return 0.0, 0.0
 
 
 def value_gap(name, a, b):
-    """Largest absolute difference between two versions of one artifact."""
+    """Largest absolute and largest relative difference between two
+    versions of one artifact, over its numbers."""
     if name.endswith(".csv"):
         return _csv_gap(a, b)
     if name.endswith(".json"):
@@ -156,8 +169,8 @@ def compare_lines(case, mine, theirs):
             same += 1
         else:
             try:
-                lines.append(f"max |diff| {value_gap(name, files_a[name], files_b[name]):.3g}"
-                             f"  {label}")
+                gap_abs, gap_rel = value_gap(name, files_a[name], files_b[name])
+                lines.append(f"max |diff| {gap_abs:.3g}  max rel {gap_rel:.3g}  {label}")
             except Mismatch as exc:
                 lines.append(f"differs  {label}  ({exc})")
     return lines, same
