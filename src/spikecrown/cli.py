@@ -280,7 +280,7 @@ def run_pack(cfg, out_dir, dom=None):
     eta = cfg.eta if cfg.eta is not None else delta_star / 10.0
     if not 0.0 < eta < delta_star / 2.0:
         raise ConfigError(f"eta must lie in (0, delta*/2), got {eta}")
-    sup_phi, gap, (closed, tried) = pk.boundary_gap_check(
+    sup_phi, gap, counts = pk.boundary_gap_check(
         dom, crown, delta_star, eta, seed=cfg.seed)
     pts = crown.points
     steps = np.roll(pts, -1, axis=0) - pts
@@ -293,8 +293,9 @@ def run_pack(cfg, out_dir, dom=None):
     _write_json(os.path.join(out_dir, "pack.json"),
                 {"k": k, "delta_star": delta_star, "eta": eta,
                  "sup_phi_boundary": sup_phi, "gap": gap,
-                 "n_samples": pk._GAP_SAMPLES, "seed": cfg.seed,
-                 "ring_family": {"closed": closed, "tried": tried},
+                 "n_samples": counts.n_scored, "seed": cfg.seed,
+                 "ring_family": {"closed": counts[0], "tried": counts[1]},
+                 "chord_stratum": {"kept": counts.chord_kept, "tried": counts.chord_tried},
                  "inputs": _inputs(cfg, _PACK_INPUTS), **_stamp(cfg)})
     return k, delta_star, eta, crown
 

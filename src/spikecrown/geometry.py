@@ -11,9 +11,9 @@ Supported shapes: circles, ellipses, superellipses |x/a|^m + |y/b|^m = 1
 with m >= 2, and periodic cubic splines through sampled control points.
 Offsetting inward by delta < 1/kappa_max yields the inner parallel curve
 with curvature kappa/(1 - delta*kappa); no third derivatives are needed
-for that, which is why providers expose exactly point, first derivative
-and frame: point, first derivative and curvature from one pass, with
-the bits of point and first derivative alone. The offset's table
+for that, which is why a provider has one method, frame: point, first
+derivative and curvature from one pass. Every curve query reads it,
+through ConvexCurve.frame. The offset's table
 comes from its base's by Steiner's formula: the same tangents, points
 moved by -delta*nu, speeds and curvatures rescaled by (1 - delta*kappa),
 and each arc shortened by delta times its turning angle.
@@ -58,18 +58,6 @@ class _CircleProvider:
         self.radius = float(radius)
         self.center = np.asarray(center, dtype=float)
 
-    def point(self, t):
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return self.center + self.radius * np.stack(
-            [np.cos(th), np.sin(th)], axis=-1
-        )
-
-    def d1(self, t):
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return (2.0 * np.pi * self.radius) * np.stack(
-            [-np.sin(th), np.cos(th)], axis=-1
-        )
-
     def frame(self, t):
         th = 2.0 * np.pi * np.asarray(t, dtype=float)
         c, s = np.cos(th), np.sin(th)
@@ -82,16 +70,6 @@ class _EllipseProvider:
     def __init__(self, a, b):
         self.a = float(a)
         self.b = float(b)
-
-    def point(self, t):
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return np.stack([self.a * np.cos(th), self.b * np.sin(th)], axis=-1)
-
-    def d1(self, t):
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return 2.0 * np.pi * np.stack(
-            [-self.a * np.sin(th), self.b * np.cos(th)], axis=-1
-        )
 
     def frame(self, t):
         th = 2.0 * np.pi * np.asarray(t, dtype=float)
@@ -109,12 +87,6 @@ class _SplineProvider:
         self._s = spline
         self._s1 = spline.derivative(1)
         self._s2 = spline.derivative(2)
-
-    def point(self, t):
-        return self._s(np.mod(np.asarray(t, dtype=float), 1.0))
-
-    def d1(self, t):
-        return self._s1(np.mod(np.asarray(t, dtype=float), 1.0))
 
     def frame(self, t):
         tm = np.mod(np.asarray(t, dtype=float), 1.0)
@@ -134,12 +106,6 @@ class _OffsetProvider:
     def __init__(self, base, delta):
         self.base = base
         self.delta = float(delta)
-
-    def point(self, t):
-        return self.frame(t)[0]
-
-    def d1(self, t):
-        return self.frame(t)[1]
 
     def frame(self, t):
         p, d1, k = self.base.frame(t)
@@ -177,7 +143,7 @@ def _segment_lengths(provider, t_nodes, rule):
     h = 1.0 / n
     # Gauss points of every [t_j, t_j+h], evaluated in one vector call
     tt = t_nodes[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)
-    sp = np.linalg.norm(provider.d1(tt.ravel()), axis=1).reshape(n, -1)
+    sp = np.linalg.norm(provider.frame(tt.ravel())[1], axis=1).reshape(n, -1)
     return (h / 2.0) * sp @ weights
 
 
@@ -196,7 +162,7 @@ def _quadrature_table(provider):
             f"arclength quadrature not converged: {ell5!r} vs {ell10!r}"
         )
     s = np.concatenate([[0.0], np.cumsum(seg10)])
-    return _Table(provider.point(1.0), points, speeds, d1 / speeds[:, None],
+    return _Table(provider.frame(1.0)[0], points, speeds, d1 / speeds[:, None],
                   curvatures, s[:-1], float(s[-1]))
 
 
@@ -206,7 +172,7 @@ def _offset_table(curve, provider):
     their turning angle, and the whole curve by 2*pi*delta."""
     delta = provider.delta
     shrink = 1.0 - delta * curve.curvatures
-    return _Table(provider.point(1.0), curve.points - delta * curve.normals,
+    return _Table(provider.frame(1.0)[0], curve.points - delta * curve.normals,
                   curve.speeds * shrink, curve.tangents,
                   curve.curvatures / shrink,
                   curve.arclengths - delta * curve.tangent_angles,
@@ -286,28 +252,28 @@ class ConvexCurve:
 
     # -- evaluation -----------------------------------------------------------
 
+    def frame(self, t):
+        """(point, first derivative, curvature) at t, from one provider
+        pass; every other query below reads it."""
+        return self._provider.frame(t)
+
     def point(self, t):
-        return self._provider.point(t)
+        return self.frame(t)[0]
 
     def d1(self, t):
-        return self._provider.d1(t)
-
-    def point_d1(self, t):
-        """(point(t), d1(t)), the same bits, from one provider pass."""
-        p, d1, _ = self._provider.frame(t)
-        return p, d1
+        return self.frame(t)[1]
 
     def speed(self, t):
-        return np.linalg.norm(self._provider.d1(t), axis=-1)
+        return np.linalg.norm(self.d1(t), axis=-1)
 
     def tangent(self, t):
-        return _unit_tangent(self._provider.d1(t))
+        return _unit_tangent(self.d1(t))
 
     def normal(self, t):
-        return _outward_normal_from_d1(self._provider.d1(t))
+        return _outward_normal_from_d1(self.d1(t))
 
     def curvature(self, t):
-        return self._provider.frame(t)[2]
+        return self.frame(t)[2]
 
     def arclength(self, t):
         """Cumulative arclength s(t) from t=0, valid for any real t."""
@@ -320,7 +286,7 @@ class ConvexCurve:
         half = (tm - t0) / 2.0
         nodes, weights = _GAUSS5
         tt = t0[:, None] + (nodes[None, :] + 1.0) * half[:, None]
-        sp = np.linalg.norm(self._provider.d1(tt.ravel()), axis=1).reshape(len(tm), -1)
+        sp = np.linalg.norm(self.d1(tt.ravel()), axis=1).reshape(len(tm), -1)
         s = self.arclengths[j] + half * (sp @ weights) + wraps * self.total_length
         return s[0] if scalar else s
 
@@ -574,7 +540,7 @@ class PlanarDomain:
         rows = np.arange(len(X))
         for _ in range(_FOOT_STEPS):
             tr = t[rows]
-            p, d1, kappa = bd._provider.frame(tr)
+            p, d1, kappa = bd.frame(tr)
             diff = p - X[rows]
             depth = np.einsum("ij,ij->i", diff, _outward_normal_from_d1(d1))
             slope = np.einsum("ij,ij->i", d1, d1) * np.maximum(
@@ -584,9 +550,10 @@ class PlanarDomain:
             rows = rows[np.abs(step) > _FOOT_TOL]
             if not rows.size:
                 break
-        diff = X - bd.point(t)
+        p, d1, _ = bd.frame(t)
+        diff = X - p
         dist = np.linalg.norm(diff, axis=1)
-        side = np.einsum("ij,ij->i", bd.normal(t), diff)
+        side = np.einsum("ij,ij->i", _outward_normal_from_d1(d1), diff)
         return t, np.where(side >= 0.0, dist, -dist)
 
     def _nearest_nodes(self, X, guess):

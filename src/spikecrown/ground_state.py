@@ -31,7 +31,7 @@ from .nonlinearity import Nonlinearity
 
 _R_MATCH = 10.0
 _R_BACK = 24.0
-_R_SERIES = 1e-3
+_R_SERIES = 1e-3  # largest start radius of a shot (see _series_start)
 _R_MAX = 20.0  # shots run to here; the table ends here too
 _SHOOT_XTOL = 1e-13  # brentq's absolute and relative tolerances on w(0)
 _SHOOT_RTOL = 1e-15
@@ -63,13 +63,28 @@ def _integrate(nl, span, y0, rtol, atol, **options):
 
 
 def _series_start(nl, w0):
-    # removable singularity at r=0: w ~ w0 + a r^2 + b r^4 with
-    # a = (w0 - f(w0)) / (2N) and b = (1 - f'(w0)) a / (4 (N + 2)); without
-    # the r^4 term the threshold w(0) is biased by up to 2e-12 (N=1, p=5)
-    a = (w0 - nl.f(w0)) / (2.0 * nl.dim_n)
-    b = (1.0 - nl.fprime(w0)) * a / (4.0 * (nl.dim_n + 2))
-    r2 = _R_SERIES * _R_SERIES
-    return [w0 + (a + b * r2) * r2, (2.0 * a + 4.0 * b * r2) * _R_SERIES]
+    """Start radius r_s of a shot from w0 and its state [w, w'] there, on
+    the series w0 + a r^2 + b r^4 about the removable singularity at 0:
+    a = (w0 - f(w0)) / (2N), b = (1 - f'(w0)) a / (4 (N + 2)). r_s is
+    _R_SERIES, or less where the first neglected term c r^6 would exceed
+    1e-17 w0, c = ((1 - f'(w0)) b - f''(w0) a^2 / 2) / (6 (N + 4)) and
+    f'' = (p - 2) f' / w0. Terms beyond the float range raise
+    IntegrationError."""
+    n, p = nl.dim_n, nl.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (w0 - nl.f(w0)) / (2.0 * n)
+        fp = nl.fprime(w0)
+        b = (1.0 - fp) * a / (4.0 * (n + 2))
+        c = ((1.0 - fp) * b - 0.5 * (p - 2.0) * fp / w0 * a * a) / (6.0 * (n + 4))
+        r_s = _R_SERIES
+        if abs(c) * r_s**6 > 1e-17 * w0:
+            r_s = (1e-17 * w0 / abs(c)) ** (1.0 / 6.0)
+        r2 = r_s * r_s
+        y0 = [w0 + (a + b * r2) * r2, (2.0 * a + 4.0 * b * r2) * r_s]
+    if not (r_s > 0.0 and np.all(np.isfinite(y0))):
+        raise IntegrationError(f"series start of the shot from w(0) = {w0:.6g} "
+                               "leaves the finite range")
+    return r_s, y0
 
 
 def _classify(nl, w0, rtol):
@@ -85,8 +100,8 @@ def _classify(nl, w0, rtol):
     turn_up.terminal = True
     turn_up.direction = 1
 
-    sol = _integrate(nl, (_R_SERIES, _R_MAX), _series_start(nl, w0), rtol, 1e-18,
-                     events=[hit_zero, turn_up])
+    r_s, y0 = _series_start(nl, w0)
+    sol = _integrate(nl, (r_s, _R_MAX), y0, rtol, 1e-18, events=[hit_zero, turn_up])
     if sol.t_events[0].size:
         return "cross", sol.t_events[0][0]
     if sol.t_events[1].size and sol.y_events[1][0][0] > 1e-12:
@@ -143,8 +158,8 @@ def _tail_value_deriv(p, dim_n, A, r):
 
 
 def _forward_solve(nl, w0):
-    return _integrate(nl, (_R_SERIES, _R_MATCH), _series_start(nl, w0), _MATCH_RTOL,
-                      1e-18, dense_output=True)
+    r_s, y0 = _series_start(nl, w0)
+    return _integrate(nl, (r_s, _R_MATCH), y0, _MATCH_RTOL, 1e-18, dense_output=True)
 
 
 def _backward_solve(nl, A):
@@ -293,14 +308,14 @@ def shoot(nl: Nonlinearity):
     matched at r = 10, which pins the decay constant to ~1e-8.
     """
     lo, hi = 0.1, 10.0
-    kind_lo = _classify(nl, lo, rtol=1e-11)[0]
-    kind_hi = _classify(nl, hi, rtol=1e-11)[0]
-    if kind_lo == "decay":
+    # the bracket ends' strict shots, which brentq reads again
+    misses = {lo: _miss(nl, lo), hi: _miss(nl, hi)}
+    if misses[lo] == 0.0:
         w_star = lo
-    elif kind_hi == "decay":
+    elif misses[hi] == 0.0:
         w_star = hi
     else:
-        if kind_lo != "turn" or kind_hi != "cross":
+        if not misses[lo] > 0.0 > misses[hi]:
             # scan for a valid bracket before giving up
             grid = np.geomspace(0.05, 50.0, 40)
             kinds = [_classify(nl, w, rtol=1e-9)[0] for w in grid]
@@ -315,10 +330,11 @@ def shoot(nl: Nonlinearity):
                 )
             lo, hi = bracket
         try:
-            w_star, info = brentq(lambda w0: _miss(nl, w0), lo, hi, xtol=_SHOOT_XTOL,
-                                  rtol=_SHOOT_RTOL, maxiter=_SHOOT_MAXITER,
-                                  full_output=True, disp=False)
-        except ValueError as exc:  # the strict shots disagree with the bracket
+            w_star, info = brentq(
+                lambda w0: misses[w0] if w0 in misses else _miss(nl, w0), lo, hi,
+                xtol=_SHOOT_XTOL, rtol=_SHOOT_RTOL, maxiter=_SHOOT_MAXITER,
+                full_output=True, disp=False)
+        except ValueError as exc:  # the strict shots disagree with the scan's bracket
             raise IterationError(f"shooting on w(0) in [{lo:.16g}, {hi:.16g}]: "
                                  f"{exc}") from exc
         if not info.converged:

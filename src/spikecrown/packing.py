@@ -228,7 +228,7 @@ def _next_vertex(curve, t, p, c):
         if not rows.size:
             break
         xr = x[rows]
-        q, d1 = curve.point_d1(xr)
+        q, d1, _ = curve.frame(xr)
         r = q - p[rows]
         g = np.hypot(r[:, 0], r[:, 1])
         f = g - c[rows]
@@ -265,13 +265,13 @@ def _march(curve, k, chord, t0):
     w = np.zeros((3, m))  # dt_i / d(chord, t0, offset)
     w[1] = 1.0
     rows = np.arange(m)
-    p, d1_0 = curve.point_d1(t0)
+    p, d1_0, _ = curve.frame(t0)
     d1 = d1_0
     for i in range(k):
         t_next, placed = _next_vertex(curve, ts[rows, i], p, chord[rows])
         rows, p, d1 = rows[placed], p[placed], d1[placed]
         t_next = t_next[placed]
-        q, e1 = curve.point_d1(t_next)
+        q, e1, _ = curve.frame(t_next)
         u = (q - p) / chord[rows, None]
         a = np.einsum("ij,ij->i", u, d1)
         b = np.einsum("ij,ij->i", u, e1)
@@ -550,14 +550,24 @@ def _known_feet(bd, ts, depths):
     return np.where(depths * bd.kappa_max < 1.0, ts, np.nan)
 
 
+class GapCounts(tuple):
+    """The ring family's pair (rings closed, rings tried); the rows scored
+    and the chord samples kept in the tube of those drawn ride along as
+    n_scored, chord_kept and chord_tried."""
+
+    def __new__(cls, closed, tried, n_scored=0, chord_kept=0, chord_tried=0):
+        counts = super().__new__(cls, (closed, tried))
+        counts.n_scored, counts.chord_kept, counts.chord_tried = n_scored, chord_kept, chord_tried
+        return counts
+
+
 def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
     """Sample _GAP_SAMPLES configurations on the boundary strata of the
     admissible neighborhood of the critical crown (its points, (k, 2), or
     a SpikeConfiguration): depth pinned at delta* +- eta, an adjacent
     chord pinned at 2*delta* - eta, plus an adversarial ring-and-deep-point
     family. Returns (sup of the
-    packing functional over the samples, delta* - sup, (rings closed,
-    rings tried)).
+    packing functional over the samples, delta* - sup, GapCounts).
 
     The cyclic-order-collapse stratum is vacuous for the eta used here:
     collapsing two projections forces a chord below 2*delta* - eta first.
@@ -565,7 +575,7 @@ def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
     if eta < 0:
         raise ConfigError(f"eta must be nonnegative, got {eta}")
     if eta == 0.0:
-        return 0.0, float(delta_star), (0, 0)  # empty boundary stratum
+        return 0.0, float(delta_star), GapCounts(0, 0)  # empty boundary stratum
     if isinstance(crown, SpikeConfiguration):
         crown = crown.points
     k = len(crown)
@@ -634,4 +644,4 @@ def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
             f"{delta_star:.8g}; eta = {eta} too large",
             report={"sup_boundary": sup, "worst_points": batch[worst]},
         )
-    return sup, gap, (n_closed, n_family)
+    return sup, gap, GapCounts(n_closed, n_family, len(batch), len(pts_chord), n_chord)

@@ -577,6 +577,15 @@ def test_pack_records_ring_family(pipeline):
     assert meta["ring_family"] == {"closed": 200, "tried": 200}
 
 
+def test_pack_records_the_rows_the_gap_check_scored(pipeline):
+    # 7,300 depth rows, the chord stratum's samples that stayed inside
+    # the depth tube and the closed rings
+    meta = json.loads((pipeline["out"] / "pack.json").read_text())
+    chord = meta["chord_stratum"]
+    assert chord["tried"] == 2500 and 0 <= chord["kept"] <= chord["tried"]
+    assert meta["n_samples"] == 7300 + chord["kept"] + meta["ring_family"]["closed"]
+
+
 def test_reduce_result_schema(pipeline):
     doc = json.loads((pipeline["out"] / "reduce_000.json").read_text())
     eps = doc["eps"]

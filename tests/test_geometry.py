@@ -117,14 +117,22 @@ def offset_bases():
             "superellipse": geo.superellipse(1.2, 1.0, 4.0), "spline": _egg()}
 
 
-@pytest.mark.parametrize("name", ["ellipse", "superellipse", "spline"])
-def test_point_d1_has_the_bits_of_point_and_d1(offset_bases, name):
-    g = geo.inner_parallel_curve(offset_bases[name], 0.2)
-    t = np.linspace(-0.3, 1.7, 997)
-    p, d1 = g.point_d1(t)
-    assert np.array_equal(p, g.point(t)) and np.array_equal(d1, g.d1(t))
-    p, d1 = g.point_d1(0.37)
-    assert np.array_equal(p, g.point(0.37)) and np.array_equal(d1, g.d1(0.37))
+@pytest.mark.parametrize("name", ["circle", "ellipse", "superellipse", "spline"])
+@pytest.mark.parametrize("offset", [0.0, 0.2])
+def test_every_curve_query_has_the_bits_of_frame(offset_bases, unit_circle, name, offset):
+    g = unit_circle if name == "circle" else offset_bases[name]
+    if offset:
+        g = geo.inner_parallel_curve(g, offset)
+    for t in (np.linspace(-0.3, 1.7, 997), 0.37):
+        p, d1, kappa = g.frame(t)
+        speed = np.linalg.norm(d1, axis=-1)
+        tangent = d1 / speed[..., None]
+        normal = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
+        assert np.array_equal(g.point(t), p) and np.array_equal(g.d1(t), d1)
+        assert np.array_equal(g.speed(t), speed)
+        assert np.array_equal(g.tangent(t), tangent)
+        assert np.array_equal(g.normal(t), normal)
+        assert np.array_equal(g.curvature(t), kappa)
 
 
 @pytest.mark.parametrize("name", ["ellipse", "ellipse1.2", "superellipse"])

@@ -63,9 +63,31 @@ def test_shoot_w0_matches_closed_form_1d(p):
     assert abs(w0 - (p / 2.0) ** (1.0 / (p - 2.0))) <= 2e-13
 
 
-def test_shoot_makes_at_most_24_shots(monkeypatch):
-    # two bracket shots and Brent's search on the signed miss; the
-    # bisection it replaced made 46
+def test_shoot_at_p10_starts_inside_the_series():
+    # from a fixed start radius of 1e-3 the upper bracket shot w(0) = 10
+    # could not take a step at p = 10 (IntegrationError)
+    assert abs(shoot(Nonlinearity(p=10.0, dim_n=1)).w0 - 5.0 ** 0.125) <= 2e-13
+    assert shoot(Nonlinearity(p=10.0, dim_n=2)).w0 > 1.0
+
+
+def test_series_start_beyond_the_float_range_raises():
+    # at p = 110 the r^6 coefficient from w(0) = 10 overflows
+    with pytest.raises(IntegrationError, match="finite range"):
+        gs._series_start(Nonlinearity(p=110.0, dim_n=1), 10.0)
+
+
+def test_threshold_does_not_move_with_the_start_radius(monkeypatch):
+    # near the critical exponent in 3d w(0) is about 13.8; a fixed start
+    # radius of 1e-3 biased it by 1.2e-4 against one of 1e-4
+    nl = Nonlinearity(p=5.9, dim_n=3)
+    w0 = shoot(nl).w0
+    monkeypatch.setattr(gs, "_R_SERIES", 1e-4)
+    assert abs(shoot(nl).w0 - w0) < 1e-10
+
+
+def test_shoot_makes_at_most_22_shots(monkeypatch):
+    # two bracket shots, which Brent's search on the signed miss reads
+    # again instead of re-shooting; the bisection it replaced made 46
     shots = []
     real = gs._classify
 
@@ -75,19 +97,22 @@ def test_shoot_makes_at_most_24_shots(monkeypatch):
 
     monkeypatch.setattr(gs, "_classify", counted)
     shoot(Nonlinearity(p=3.0, dim_n=2))
-    assert len(shots) <= 24
+    assert len(shots) <= 22
 
 
 @pytest.mark.parametrize("fault", ["iteration cap", "same sign"])
 def test_stalled_shooting_never_returns_a_w0(fault, monkeypatch):
+    bracket = r"0.1, 10\]"
     if fault == "iteration cap":
         monkeypatch.setattr(gs, "_SHOOT_MAXITER", 2)
     else:
-        # the strict shots call every w(0) low, the bracket shots do not
+        bracket = r"2.0623\d*, 2.4619\d*\]"
+        # the strict shots call every w(0) low, the scan's shots do not:
+        # the scan finds a bracket that brentq's shots do not confirm
         real = gs._classify
         monkeypatch.setattr(gs, "_classify", lambda nl, w0, rtol: (
             ("turn", 5.0) if rtol == 1e-12 else real(nl, w0, rtol)))
-    with pytest.raises(IterationError, match=r"w\(0\) in \[0.1, 10\]"):
+    with pytest.raises(IterationError, match=r"w\(0\) in \[" + bracket):
         shoot(Nonlinearity(p=3.0, dim_n=2))
 
 

@@ -34,6 +34,10 @@ import tempfile
 DISK = {"kind": "circle", "radius": 1.0}
 ELLIPSE = {"kind": "ellipse", "a": 1.2, "b": 1.0}
 SUPERELLIPSE = {"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0}
+# 24 points of the 1.3x1 ellipse, interpolated by a periodic spline
+SPLINE = {"kind": "spline",
+          "points": [[1.3 * math.cos(2.0 * math.pi * j / 24), math.sin(2.0 * math.pi * j / 24)]
+                     for j in range(24)]}
 
 # (case, command, config, extra arguments)
 CASES = [
@@ -42,6 +46,7 @@ CASES = [
     ("pack-ellipse", "pack", {"domain": ELLIPSE, "k": 4}, ["--seed", "7"]),
     ("pack-disk", "pack", {"domain": DISK, "k": 8}, []),
     ("pack-superellipse", "pack", {"domain": SUPERELLIPSE, "k": 6}, []),
+    ("pack-spline", "pack", {"domain": SPLINE, "k": 4}, []),
     ("reduce-disk", "reduce", {"domain": DISK, "k": 6, "eps_fractions": [5, 6]}, []),
     ("reduce-ellipse-psi", "reduce",
      {"domain": ELLIPSE, "k": 4, "eps_fractions": [6], "form": "psi_numeric"}, []),
