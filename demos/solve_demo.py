@@ -37,9 +37,11 @@ def main():
     print(f"grid: {grid.n_nodes} unknowns at h = {grid.h:.5f}, "
           f"{grid.n_reclassified} rim node(s) reclassified exterior")
 
-    sol, hist, trail = pde.newton_solve(grid, nl, eps, profile, cfg_min)
-    moves = sum(moved for _, _, moved in trail)
-    print(f"Newton: {len(hist) - 1} iterations, {moves} position updates, "
+    sol, hist, trail, _ = pde.newton_solve(grid, nl, eps, profile, cfg_min)
+    moves = sum(moved for _, _, moved, _ in trail)
+    lus = sum(lu for _, _, _, lu in trail)
+    print(f"Newton: {len(hist) - 1} iterations, {lus} LU factorizations, "
+          f"{moves} position updates, "
           f"residual {hist[0]:.2e} -> {hist[-1]:.2e}")
 
     peaks = pde.extract_peaks(grid, sol, expected=k)

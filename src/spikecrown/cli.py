@@ -437,26 +437,28 @@ def run_solve(cfg, out_dir, continuation=False):
 
     def one(idx, eps, init_config):
         grid = pde.discretize(dom, eps / cfg.h_divisor)
-        sol, hist, trail = pde.newton_solve(grid, nl, eps, profile, init_config)
+        sol, hist, trail, positions = pde.newton_solve(grid, nl, eps, profile, init_config)
         peaks = pde.extract_peaks(grid, sol, expected=k)
         energy = pde.discrete_energy(grid, nl, eps, sol)
         tag = f"{idx:03d}"
         _write_csv(os.path.join(out_dir, f"field_{tag}.csv"), ("x", "y", "value"),
                    np.column_stack([grid.xy, sol.values]).tolist())
-        steps = [(0.0, 0.0, False)] + trail
+        steps = [(0.0, 0.0, False, False)] + trail
         _write_csv(os.path.join(out_dir, f"residuals_{tag}.csv"),
-                   ("iter", "sup_residual", "step", "lam_norm", "moved"),
-                   [(i, res, step, lam, int(moved))
-                    for i, (res, (step, lam, moved)) in enumerate(zip(hist, steps))])
+                   ("iter", "sup_residual", "step", "lam_norm", "moved", "lu"),
+                   [(i, res, step, lam, int(moved), int(lu))
+                    for i, (res, (step, lam, moved, lu)) in enumerate(zip(hist, steps))])
         doc = {"eps": eps,
                "iterations": len(hist) - 1,
                "final_residual": float(hist[-1]),
-               "position_updates": sum(moved for _, _, moved in trail),
+               "position_updates": sum(moved for _, _, moved, _ in trail),
+               "lu_factorizations": sum(lu for _, _, _, lu in trail),
                "energy": energy,
                "reclassified_nodes": grid.n_reclassified,
                "peaks": [{"x": float(loc[0]), "y": float(loc[1]),
                           "sign": int(sg), "amplitude": float(amp)}
                          for loc, sg, amp in peaks],
+               "positions": positions.tolist(),
                **_stamp(cfg)}
         _write_json(os.path.join(out_dir, f"solve_{tag}.json"), doc)
         return peaks, {"eps": eps, "file": f"solve_{tag}.json",
@@ -569,6 +571,8 @@ def main(argv=None):
         out_dir = out or cfg.out
         try:
             os.makedirs(out_dir, exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):  # an earlier run's failure
+                os.remove(os.path.join(out_dir, "error.json"))
         except OSError as exc:
             raise ConfigError(f"cannot use output directory {out_dir!r}: {exc}") from None
         t0 = time.perf_counter()

@@ -275,6 +275,12 @@ class ConvexCurve:
     def curvature(self, t):
         return self.frame(t)[2]
 
+    def point_at_depth(self, t, depth):
+        """The point at depth along the inward normal at t: point(t) -
+        depth * normal(t), from one frame pass."""
+        p, d1, _ = self.frame(t)
+        return p - np.asarray(depth)[..., None] * _outward_normal_from_d1(d1)
+
     def arclength(self, t):
         """Cumulative arclength s(t) from t=0, valid for any real t."""
         t = np.asarray(t, dtype=float)

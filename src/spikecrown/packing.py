@@ -539,7 +539,7 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     ts = ts[np.abs(defect) <= _CLOSURE_TOL * gamma.total_length]
     mid = 0.5 * (ts[:, 0] + ts[:, 1])
     deep_d = delta_star + eta
-    deep = bd.point(mid) - deep_d * bd.normal(mid)
+    deep = bd.point_at_depth(mid, deep_d)
     pts = np.concatenate([gamma.point(ts[:, :k - 1]), deep[:, None]], axis=1)
     feet = np.column_stack([ts[:, :k - 1], _known_feet(bd, mid, deep_d)])
     return pts, feet, len(ts)
@@ -595,16 +595,13 @@ def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
         )
         return ts, delta_star + rng.uniform(-0.9, 0.9, (m, k)) * eta
 
-    def tube_points(ts, depths):
-        return bd.point(ts) - depths[..., None] * bd.normal(ts)
-
     # depth strata: jitter the crown inside the tube, then pin one spike
     # at delta* - eta or delta* + eta
     ts, ds = jitter(n_depth)
     pin_idx = rng.integers(0, k, n_depth)
     pin_val = np.where(rng.random(n_depth) < 0.5, delta_star - eta, delta_star + eta)
     ds[np.arange(n_depth), pin_idx] = pin_val
-    pts_depth = tube_points(ts, ds)
+    pts_depth = bd.point_at_depth(ts, ds)
     # below 1/kappa_max a tube point's building parameter is its foot
     # (Blaschke's rolling theorem), so it seeds the foot query
     feet_depth = _known_feet(bd, ts, ds)
@@ -612,7 +609,7 @@ def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
     # chord stratum: place one neighbor at exactly 2*delta* - eta from
     # its predecessor, nearly along the curve direction
     ts2, ds2 = jitter(n_chord)
-    pts_chord = tube_points(ts2, ds2)
+    pts_chord = bd.point_at_depth(ts2, ds2)
     j = rng.integers(0, k, n_chord)
     tang = bd.tangent(ts2[np.arange(n_chord), j])
     ang = rng.uniform(-0.2, 0.2, n_chord)

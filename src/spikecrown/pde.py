@@ -39,6 +39,9 @@ _OPP = [1, 0, 3, 2]
 # newton_solve converges below this sup residual, within _NEWTON_MAX_ITER
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 50
+# newton_solve keeps J's LU for the next step after an undamped step
+# whose contraction theta is below this
+_NEWTON_REUSE_THETA = 0.05
 
 # every sparse LU in this module (see _splu)
 _SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 2, "panel_size": 4}
@@ -454,25 +457,36 @@ def newton_solve(grid, nl, eps, profile, config):
         A u + f(u) + Z lam = 0,    Z'(u - U_P) = 0,
 
     where U_P is the ansatz at P and Z = dU_P/dP its translation modes.
-    Each iteration frees the previous LU, factorizes J once (minimum
-    degree on J' + J, see _splu) and solves the bordered system from
-    that LU, refined to 1e-12 normwise backward error against the
-    bordered matrix, which _BorderedLU applies but never assembles.
-    The step is halved until the correction that the same LU computes at the
-    trial point falls below (1 - alpha/2) of the step (natural
-    monotonicity, Deuflhard 2004). When the bordered residual stops
-    falling (below 1e-2 times the tolerance, or above half its value
-    before the step) while the plain residual A u + f(u) = -Z lam has
-    not converged, the spikes move by the Newton step on lam(P) = 0,
-    from the same LU: P += (Z'Z)^{-1} S lam with S = Z'J^{-1}Z,
-    u += J^{-1}Z lam, lam = 0. With no spikes this is plain damped
-    Newton. f' is patched to 0 below |v| = 1e-14: for p < 3 the true
-    f' has unbounded slope at 0 and the patch removes far-field noise.
+    Each step solves the bordered system from an LU of J (minimum
+    degree on J' + J, see _splu), refined to 1e-12 normwise backward
+    error against the bordered matrix, which _BorderedLU applies but
+    never assembles. The step is halved until the correction that the
+    same LU computes at the trial point falls below (1 - alpha/2) of
+    the step (natural monotonicity, Deuflhard 2004); the ratio of the
+    two is the contraction theta. An undamped step with theta below
+    _NEWTON_REUSE_THETA keeps its LU for the next step, which is then a
+    simplified Newton step; such a step that fails the monotonicity
+    test is undone and made again from a fresh LU of J, never damped.
+    The previous LU is freed before the next one is made.
 
-    Returns (field, history, trail): the sup of the plain residual at
-    the start and after each iteration, and per iteration the step
-    length, |lam| (the value moved on, if the spikes moved) and
-    whether they moved.
+    When the bordered residual stops falling (below 1e-2 times the
+    tolerance, or above half its value before the step) while the
+    plain residual A u + f(u) = -Z lam has not converged, the spikes
+    move by the Newton step on lam(P) = 0: P += (Z'Z)^{-1} S lam with
+    S = Z'J^{-1}Z, u += J^{-1}Z lam, lam = 0. S and J^{-1}Z come from
+    the LU that iteration made for its step or, after a step from a
+    kept LU, from a fresh LU of J at the current iterate: a stale J
+    makes the moves overshoot. No LU is kept across a move, so a kept
+    LU always borders J with the current Z. With no spikes this is
+    plain damped Newton. f' is patched to 0 below |v| = 1e-14: for
+    p < 3 the true f' has unbounded slope at 0 and the patch removes
+    far-field noise.
+
+    Returns (field, history, trail, positions): the sup of the plain
+    residual at the start and after each iteration; per iteration the
+    step length, |lam| (the value moved on, if the spikes moved),
+    whether they moved and whether the iteration factorized J; and the
+    final spike positions P, one row per spike.
     """
     _require_resolution(grid, eps)
     A = grid.operator(eps).A
@@ -480,27 +494,32 @@ def newton_solve(grid, nl, eps, profile, config):
     P = np.array(config.points, dtype=float).reshape(-1, 2)
     signs = np.asarray(config.signs, dtype=float)
 
+    def bordered_lu(u, Z):
+        fp = nl.fprime(u)
+        fp[np.abs(u) < 1e-14] = 0.0
+        return _BorderedLU((A + sp.diags(fp)).tocsc(), Z)
+
     U, Z = _ansatz_and_modes(grid, profile, eps, P, signs)
     u = U.copy()
     lam = np.zeros(Z.shape[1])
     r = A @ u + nl.f(u)
     sup0 = sup = _sup(r)
-    history, trail, last_move = [sup], [], 0.0
+    history, trail, last_move, K = [sup], [], 0.0, None
     while sup >= _NEWTON_TOL:
         if len(trail) == _NEWTON_MAX_ITER:
             raise NewtonStallError(
                 f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {sup:.3e}; "
+                f"{sum(t[3] for t in trail)} LU factorizations, "
                 f"{sum(t[2] for t in trail)} position updates, last move {last_move:.3g})")
         if not np.isfinite(sup) or sup > 1e6 * (sup0 + 1.0):
             raise DivergenceError(
                 f"residual grew to {sup:.3e} from {sup0:.3e}; init outside basin"
             )
-        fp = nl.fprime(u)
-        fp[np.abs(u) < 1e-14] = 0.0
-        K = None  # free the previous LU before the next one is made
-        K = _BorderedLU((A + sp.diags(fp)).tocsc(), Z)
         x = np.concatenate([u, lam])
         rb = np.concatenate([r + Z @ lam, Z.T @ (u - U)])
+        fresh = K is None
+        if fresh:
+            K = bordered_lu(u, Z)
         step = -_refine_solve(K.solve, K.dot, K.norm_a, rb, 1e-12, "Newton step")
         size = float(np.linalg.norm(step))
         alpha = 1.0
@@ -508,15 +527,25 @@ def newton_solve(grid, nl, eps, profile, config):
             u, lam = np.split(x + alpha * step, [n])
             r = A @ u + nl.f(u)
             rb_try = np.concatenate([r + Z @ lam, Z.T @ (u - U)])
-            if np.linalg.norm(K.solve(rb_try)) < (1.0 - 0.5 * alpha) * size:
+            correction = float(np.linalg.norm(K.solve(rb_try)))
+            if correction < (1.0 - 0.5 * alpha) * size:
                 break
+            if not fresh:
+                K = None  # free the kept LU before the next one is made
+                K, fresh = bordered_lu(x[:n], Z), True
+                step = -_refine_solve(K.solve, K.dot, K.norm_a, rb, 1e-12, "Newton step")
+                size = float(np.linalg.norm(step))
+                continue
             alpha *= 0.5
             if alpha < 2.0 ** -11:
                 raise NewtonStallError(f"damping exhausted at residual {sup:.3e}")
         sup, sup_b = _sup(r), _sup(rb_try)
         moved = bool(lam.size) and sup >= _NEWTON_TOL and (
             sup_b < 1e-2 * _NEWTON_TOL or sup_b > 0.5 * _sup(rb))
-        trail.append((alpha, float(np.linalg.norm(lam)), moved))
+        if moved and not fresh:
+            K = None  # a move reads S and W from an LU of the current iterate
+            K, fresh = bordered_lu(u, Z), True
+        trail.append((alpha, float(np.linalg.norm(lam)), moved, fresh))
         if moved:
             move = np.linalg.solve(Z.T @ Z, K.S @ lam).reshape(-1, 2)
             P, last_move = P + move, float(np.linalg.norm(move, axis=1).max())
@@ -525,8 +554,10 @@ def newton_solve(grid, nl, eps, profile, config):
             U, Z = _ansatz_and_modes(grid, profile, eps, P, signs)
             r = A @ u + nl.f(u)
             sup = _sup(r)
+        if moved or alpha < 1.0 or correction >= _NEWTON_REUSE_THETA * size:
+            K = None  # freed now; the next step factorizes J afresh
         history.append(sup)
-    return DiscreteField(grid, eps, u), np.array(history), trail
+    return DiscreteField(grid, eps, u), np.array(history), trail, P
 
 
 def discrete_energy(grid, nl, eps, fld):

@@ -209,6 +209,20 @@ def test_failure_exit_rule(tmp_path, monkeypatch, capsys, exc_type):
                    "exit_code": code}
 
 
+def test_successful_rerun_clears_a_stale_error_json(tmp_path, monkeypatch):
+    def failing_stage(cfg, out_dir):
+        raise errors.NumericalError("stubbed stage failure")
+
+    job = write_job(tmp_path / "job.json", k=4)
+    argv = ["pack", "--config", str(job), "--out", str(tmp_path)]
+    monkeypatch.setattr(cli, "run_pack", failing_stage)
+    assert cli.main(argv) == 3
+    assert (tmp_path / "error.json").exists()
+    monkeypatch.setattr(cli, "run_pack", lambda cfg, out: (4, 0.4, 0.04, None))
+    assert cli.main(argv) == 0
+    assert not (tmp_path / "error.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["ground-state"], ["pack"], ["reduce"], ["solve"],
                                   ["solve", "--continuation"], ["verify"]],
                          ids=" ".join)
@@ -615,16 +629,24 @@ def test_solve_result_schema(pipeline):
         assert abs(p["amplitude"] - header["w0"]) / header["w0"] < 0.02
         radius = np.hypot(p["x"], p["y"])
         assert abs(radius - (1.0 - SQRT2M1)) < 0.1
+    # the solver's final spike positions, each within a cell of its peak
+    h = doc["eps"] / 4.0
+    positions = np.array(doc["positions"])
+    assert positions.shape == (4, 2)
+    for p in peaks:
+        assert np.hypot(*(positions - (p["x"], p["y"])).T).min() < h
 
 
 def test_residual_history_matches_result(pipeline):
     doc = json.loads((pipeline["out"] / "solve_000.json").read_text())
     rows = (pipeline["out"] / "residuals_000.csv").read_text().splitlines()
-    assert rows[0] == "iter,sup_residual,step,lam_norm,moved"
+    assert rows[0] == "iter,sup_residual,step,lam_norm,moved,lu"
     tab = np.atleast_2d(np.genfromtxt(rows[1:], delimiter=","))
     assert len(tab) == doc["iterations"] + 1
     assert tab[-1, 1] == doc["final_residual"]
     assert tab[:, 4].sum() == doc["position_updates"]
+    assert tab[0, 5] == 0 and tab[1, 5] == 1
+    assert tab[:, 5].sum() == doc["lu_factorizations"]
 
 
 def test_field_csv_covers_grid(pipeline):
@@ -667,7 +689,8 @@ def test_continuation_walks_eps_downward(tmp_path):
 
 
 def _ansatz_as_solution(grid, nl, eps, profile, config):
-    return pde.assemble_ansatz(grid, profile, eps, config), [0.0], []
+    return (pde.assemble_ansatz(grid, profile, eps, config), [0.0], [],
+            np.asarray(config.points, dtype=float))
 
 
 @pytest.mark.filterwarnings("error")

@@ -133,6 +133,9 @@ def test_every_curve_query_has_the_bits_of_frame(offset_bases, unit_circle, name
         assert np.array_equal(g.tangent(t), tangent)
         assert np.array_equal(g.normal(t), normal)
         assert np.array_equal(g.curvature(t), kappa)
+        for depth in (0.05, 0.05 + 0.1 * np.abs(np.sin(7.0 * np.asarray(t)))):
+            want = p - (depth[..., None] if np.ndim(depth) else depth) * normal
+            assert np.array_equal(g.point_at_depth(t, depth), want)
 
 
 @pytest.mark.parametrize("name", ["ellipse", "ellipse1.2", "superellipse"])

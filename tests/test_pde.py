@@ -47,8 +47,8 @@ def pair2(disk, grid_m, profile_p3n2):
     """Antipodal two-spike run at eps = depth/5: ansatz, solution, history."""
     cfg = pk.make_configuration(disk, np.array([[0.5, 0.0], [-0.5, 0.0]]))
     ans = pde.assemble_ansatz(grid_m, profile_p3n2, 0.1, cfg)
-    sol, hist, _ = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
-    return {"cfg": cfg, "ans": ans, "sol": sol, "hist": hist}
+    sol, hist, trail, _ = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
+    return {"cfg": cfg, "ans": ans, "sol": sol, "hist": hist, "trail": trail}
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def singles(disk, profile_p3n2):
     cfg = SimpleNamespace(points=np.array([[0.0, 0.0]]), signs=np.array([1.0]))
     for eps in (0.12, 0.08, 0.05):
         g = pde.discretize(disk, eps / 4.0)
-        sol, hist, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
+        sol, hist, _, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
         out[eps] = {"grid": g, "sol": sol, "hist": hist,
                     "J": pde.discrete_energy(g, NL, eps, sol)}
     return out
@@ -73,7 +73,7 @@ def crown10(disk, profile_p3n2):
     model = red.ReducedEnergyModel(disk, profile_p3n2, eps, ds, ds / 10.0)
     cfg_min = red.minimize_energy(model, crown)[0]
     ans_raw = pde.assemble_ansatz(g, profile_p3n2, eps, crown)
-    sol, hist, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg_min)
+    sol, hist, _, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg_min)
     return {"ds": ds, "eps": eps, "grid": g, "crown": crown, "model": model,
             "ans_raw": ans_raw, "sol": sol, "hist": hist,
             "peaks": pde.extract_peaks(g, sol, expected=4)}
@@ -271,16 +271,19 @@ def test_ansatz_boundary_trace_bound(grid_m, profile_p3n2, pair2):
 
 def test_newton_zero_init_stays_zero(grid_m, profile_p3n2):
     empty = SimpleNamespace(points=np.zeros((0, 2)), signs=np.zeros(0))
-    sol, hist, trail = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, empty)
+    sol, hist, trail, positions = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, empty)
     assert sup_norm(sol) == 0.0
     assert hist.tolist() == [0.0]
     assert trail == []
+    assert positions.shape == (0, 2)
 
 
 def test_newton_factorizes_only_the_jacobian_once_per_iteration(
         grid_m, profile_p3n2, monkeypatch):
     # the bordered system is solved from the LU of J alone: no other
-    # matrix (such as J'J) is factorized, and no iteration factorizes twice
+    # matrix (such as J'J) is factorized, no iteration factorizes twice,
+    # and the trail flags exactly the iterations that did; while the
+    # contraction is small an LU serves several steps
     A = grid_m.operator(0.1).A.tocsc()
     seen = []
     real_splu = pde.spla.splu
@@ -292,11 +295,46 @@ def test_newton_factorizes_only_the_jacobian_once_per_iteration(
     monkeypatch.setattr(pde, "spla", SimpleNamespace(splu=splu))
     cfg = SimpleNamespace(points=np.array([[0.5, 0.0], [-0.5, 0.0]]),
                           signs=np.array([1.0, -1.0]))
-    _, hist, trail = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
-    assert len(seen) == len(hist) - 1 == len(trail)
+    _, hist, trail, _ = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
+    factorized = sum(lu for _, _, _, lu in trail)
+    assert len(seen) == factorized
+    assert factorized < len(trail) == len(hist) - 1  # measured 6 LUs in 12 iterations
     pattern = (A.shape, A.indices.tobytes(), A.indptr.tobytes(), pde._SPLU_OPTIONS)
     assert all(entry == pattern for entry in seen)
-    assert any(moved for _, _, moved in trail)
+    assert any(moved for _, _, moved, _ in trail)
+
+
+def test_newton_moves_the_spikes_only_from_a_fresh_lu(pair2):
+    # a move reads S = Z'J^{-1}Z and J^{-1}Z, so the iteration that
+    # moves factorizes J at its own iterate, even after a kept LU
+    trail = pair2["trail"]
+    assert any(moved for _, _, moved, _ in trail)
+    assert all(lu for _, _, moved, lu in trail if moved)
+
+
+def test_newton_makes_a_failed_step_from_a_kept_lu_again_from_a_fresh_one(
+        grid_m, profile_p3n2, monkeypatch):
+    # at a loose reuse threshold a step from the rim spike's kept LU
+    # fails the monotonicity test; the same bordered residual is then
+    # solved again from a new LU instead of damping the stale step
+    monkeypatch.setattr(pde, "_NEWTON_REUSE_THETA", 0.6)
+    steps = []
+    real_refine = pde._refine_solve
+
+    def refine(solve, apply, norm_a, b, rtol, what):
+        steps.append((solve.__self__, b.copy()))
+        return real_refine(solve, apply, norm_a, b, rtol, what)
+
+    monkeypatch.setattr(pde, "_refine_solve", refine)
+    cfg = SimpleNamespace(points=np.array([[0.93, 0.0]]), signs=np.array([1.0]))
+    with pytest.raises(NewtonStallError):
+        pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
+    redone = [i for i in range(1, len(steps) - 1)
+              if np.array_equal(steps[i][1], steps[i + 1][1])]
+    assert redone  # measured 2
+    for i in redone:
+        kept, fresh = steps[i][0], steps[i + 1][0]
+        assert kept is steps[i - 1][0] and fresh is not kept
 
 
 def test_bordered_lu_matches_the_assembled_matrix(grid_m, profile_p3n2):
@@ -335,7 +373,7 @@ def test_newton_single_spike(singles, profile_p3n2):
     run = singles[0.08]
     w0 = profile_p3n2.value(0.0)
     assert run["hist"][-1] < 1e-10
-    assert len(run["hist"]) - 1 <= 5  # measured 3 iterations
+    assert len(run["hist"]) - 1 <= 5  # measured 4 iterations from 1 LU
     assert run["sol"].values.min() > 0.0
     peaks = pde.extract_peaks(run["grid"], run["sol"], expected=1)
     assert abs(peaks[0][2] - w0) / w0 < 0.02  # measured +4.4e-3
@@ -383,7 +421,7 @@ def test_newton_inherits_init_symmetry(grid_m, pair2, profile_p3n2):
     sol, hist = pair2["sol"], pair2["hist"]
     assert hist[-1] < 1e-10
     # odd init on a mirror-symmetric lattice: the solution keeps the
-    # oddness far below the 1e-8 budget (measured 9.2e-13)
+    # oddness far below the 1e-8 budget (measured 1.6e-12)
     assert np.abs(sol.values + sol.values[mirror_rows(grid_m)]).max() < 1e-8
     peaks = pde.extract_peaks(grid_m, sol, expected=2)
     assert peaks[0][1] * peaks[1][1] == -1
@@ -438,9 +476,9 @@ def test_coarse_crown_newton_converges(disk, profile_p3n2):
     model = red.ReducedEnergyModel(disk, profile_p3n2, eps, ds, ds / 10.0)
     cfg = red.minimize_energy(model, crown)[0]
     g = pde.discretize(disk, eps / 4.0)
-    sol, hist, trail = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
-    assert hist[-1] < 1e-10  # measured 4.2e-14 in 13 iterations
-    assert any(moved for _, _, moved in trail)
+    sol, hist, trail, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
+    assert hist[-1] < 1e-10  # measured 4.6e-14 in 22 iterations, 9 LUs
+    assert any(moved for _, _, moved, _ in trail)
     peaks = pde.extract_peaks(g, sol, expected=6)
     assert all(peaks[i][1] * peaks[(i + 1) % 6][1] == -1 for i in range(6))
 
@@ -449,7 +487,7 @@ def test_coarse_crown_newton_converges(disk, profile_p3n2):
 
 
 def test_crown_newton_converges(crown10, profile_p3n2):
-    assert crown10["hist"][-1] < 1e-10  # measured 5.8e-11 in 15 iterations
+    assert crown10["hist"][-1] < 1e-10  # measured 7.5e-12 in 17 iterations, 7 LUs
     peaks = crown10["peaks"]
     assert len(peaks) == 4
     signs = [p[1] for p in peaks]
