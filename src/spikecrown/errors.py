@@ -57,10 +57,6 @@ class PropertyViolationError(NumericalError):
         self.report = report
 
 
-class ChordInfeasibleError(NumericalError):
-    """No point of the curve lies at the requested chord distance."""
-
-
 class NoCriticalDeltaError(NumericalError):
     """No offset distance balances chord and distance for this spike
     count on this domain."""

@@ -292,7 +292,7 @@ class ConvexCurve:
         half = (tm - t0) / 2.0
         nodes, weights = _GAUSS5
         tt = t0[:, None] + (nodes[None, :] + 1.0) * half[:, None]
-        sp = np.linalg.norm(self.d1(tt.ravel()), axis=1).reshape(len(tm), -1)
+        sp = np.linalg.norm(self.d1(tt.ravel()), axis=1).reshape(tt.shape)
         s = self.arclengths[j] + half * (sp @ weights) + wraps * self.total_length
         return s[0] if scalar else s
 

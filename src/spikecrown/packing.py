@@ -7,18 +7,18 @@ delta*, where the closing chord equals exactly 2*delta. This module
 marches equal chords around a curve, many chords and start phases at
 once, closes polygons by Newton in the chord length, finds the critical
 offset by Newton in delta, and samples the boundary strata of the
-admissible neighborhood for the gap property. The scalar
-equal_chord_march is kept as the independent oracle of the batched one.
+admissible neighborhood for the gap property. equal_chord_march, by
+table scans and bisection, stays as the independent oracle of _march.
 """
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+# brentq is unused here; perfbench/layers.py hooks this binding
+from scipy.optimize import brentq  # noqa: F401
 
 from .errors import (
-    ChordInfeasibleError,
     ConfigError,
     NoCriticalDeltaError,
     PackingConsistencyError,
@@ -113,52 +113,58 @@ def _phi_batch(dom, pts_batch, feet=None):
     return np.minimum(depth.min(axis=1), half)
 
 
-def _first_chord_root(curve, t_cur, p_cur, chord):
-    """Smallest t > t_cur with |P(t) - p_cur| = chord, to 1e-13."""
-    n = curve._n
-    h = 1.0 / n
-    for span in (256, n):
-        js = np.arange(1, span + 1)
-        f = np.linalg.norm(curve.point(t_cur + js * h) - p_cur, axis=1) - chord
-        f = np.concatenate([[-chord], f])
-        cross = np.nonzero((f[:-1] < 0.0) & (f[1:] >= 0.0))[0]
-        if len(cross):
-            j = int(cross[0])
-            return brentq(
-                lambda t: float(np.linalg.norm(curve.point(t) - p_cur) - chord),
-                t_cur + j * h,
-                t_cur + (j + 1) * h,
-                xtol=1e-13,
-                rtol=8.9e-16,
-                maxiter=200,
-            )
-    raise ChordInfeasibleError(
-        f"no point of the curve lies at chord {chord} ahead of t={t_cur:.6f}"
-    )
-
-
 def equal_chord_march(curve, k, chord, t0=0.0):
-    """March k equal chords from t0; returns (points, ts, defect).
-
-    Each vertex is the first point ahead of the previous one at distance
-    chord. ts has k+1 entries, unwrapped and strictly increasing; defect
-    is the total arclength advanced minus the curve length (negative
-    when the chord is too short to wrap once). A chord that no point
-    ahead reaches raises ChordInfeasibleError."""
-    chord = float(chord)
-    if not chord > 0:
-        raise ConfigError(f"chord must be positive, got {chord}")
+    """March k equal chords per row of (chord, t0), broadcast like
+    _march, with no Newton and no tangent recursion: its independent
+    oracle. Each vertex is the first sign change of |P - p| - chord
+    ahead of the last vertex p on table cells, from two cells before
+    the table's arclength-chord point (a chord is never longer than its
+    arc; a whole lap if 64 cells show none), then 45 halvings of its
+    cell to a few ulps. Returns points (m, k, 2), unwrapped ts (m, k+1)
+    and defect (m,), the arclength advanced less the curve length; a
+    row that cannot place a chord has defect +inf, and NaN parameters
+    and points from there on."""
+    chord, t0 = (np.array(a, dtype=float).ravel()
+                 for a in np.broadcast_arrays(chord, t0))
+    if not np.all(chord > 0):
+        raise ConfigError(f"chord must be positive, got {chord.min()}")
     if not k >= 2:
         raise ConfigError(f"need at least 2 vertices, got {k}")
-    ts = np.empty(k + 1)
-    ts[0] = t0
-    pts = np.empty((k, 2))
-    pts[0] = curve.point(t0)
-    for i in range(k):
-        ts[i + 1] = _first_chord_root(curve, ts[i], curve.point(ts[i]), chord)
-        if i + 1 < k:
-            pts[i + 1] = curve.point(ts[i + 1])
-    defect = float(curve.arclength(ts[-1]) - curve.arclength(ts[0]) - curve.total_length)
+    n, m, ell = curve._n, len(t0), curve.total_length
+    s_ext = np.concatenate([curve.arclengths, curve.arclengths + ell, [2.0 * ell]])
+    t_ext = np.arange(2 * n + 1) / n  # two laps of the table
+    ts, pts = np.full((m, k + 1), np.nan), np.full((m, k, 2), np.nan)
+    ts[:, 0], pts[:, 0] = t0, curve.point(t0)
+
+    def gap(x, rows, i):  # |P(x) - P(ts[:, i - 1])| - chord, per row
+        q = curve.point(x) - pts[rows, i - 1, None]
+        return np.hypot(q[..., 0], q[..., 1]) - chord[rows, None]
+
+    rows = np.arange(m)
+    for i in range(1, k + 1):
+        t = ts[:, i - 1]
+        frac = t - np.floor(t)
+        ta = t - frac + np.interp(np.interp(frac, t_ext, s_ext) + chord, s_ext, t_ext)
+        lo, hi = np.full((2, m), np.nan)
+        for start, cells in ((np.maximum(ta - 2.0 / n, t), 64), (t, n)):
+            x = start[rows, None] + np.arange(cells + 1) / n
+            f = gap(x, rows, i)
+            cross = (f[:, :-1] < 0.0) & (f[:, 1:] >= 0.0)
+            j = np.argmax(cross, axis=1)
+            hit = np.nonzero(cross[np.arange(rows.size), j])[0]
+            lo[rows[hit]], hi[rows[hit]] = x[hit, j[hit]], x[hit, j[hit] + 1]
+            rows = np.delete(rows, hit)
+        rows = np.nonzero(np.isfinite(lo))[0]
+        a, b = lo[rows], hi[rows]
+        for _ in range(45):
+            mid = 0.5 * (a + b)
+            below = gap(mid[:, None], rows, i)[:, 0] < 0.0
+            a, b = np.where(below, mid, a), np.where(below, b, mid)
+        ts[rows, i] = 0.5 * (a + b)
+        if i < k:
+            pts[rows, i] = curve.point(ts[rows, i])
+    defect = np.full(m, np.inf)
+    defect[rows] = curve.arclength(ts[rows, k]) - curve.arclength(t0[rows]) - ell
     return pts, ts, defect
 
 

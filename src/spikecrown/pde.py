@@ -420,8 +420,16 @@ class _BorderedLU:
     def solve(self, b):
         n = self.Z.shape[0]
         x = self.lu.solve(b[:n])
-        y = np.linalg.solve(self.S, self.Z.T @ x - b[n:])
+        y = _dense_solve(self.S, self.Z.T @ x - b[n:], "Schur complement Z'J^{-1}Z")
         return np.concatenate([x - self.W @ y, y])
+
+
+def _dense_solve(M, b, what):
+    """np.linalg.solve(M, b), a singular M raised as LinearSolveError."""
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"{what}: {exc}") from exc
 
 
 def _sup(x):
@@ -547,7 +555,7 @@ def newton_solve(grid, nl, eps, profile, config):
             K, fresh = bordered_lu(u, Z), True
         trail.append((alpha, float(np.linalg.norm(lam)), moved, fresh))
         if moved:
-            move = np.linalg.solve(Z.T @ Z, K.S @ lam).reshape(-1, 2)
+            move = _dense_solve(Z.T @ Z, K.S @ lam, "position move Z'Z").reshape(-1, 2)
             P, last_move = P + move, float(np.linalg.norm(move, axis=1).max())
             u = u + K.W @ lam
             lam = np.zeros_like(lam)

@@ -154,26 +154,20 @@ def _unit_disk():
     return geo.PlanarDomain(geo.circle(1.0))
 
 
-def _least_defect(gamma, k, chord, phases, best=np.inf, tb=0.0):
-    """(defect, phase) of the scalar march with the least closure defect
-    over phases, or (best, tb) if none beats best."""
-    for t in phases:
-        try:
-            g = pk.equal_chord_march(gamma, k, chord, float(t))[2]
-        except SpikeCrownError:
-            g = np.inf
-        if g < best:
-            best, tb = g, float(t)
-    return best, tb
-
-
-def _best_phase_defect(gamma, k, chord, center, width):
-    """Polish the march phase near `center`: 4 rounds of 9-point grids."""
-    best, tb = np.inf, center
-    for _round in range(4):
-        best, tb = _least_defect(gamma, k, chord, tb + np.linspace(-width, width, 9),
-                                 best, tb)
-        width /= 4.0
+def _best_phase_defect(gamma, k, chord, center):
+    """(defect, phase): the least closure defect over start phases,
+    one oracle march per phase grid. Without a center, 48 phases pick
+    one; 4 rounds of 9-phase grids, each a quarter as wide as the last,
+    polish it. The incumbent yields only to a strictly smaller defect."""
+    best, tb = np.inf, 0.0 if center is None else center
+    widths = [1.0 / 48.0 / 4.0**r for r in range(4)]
+    for width in ([None] if center is None else []) + widths:
+        phases = (np.arange(48) / 48.0 if width is None
+                  else tb + np.linspace(-width, width, 9))
+        defect = pk.equal_chord_march(gamma, k, chord, phases)[2]
+        i = int(np.argmin(defect))
+        if defect[i] < best:
+            best, tb = float(defect[i]), float(phases[i])
     return best, tb
 
 
@@ -192,15 +186,9 @@ def _delta_grid_search(dom, k):
     t_center = None
     for _level in range(_GRID_LEVELS):
         grid = np.linspace(lo, hi, 9)
-        vals, phases = [], []
-        for d in grid:
-            gamma = geo.inner_parallel_curve(bd, float(d))
-            center = t_center
-            if center is None:
-                center = _least_defect(gamma, k, 2.0 * d, np.arange(48) / 48.0)[1]
-            best, tb = _best_phase_defect(gamma, k, 2.0 * d, center, 1.0 / 48.0)
-            vals.append(best)
-            phases.append(tb)
+        vals, phases = zip(*[
+            _best_phase_defect(geo.inner_parallel_curve(bd, float(d)), k, 2.0 * d, t_center)
+            for d in grid])
         j = next((i for i in range(8) if vals[i] < 0.0 <= vals[i + 1]), None)
         if j is None:
             raise NumericalError("defect did not change sign across the bracket")

@@ -518,6 +518,7 @@ def test_arclength_roundtrip(ell21):
     ss = ell21.arclength(ts)
     assert np.abs(ell21.param_at_arclength(ss) - ts).max() < 1e-12
     assert abs(ell21.arclength(1.0) - ell21.total_length) < 1e-12
+    assert ell21.arclength(np.empty(0)).shape == (0,)
 
 
 def test_inradius(unit_circle, ell21):

@@ -18,8 +18,8 @@ import spikecrown.geometry as geo
 import spikecrown.packing as pk
 import spikecrown.pde as pde
 import spikecrown.reduced_energy as red
-from spikecrown.errors import (ConfigError, NewtonStallError, NumericalError,
-                               PeakCountError)
+from spikecrown.errors import (ConfigError, LinearSolveError, NewtonStallError,
+                               NumericalError, PeakCountError)
 from spikecrown.ground_state import normalization_constants
 from spikecrown.nonlinearity import Nonlinearity
 
@@ -357,6 +357,17 @@ def test_bordered_lu_matches_the_assembled_matrix(grid_m, profile_p3n2):
     x = pde._refine_solve(K.solve, K.dot, K.norm_a, b, 1e-12, "oracle step")
     sup = pde._sup
     assert sup(b - M @ x) <= 1e-12 * (norm_m * sup(x) + sup(b))
+
+
+def test_bordered_lu_with_a_singular_schur_complement_raises(grid_m, profile_p3n2):
+    # a zero translation mode makes S = Z'J^{-1}Z singular; the solve
+    # fails as a toolkit error, never as numpy's LinAlgError
+    P, signs = np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, -1.0])
+    U, Z = pde._ansatz_and_modes(grid_m, profile_p3n2, 0.1, P, signs)
+    Z[:, 1] = 0.0
+    K = pde._BorderedLU((grid_m.operator(0.1).A + sp.diags(NL.fprime(U))).tocsc(), Z)
+    with pytest.raises(LinearSolveError, match="Schur complement"):
+        K.solve(np.ones(grid_m.n_nodes + Z.shape[1]))
 
 
 def test_newton_stalls_on_a_spike_at_the_rim(grid_m, profile_p3n2):
