@@ -294,7 +294,7 @@ def run_pack(cfg, out_dir, dom=None):
                 {"k": k, "delta_star": delta_star, "eta": eta,
                  "sup_phi_boundary": sup_phi, "gap": gap,
                  "n_samples": counts.n_scored, "seed": cfg.seed,
-                 "ring_family": {"closed": counts[0], "tried": counts[1]},
+                 "ring_family": {"closed": counts.closed, "tried": counts.tried},
                  "chord_stratum": {"kept": counts.chord_kept, "tried": counts.chord_tried},
                  "inputs": _inputs(cfg, _PACK_INPUTS), **_stamp(cfg)})
     return k, delta_star, eta, crown

@@ -396,15 +396,45 @@ def _min_defect(curve, k, delta):
     return float(defect[i]), ts[i], float(slope[i])
 
 
-def _critical_delta(dom, k):
-    """Root of min_t0 defect(delta, t0, chord=2*delta) in delta; returns
-    (delta_star, points). Accepts any k >= 3; evenness is enforced
-    by the public wrapper.
+def _critical_delta(bd, k, lo, hi):
+    """Root in delta of min_t0 defect(delta, t0, chord=2*delta) on the
+    bracket (lo, hi), the defect negative at lo and not at hi (+inf
+    where a chord cannot be placed): a safeguarded Newton from the
+    bracket's middle, its slope from _min_defect. Returns (delta, bd's
+    inner parallel curve at delta, the ts of its least-defect march)."""
+    x = 0.5 * (lo + hi)
+    dx = dx_old = hi - lo
+    for _ in range(_NEWTON_STEPS):
+        gamma = inner_parallel_curve(bd, x)
+        val, ts, slope = _min_defect(gamma, k, x)
+        xn, lo, hi, dx, dx_old, done = _safeguarded_newton(
+            x, val, slope, lo, hi, dx, dx_old, _DELTA_TOL)
+        if done:
+            return float(x), gamma, ts
+        x = float(xn)
+    raise NoCriticalDeltaError(
+        f"critical offset for k={k} not resolved in {_NEWTON_STEPS} steps "
+        f"on ({lo:.6g}, {hi:.6g})"
+    )
+
+
+def critical_distance(dom, k):
+    """Critical offset delta* and its equal-chord crown configuration.
 
     The bracket is as wide as the offset curves allow, its lower end
     l/(4k) for the curve length l, or half the upper end when l/(4k)
-    is no lower; a safeguarded Newton in delta then takes its slope
-    from _min_defect."""
+    is no lower; its ends are halved until the defect changes sign,
+    and _critical_delta solves closure-chord = 2*delta on it. The
+    crown satisfies: vertex depths delta*, adjacent chords 2*delta*,
+    non-adjacent pairs >= 2*delta*; violations raise
+    PackingConsistencyError."""
+    if k % 2 != 0:
+        raise ConfigError(f"spike count must be even, got {k}")
+    if k < 4:
+        raise ConfigError(
+            "crown closure needs k >= 4 (at k=2 the closing chord equals "
+            "the offset-curve diameter and the march degenerates)"
+        )
     bd = dom.boundary
     ell = bd.total_length
     d_lo = ell / (4.0 * k)
@@ -432,38 +462,8 @@ def _critical_delta(dom, k):
             f"no critical offset for k={k}: defect spans "
             f"{g_lo:.3e} .. {g_hi:.3e} on ({d_lo:.4g}, {d_hi:.4g})"
         )
-    x, lo, hi = 0.5 * (d_lo + d_hi), d_lo, d_hi
-    dx = dx_old = d_hi - d_lo
-    for _ in range(_NEWTON_STEPS):
-        gamma = inner_parallel_curve(bd, x)
-        val, ts, slope = _min_defect(gamma, k, x)
-        xn, lo, hi, dx, dx_old, done = _safeguarded_newton(
-            x, val, slope, lo, hi, dx, dx_old, _DELTA_TOL)
-        if done:
-            return float(x), gamma.point(ts[:k])
-        x = float(xn)
-    raise NoCriticalDeltaError(
-        f"critical offset for k={k} not resolved in {_NEWTON_STEPS} steps "
-        f"on ({lo:.6g}, {hi:.6g})"
-    )
-
-
-def critical_distance(dom, k):
-    """Critical offset delta* and its equal-chord crown configuration.
-
-    Solves closure-chord = 2*delta by a safeguarded Newton in delta,
-    minimizing the closure defect over the march start at each step
-    (_critical_delta). The returned crown satisfies: vertex
-    depths delta*, adjacent chords 2*delta*, non-adjacent pairs >=
-    2*delta*; violations raise PackingConsistencyError."""
-    if k % 2 != 0:
-        raise ConfigError(f"spike count must be even, got {k}")
-    if k < 4:
-        raise ConfigError(
-            "crown closure needs k >= 4 (at k=2 the closing chord equals "
-            "the offset-curve diameter and the march degenerates)"
-        )
-    delta_star, pts = _critical_delta(dom, k)
+    delta_star, gamma, ts = _critical_delta(bd, k, d_lo, d_hi)
+    pts = gamma.point(ts[:k])
     config = SpikeConfiguration(pts)
 
     depth_dev, chord_dev = _crown_deviations(dom, pts, delta_star)
@@ -517,29 +517,24 @@ def choose_spike_count(dom, delta0):
 
 def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     """Adversarial boundary-stratum family: a (k-1)-ring packed at its
-    own critical offset (clamped into the depth tube) and closed from
-    n_members random phases at once, plus one point pinned at the deep
-    stratum depth delta* + eta, midway between the ring's first two
-    vertices. Returns (configurations, their foot parameters, NaN where
-    the depth reaches 1/kappa_max, number of rings that closed).
+    own critical offset, capped at the depth tube's top, and closed
+    from n_members random phases at once, plus one point pinned at the
+    deep stratum depth delta* + eta, midway between the ring's first
+    two vertices. Returns (configurations, their foot parameters, NaN
+    where the depth reaches 1/kappa_max, number of rings that closed).
 
-    The ring's offset is solved for only when the tube holds it: a ring
-    that cannot close at the tube top (negative defect there) has its
-    critical offset above the tube, and the clamp gives the top."""
+    The top is delta* + 0.9 eta, or 0.95/kappa_max when that reaches
+    1/kappa_max. A ring still short of a lap there sits at the top;
+    otherwise its offset is solved for on (delta*, top)."""
     bd = dom.boundary
-    lo, hi = delta_star - 0.9 * eta, delta_star + 0.9 * eta
-    gamma = None
-    if hi * bd.kappa_max < 1.0:
-        top = inner_parallel_curve(bd, hi)
-        if _min_defect(top, k - 1, hi)[0] < 0.0:
-            gamma = top
-    if gamma is None:
-        try:
-            ring_delta, _ = _critical_delta(dom, k - 1)
-        except NoCriticalDeltaError:
-            return np.empty((0, k, 2)), np.empty((0, k)), 0
-        ring_delta = float(np.clip(ring_delta, max(lo, 1e-6), hi))
-        gamma = inner_parallel_curve(bd, ring_delta)
+    hi = delta_star + 0.9 * eta
+    if hi * bd.kappa_max >= 1.0:
+        hi = 0.95 / bd.kappa_max
+    gamma = inner_parallel_curve(bd, hi)
+    if not _min_defect(gamma, k - 1, hi)[0] < 0.0:
+        # from the crown's phase, k-1 chords of 2*delta* fall one chord's
+        # arc short of a lap, so the ring's defect at delta* is negative
+        _, gamma, _ = _critical_delta(bd, k - 1, delta_star, hi)
     shifts = rng.uniform(0.0, 1.0, n_members)
     ts, _, defect, _ = _close(gamma, k - 1, shifts)
     ts = ts[np.abs(defect) <= _CLOSURE_TOL * gamma.total_length]
@@ -556,15 +551,15 @@ def _known_feet(bd, ts, depths):
     return np.where(depths * bd.kappa_max < 1.0, ts, np.nan)
 
 
-class GapCounts(tuple):
-    """The ring family's pair (rings closed, rings tried); the rows scored
-    and the chord samples kept in the tube of those drawn ride along as
-    n_scored, chord_kept and chord_tried."""
+class GapCounts(NamedTuple):
+    """The gap check's counts: rings closed of those tried, the rows
+    scored, and the chord samples kept in the tube of those drawn."""
 
-    def __new__(cls, closed, tried, n_scored=0, chord_kept=0, chord_tried=0):
-        counts = super().__new__(cls, (closed, tried))
-        counts.n_scored, counts.chord_kept, counts.chord_tried = n_scored, chord_kept, chord_tried
-        return counts
+    closed: int
+    tried: int
+    n_scored: int
+    chord_kept: int
+    chord_tried: int
 
 
 def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
@@ -581,7 +576,7 @@ def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
     if eta < 0:
         raise ConfigError(f"eta must be nonnegative, got {eta}")
     if eta == 0.0:
-        return 0.0, float(delta_star), GapCounts(0, 0)  # empty boundary stratum
+        return 0.0, float(delta_star), GapCounts(0, 0, 0, 0, 0)  # empty boundary stratum
     if isinstance(crown, SpikeConfiguration):
         crown = crown.points
     k = len(crown)

@@ -158,12 +158,14 @@ def _best_phase_defect(gamma, k, chord, center):
     """(defect, phase): the least closure defect over start phases,
     one oracle march per phase grid. Without a center, 48 phases pick
     one; 4 rounds of 9-phase grids, each a quarter as wide as the last,
-    polish it. The incumbent yields only to a strictly smaller defect."""
+    polish it, each without its middle, the incumbent, once that is
+    scored. The incumbent yields only to a strictly smaller defect."""
     best, tb = np.inf, 0.0 if center is None else center
     widths = [1.0 / 48.0 / 4.0**r for r in range(4)]
     for width in ([None] if center is None else []) + widths:
         phases = (np.arange(48) / 48.0 if width is None
                   else tb + np.linspace(-width, width, 9))
+        phases = np.delete(phases, 4) if best < np.inf else phases
         defect = pk.equal_chord_march(gamma, k, chord, phases)[2]
         i = int(np.argmin(defect))
         if defect[i] < best:

@@ -56,6 +56,25 @@ def test_criterion_03_ellipse_grid_search(report):
     assert e["pass"]
 
 
+def test_phase_polish_marches_the_incumbent_once(monkeypatch):
+    # a polish grid's middle is the incumbent; once a grid has marched
+    # it, its defect is known and the next grids leave it out
+    rows = []
+    march = verify.pk.equal_chord_march
+
+    def counted(curve, k, chord, t0):
+        rows.append(len(t0))
+        return march(curve, k, chord, t0)
+
+    monkeypatch.setattr(verify.pk, "equal_chord_march", counted)
+    gamma = verify.geo.inner_parallel_curve(verify.geo.ellipse(1.2, 1.0), 0.45)
+    verify._best_phase_defect(gamma, 4, 0.9, None)
+    assert rows == [48, 8, 8, 8, 8]
+    rows.clear()
+    verify._best_phase_defect(gamma, 4, 0.9, 0.1)
+    assert rows == [9, 8, 8, 8]
+
+
 def test_criterion_04_boundary_gap(report):
     e = entry(report, 4)
     m = e["measured"]

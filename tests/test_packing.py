@@ -522,16 +522,17 @@ def test_boundary_gap_positive_in_thin_tube(disk, monkeypatch):
 def test_boundary_gap_degenerate_tube(disk):
     ds = circle_law(1.0, 8)
     assert pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds, 0.0) == (
-        0.0, ds, (0, 0))
+        0.0, ds, (0, 0, 0, 0, 0))
 
 
 def count_critical_delta(monkeypatch):
+    # one (k, lo, hi) per offset solve: its count and its bracket
     calls = []
     solve = pk._critical_delta
 
-    def counted(dom, k, *args):
-        calls.append(k)
-        return solve(dom, k, *args)
+    def counted(bd, k, lo, hi):
+        calls.append((k, lo, hi))
+        return solve(bd, k, lo, hi)
 
     monkeypatch.setattr(pk, "_critical_delta", counted)
     return calls
@@ -541,6 +542,7 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
     # with eta comparable to delta* a 7 ring plus one deep spike beats
     # the critical 8 crown, so the margin claim must fail loudly; the
     # ring cannot be placed at the tube top, so its offset is solved for
+    # on a bracket from delta*
     monkeypatch.setattr(pk, "_GAP_SAMPLES", 1500)
     ds = circle_law(1.0, 8)
     calls = count_critical_delta(monkeypatch)
@@ -549,28 +551,35 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
     rep = exc.value.report
     assert rep["sup_boundary"] > ds
     assert len(rep["worst_points"]) == 8
-    assert calls == [7]
+    assert [(k, lo) for k, lo, _ in calls] == [(7, ds)]
 
 
 @pytest.mark.parametrize("domain,k,solves,want", [
     ({"kind": "circle", "radius": 1.0}, 4, 0,
-     (0.40405567956331223, 0.010157882809811225, (200, 200))),
+     (0.40405567956331223, 0.010157882809811225, (200, 200, 7500, 0, 2500))),
     ({"kind": "circle", "radius": 1.0}, 6, 0,
-     (0.32605795884265854, 0.007275374490674835, (200, 200))),
+     (0.32605795884265854, 0.007275374490674835, (200, 200, 7500, 0, 2500))),
     ({"kind": "ellipse", "a": 1.2, "b": 1.0}, 4, 1,
-     (0.4483942335591808, 0.010451493252809252, (200, 200))),
+     (0.4483942335591808, 0.010451493252809252, (200, 200, 7500, 0, 2500))),
+    ({"kind": "ellipse", "a": 2.0, "b": 1.0}, 10, 1,
+     (0.35623981427239626, 0.007272250883125608, (200, 200, 7887, 387, 2500))),
+    ({"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0}, 6, 1,
+     (0.351309535520922, 0.008524009180661263, (200, 200, 7736, 236, 2500))),
 ])
 def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, monkeypatch):
     # On the disk the (k-1)-ring's critical offset lies above the tube,
     # so the ring sits at the tube top with no offset solve; on the
-    # ellipse it lies inside. want holds the results computed when
-    # every gap check solved for the ring's offset; the ellipse's value
-    # is for the crown that starts at foot 0 (the smallest-foot tie rule).
+    # others it lies inside, and is solved for on (delta*, tube top).
+    # The disk and 1.2x1 sup and gap are also those of a ring offset
+    # solved on the crown's whole bracket; the 1.2x1 value is for the
+    # crown that starts at foot 0 (the smallest-foot tie rule). On the
+    # superellipse that bracket ends at 0.95/kappa_max, below the
+    # 5-ring's offset, which only (delta*, tube top) reaches.
     dom = geo.make_domain(domain)
     ds, crown = pk.critical_distance(dom, k)
     calls = count_critical_delta(monkeypatch)
     assert pk.boundary_gap_check(dom, crown, ds, ds / 10.0, seed=0) == want
-    assert calls == [k - 1] * solves
+    assert [(n, lo) for n, lo, _ in calls] == [(k - 1, ds)] * solves
 
 
 def test_boundary_gap_rejects_negative_eta(disk):
@@ -590,6 +599,6 @@ def test_boundary_gap_samples_around_the_critical_crown():
     dom = geo.PlanarDomain(geo.spline_curve(pts))
     ds, crown = pk.critical_distance(dom, 4)
     eta = 1e-3 * ds
-    sup, gap, (closed, tried) = pk.boundary_gap_check(dom, crown, ds, eta)
+    sup, gap, counts = pk.boundary_gap_check(dom, crown, ds, eta)
     assert 0.0 < gap < 3.0 * eta
-    assert closed == tried == 200
+    assert counts == (200, 200, 7500, 0, 2500)

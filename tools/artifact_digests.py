@@ -33,6 +33,7 @@ import tempfile
 
 DISK = {"kind": "circle", "radius": 1.0}
 ELLIPSE = {"kind": "ellipse", "a": 1.2, "b": 1.0}
+ELLIPSE_2X1 = {"kind": "ellipse", "a": 2.0, "b": 1.0}
 SUPERELLIPSE = {"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0}
 # 24 points of the 1.3x1 ellipse, interpolated by a periodic spline
 SPLINE = {"kind": "spline",
@@ -44,6 +45,8 @@ CASES = [
     ("ground-state-p3n2", "ground-state", {"p": 3.0, "N": 2}, []),
     ("ground-state-p4n1", "ground-state", {"p": 4.0, "N": 1}, []),
     ("pack-ellipse", "pack", {"domain": ELLIPSE, "k": 4}, ["--seed", "7"]),
+    # its gap check solves for a 9-ring's offset
+    ("pack-ellipse-2x1", "pack", {"domain": ELLIPSE_2X1, "k": 10}, []),
     ("pack-disk", "pack", {"domain": DISK, "k": 8}, []),
     ("pack-superellipse", "pack", {"domain": SUPERELLIPSE, "k": 6}, []),
     ("pack-spline", "pack", {"domain": SPLINE, "k": 4}, []),
