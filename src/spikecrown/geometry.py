@@ -13,7 +13,10 @@ Offsetting inward by delta < 1/kappa_max yields the inner parallel curve
 with curvature kappa/(1 - delta*kappa); no third derivatives are needed
 for that, which is why a provider has one method, frame: point, first
 derivative and curvature from one pass. Every curve query reads it,
-through ConvexCurve.frame. The offset's table
+through ConvexCurve.frame. The packing march calls frame once per
+Newton step on a few rows, so frames fill their (..., 2) arrays in
+place and lengths come from _length, not np.stack and np.linalg.norm:
+the same bits, fewer numpy calls. The offset's table
 comes from its base's by Steiner's formula: the same tangents, points
 moved by -delta*nu, speeds and curvatures rescaled by (1 - delta*kappa),
 and each arc shortened by delta times its turning angle.
@@ -29,6 +32,7 @@ from scipy.spatial import cKDTree
 from .errors import (
     ConfigError,
     IntegrationError,
+    IterationError,
     NonUniqueProjectionError,
     ParallelCurveDegeneracyError,
 )
@@ -42,15 +46,25 @@ _FOOT_TOL, _FOOT_STEPS, _FOOT_FLOOR = 1e-15, 20, 1e-2  # see PlanarDomain.neares
 # them to the kd-tree
 _NODE_TIE = 1e-9
 
+def _length(v):
+    """|v| over a last axis of length 2, with np.linalg.norm's bits (its
+    sum of squares is an add.reduce, which adds two terms in order) and
+    none of its overhead."""
+    x, y = v[..., 0], v[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
 def _unit_tangent(d1):
-    speed = np.linalg.norm(d1, axis=-1, keepdims=True)
-    return d1 / speed
+    return d1 / _length(d1)[..., None]
 
 
 def _outward_normal_from_d1(d1):
     # counterclockwise parameterization: outward = tangent rotated -90 deg
-    t = _unit_tangent(d1)
-    return np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    speed = _length(d1)
+    nu = np.empty_like(d1)
+    nu[..., 0] = d1[..., 1] / speed
+    nu[..., 1] = -(d1[..., 0] / speed)
+    return nu
 
 
 class _CircleProvider:
@@ -75,9 +89,10 @@ class _EllipseProvider:
         th = 2.0 * np.pi * np.asarray(t, dtype=float)
         c, s = np.cos(th), np.sin(th)
         g = self.a**2 * s**2 + self.b**2 * c**2
-        return (np.stack([self.a * c, self.b * s], axis=-1),
-                2.0 * np.pi * np.stack([-self.a * s, self.b * c], axis=-1),
-                self.a * self.b / g**1.5)
+        p, d1 = np.empty((2, *th.shape, 2))
+        p[..., 0], p[..., 1] = self.a * c, self.b * s
+        d1[..., 0], d1[..., 1] = 2.0 * np.pi * (-self.a * s), 2.0 * np.pi * (self.b * c)
+        return p, d1, self.a * self.b / g**1.5
 
 
 class _SplineProvider:
@@ -93,8 +108,7 @@ class _SplineProvider:
         d1 = self._s1(tm)
         d2 = self._s2(tm)
         cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        speed = np.linalg.norm(d1, axis=-1)
-        return self._s(tm), d1, cross / speed**3
+        return self._s(tm), d1, cross / _length(d1)**3
 
 
 class _OffsetProvider:
@@ -109,9 +123,9 @@ class _OffsetProvider:
 
     def frame(self, t):
         p, d1, k = self.base.frame(t)
+        shrink = 1.0 - self.delta * k
         return (p - self.delta * _outward_normal_from_d1(d1),
-                d1 * (1.0 - self.delta * k)[..., None],
-                k / (1.0 - self.delta * k))
+                d1 * shrink[..., None], k / shrink)
 
 
 def _polygon_area_centroid(pts):
@@ -143,7 +157,7 @@ def _segment_lengths(provider, t_nodes, rule):
     h = 1.0 / n
     # Gauss points of every [t_j, t_j+h], evaluated in one vector call
     tt = t_nodes[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)
-    sp = np.linalg.norm(provider.frame(tt.ravel())[1], axis=1).reshape(n, -1)
+    sp = _length(provider.frame(tt.ravel())[1]).reshape(n, -1)
     return (h / 2.0) * sp @ weights
 
 
@@ -153,7 +167,7 @@ def _quadrature_table(provider):
     n = _TABLE_N
     t_nodes = np.arange(n) / n
     points, d1, curvatures = provider.frame(t_nodes)
-    speeds = np.linalg.norm(d1, axis=1)
+    speeds = _length(d1)
     seg5 = _segment_lengths(provider, t_nodes, _GAUSS5)
     seg10 = _segment_lengths(provider, t_nodes, _GAUSS10)
     ell5, ell10 = seg5.sum(), seg10.sum()
@@ -208,6 +222,9 @@ class ConvexCurve:
         )
         self.curvatures = table.curvatures
         self.arclengths, self.total_length = table.arclengths, table.total_length
+        # the table closed at t = 1, for lookups of s(t) and t(s)
+        self.s_closed = np.append(self.arclengths, self.total_length)
+        self.t_closed = np.append(self.t_nodes, 1.0)
         self.kappa_max = float(self.curvatures.max())
         self.kappa_min = max(float(self.curvatures.min()), 0.0)
         self._check_table(table.end)
@@ -264,7 +281,7 @@ class ConvexCurve:
         return self.frame(t)[1]
 
     def speed(self, t):
-        return np.linalg.norm(self.d1(t), axis=-1)
+        return _length(self.d1(t))
 
     def tangent(self, t):
         return _unit_tangent(self.d1(t))
@@ -292,7 +309,7 @@ class ConvexCurve:
         half = (tm - t0) / 2.0
         nodes, weights = _GAUSS5
         tt = t0[:, None] + (nodes[None, :] + 1.0) * half[:, None]
-        sp = np.linalg.norm(self.d1(tt.ravel()), axis=1).reshape(tt.shape)
+        sp = _length(self.d1(tt.ravel())).reshape(tt.shape)
         s = self.arclengths[j] + half * (sp @ weights) + wraps * self.total_length
         return s[0] if scalar else s
 
@@ -301,9 +318,7 @@ class ConvexCurve:
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         sm = np.mod(np.atleast_1d(s), self.total_length)
-        s_ext = np.concatenate([self.arclengths, [self.total_length]])
-        t_ext = np.concatenate([self.t_nodes, [1.0]])
-        t = np.interp(sm, s_ext, t_ext)
+        t = np.interp(sm, self.s_closed, self.t_closed)
         for _ in range(2):
             t = t - (self.arclength(t) - sm) / self.speed(t)
         t = np.mod(t, 1.0)
@@ -558,7 +573,7 @@ class PlanarDomain:
                 break
         p, d1, _ = bd.frame(t)
         diff = X - p
-        dist = np.linalg.norm(diff, axis=1)
+        dist = _length(diff)
         side = np.einsum("ij,ij->i", _outward_normal_from_d1(d1), diff)
         return t, np.where(side >= 0.0, dist, -dist)
 
@@ -612,6 +627,9 @@ class PlanarDomain:
 
     @property
     def inradius(self):
+        """Depth of the deepest point, by Nelder-Mead from the centroid;
+        a search that stops short raises IterationError with scipy's
+        reason."""
         if self._inradius is None:
             res = minimize(
                 lambda z: self.signed_distance(z),
@@ -619,6 +637,8 @@ class PlanarDomain:
                 method="Nelder-Mead",
                 options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 2000},
             )
+            if not res.success:
+                raise IterationError(f"inradius search stopped: {res.message}")
             self._inradius = float(-res.fun)
         return self._inradius
 

@@ -205,8 +205,7 @@ def _arc_start(curve, t, c):
     """A parameter past t and less than one arclength c ahead of it: the
     table's arclength-c point less two cells, or half of it for chords
     that short. Up to there the chord from t is below c."""
-    s_ext = np.append(curve.arclengths, curve.total_length)
-    t_ext = np.append(curve.t_nodes, 1.0)
+    s_ext, t_ext = curve.s_closed, curve.t_closed
     lap = np.floor(t)
     s = np.interp(t - lap, t_ext, s_ext) + c
     ahead = np.floor(s / curve.total_length)
@@ -223,31 +222,33 @@ def _next_vertex(curve, t, p, c):
     where the distance falls also bounds the bracket from above (so does
     t + 1, back at p). A row whose bracket closes on such a point, a
     local maximum of the distance below c, is not placed."""
-    m = len(t)
+    out = np.full(len(t), np.nan)
     x = _arc_start(curve, t, c)
-    lo, hi = t.copy(), t + 1.0
-    top = np.ones(m, dtype=bool)  # hi is where the distance falls below c
-    dx, dx_old = np.full(m, np.inf), np.full(m, np.inf)
-    out = np.full(m, np.nan)
-    rows = np.nonzero(x < hi)[0]
+    rows = np.nonzero(x < t + 1.0)[0]
+    # the live rows' state, compacted whenever some row finishes
+    x, p, c, lo = x[rows], p[rows], c[rows], t[rows]
+    hi = lo + 1.0
+    top = np.ones(rows.size, dtype=bool)  # hi is where the distance falls below c
+    dx = dx_old = np.full(rows.size, np.inf)
     for _ in range(_VERTEX_STEPS):
         if not rows.size:
             break
-        xr = x[rows]
-        q, d1, _ = curve.frame(xr)
-        r = q - p[rows]
+        q, d1, _ = curve.frame(x)
+        r = q - p
         g = np.hypot(r[:, 0], r[:, 1])
-        f = g - c[rows]
+        f = g - c
         slope = np.einsum("ij,ij->i", r, d1) / g
-        falls = (f < 0.0) & ~(slope > 0.0) & top[rows]
-        top[rows] = falls | (top[rows] & (f < 0.0))
-        xn, lo[rows], hi[rows], dx[rows], dx_old[rows], done = _safeguarded_newton(
-            xr, np.where(falls, 1.0, f), np.where(falls, np.nan, slope),
-            lo[rows], hi[rows], dx[rows], dx_old[rows], _T_TOL)
-        x[rows] = xn
-        placed = done & ~(top[rows] & (hi[rows] - lo[rows] <= _T_TOL))
-        out[rows[placed]] = xn[placed]
-        rows = rows[~done]
+        falls = (f < 0.0) & ~(slope > 0.0) & top
+        top = falls | (top & (f < 0.0))
+        x, lo, hi, dx, dx_old, done = _safeguarded_newton(
+            x, np.where(falls, 1.0, f), np.where(falls, np.nan, slope),
+            lo, hi, dx, dx_old, _T_TOL)
+        if done.any():
+            placed = done & ~(top & (hi - lo <= _T_TOL))
+            out[rows[placed]] = x[placed]
+            live = ~done
+            rows, x, lo, hi, dx, dx_old, top, p, c = (
+                a[live] for a in (rows, x, lo, hi, dx, dx_old, top, p, c))
     return out, np.isfinite(out)
 
 

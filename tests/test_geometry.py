@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 from scipy.special import ellipe
@@ -13,6 +13,7 @@ from spikecrown import geometry as geo
 from spikecrown import verify
 from spikecrown.errors import (
     ConfigError,
+    IterationError,
     NonUniqueProjectionError,
     ParallelCurveDegeneracyError,
     PropertyViolationError,
@@ -136,6 +137,45 @@ def test_every_curve_query_has_the_bits_of_frame(offset_bases, unit_circle, name
         for depth in (0.05, 0.05 + 0.1 * np.abs(np.sin(7.0 * np.asarray(t)))):
             want = p - (depth[..., None] if np.ndim(depth) else depth) * normal
             assert np.array_equal(g.point_at_depth(t, depth), want)
+
+
+def test_length_has_the_bits_of_linalg_norm():
+    rng = np.random.default_rng(11)
+    zero = np.zeros((3, 2))
+    tiny = rng.uniform(-1.0, 1.0, (50, 2)) * 1e-160  # squares underflow
+    huge = rng.uniform(-1.0, 1.0, (50, 2)) * 1e160  # squares overflow
+    for v in (rng.normal(size=(1000, 2)), rng.normal(size=(7, 30, 2)) * 1e3,
+              zero, tiny, huge, np.concatenate([tiny, huge, zero])):
+        with np.errstate(over="ignore"):
+            assert_array_equal(geo._length(v), np.linalg.norm(v, axis=-1))
+
+
+def _old_normal(d1):
+    """The outward normal as np.linalg.norm and np.stack made it."""
+    t = d1 / np.linalg.norm(d1, axis=-1, keepdims=True)
+    return np.stack([t[..., 1], -t[..., 0]], axis=-1)
+
+
+def test_lean_frames_have_the_bits_of_the_stacked_formulas():
+    rng = np.random.default_rng(12)
+    for d1 in (rng.normal(size=(500, 2)), rng.normal(size=(4, 9, 2)), rng.normal(size=2)):
+        assert_array_equal(geo._outward_normal_from_d1(d1), _old_normal(d1))
+    a, b, delta = 1.2, 1.0, 0.2
+    base = geo._EllipseProvider(a, b)
+    offset = geo._OffsetProvider(base, delta)
+    for t in (rng.uniform(-1.0, 2.0, 300), rng.uniform(0.0, 1.0, (5, 7)), 0.37):
+        th = 2.0 * np.pi * np.asarray(t)
+        c, s = np.cos(th), np.sin(th)
+        g = a**2 * s**2 + b**2 * c**2
+        p = np.stack([a * c, b * s], axis=-1)
+        d1 = 2.0 * np.pi * np.stack([-a * s, b * c], axis=-1)
+        kappa = a * b / g**1.5
+        for got, want in zip(base.frame(t), (p, d1, kappa)):
+            assert_array_equal(got, want)
+        want = (p - delta * _old_normal(d1), d1 * (1.0 - delta * kappa)[..., None],
+                kappa / (1.0 - delta * kappa))
+        for got, w in zip(offset.frame(t), want):
+            assert_array_equal(got, w)
 
 
 @pytest.mark.parametrize("name", ["ellipse", "ellipse1.2", "superellipse"])
@@ -524,3 +564,13 @@ def test_arclength_roundtrip(ell21):
 def test_inradius(unit_circle, ell21):
     assert abs(geo.PlanarDomain(unit_circle).inradius - 1.0) < 1e-9
     assert abs(geo.PlanarDomain(ell21).inradius - 1.0) < 1e-6
+
+
+def test_inradius_says_why_it_stopped(monkeypatch):
+    # the 1.2x1 ellipse takes 29 Nelder-Mead iterations; two cannot settle
+    def capped(*args, options, **kwargs):
+        return minimize(*args, options={**options, "maxiter": 2}, **kwargs)
+
+    monkeypatch.setattr(geo, "minimize", capped)
+    with pytest.raises(IterationError, match="inradius search stopped: Maximum"):
+        geo.PlanarDomain(geo.ellipse(1.2, 1.0)).inradius

@@ -233,6 +233,18 @@ def _jumps_a_dip(curve, ts):
     return False
 
 
+def _rows_have_the_bits_of_one_row_calls(march, curve, k, chord, t0):
+    """march's batch over the rows of (chord, t0), after checking that
+    every output of each row equals that of a one-row call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = march(curve, k, chord, t0)
+    for i in range(len(t0)):
+        for got, want in zip(march(curve, k, chord[i], t0[i]), batch):
+            assert_array_equal(got[0], want[i])
+    return batch
+
+
 @pytest.mark.parametrize("name", ["disk", "ellipse 2x1 offset 0.15"])
 def test_march_rows_have_the_bits_of_one_row_calls(name):
     # so batching the oracle cannot move a defect, and with it the
@@ -244,13 +256,28 @@ def test_march_rows_have_the_bits_of_one_row_calls(name):
     for k in (3, 10):
         t0 = rng.uniform(-1.5, 2.5, 16)
         chord = rng.uniform(0.1, 0.6, 16) * curve.total_length
-        pts, ts, defect = pk.equal_chord_march(curve, k, chord, t0)
+        defect = _rows_have_the_bits_of_one_row_calls(pk.equal_chord_march, curve, k,
+                                                      chord, t0)[2]
         assert np.isinf(defect).any() and np.isfinite(defect).any()
-        for i in range(16):
-            one = pk.equal_chord_march(curve, k, chord[i], t0[i])
-            assert_array_equal(one[0][0], pts[i])
-            assert_array_equal(one[1][0], ts[i])
-            assert_array_equal(one[2][0], defect[i])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_newton_march_rows_have_the_bits_of_one_row_calls(name):
+    # so _next_vertex's compaction of its live rows cannot move a bit;
+    # short chords are placed, chords of 0.22-0.3 l pass a dip on the
+    # 2x1 offset and are not placed there, chords over 0.45 l never fit
+    curve = ORACLE_CURVES[name]()
+    ell = curve.total_length
+    rng = np.random.default_rng(5)
+    for k in (3, 4, 10):
+        t0 = rng.uniform(-1.5, 2.5, 20)
+        chord = np.concatenate([rng.uniform(0.25, 1.6, 8) / k, rng.uniform(0.22, 0.3, 8),
+                                rng.uniform(0.45, 0.6, 4)]) * ell
+        placed = np.isfinite(
+            _rows_have_the_bits_of_one_row_calls(pk._march, curve, k, chord, t0).defect)
+        oracle = pk.equal_chord_march(curve, k, chord, t0)[2]
+        assert placed.any() and np.isinf(oracle).any()
+        assert (~placed & np.isfinite(oracle)).any() == name.startswith("ellipse 2x1")
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))

@@ -10,7 +10,7 @@ directory, and prints one `sha256  case/path` line per written file and
 one `exit  case  code` line per command, sorted. Two checkouts that
 write the same bits print the same lines, so `diff` of two outputs is
 the bit-for-bit check of a refactor. `--verify` adds `verify --seed 0`,
-which takes about 11 s on a 2-core host (about 30 s for the whole run).
+which takes about 10 s on a 2-core host (about 29 s for the whole run).
 
 `--against OTHER` runs every case in both checkouts and prints, instead
 of the digests, one line per file whose bytes differ: the largest
@@ -190,7 +190,7 @@ def main(argv=None):
     ap.add_argument("checkout", nargs="?", default=here,
                     help="repository checkout to run (default: this one)")
     ap.add_argument("--verify", action="store_true",
-                    help="also run `verify --seed 0` (about 11 s)")
+                    help="also run `verify --seed 0` (about 10 s)")
     ap.add_argument("--against", metavar="OTHER", default=None,
                     help="also run OTHER checkout and report how each differing "
                          "file's values differ")
