@@ -80,11 +80,14 @@ class JobConfig:
                 raise ConfigError("domain must be a JSON object")
             geo.check_curve_spec(self.domain)
         for key in ("epsilon", "eps_fractions"):
-            object.__setattr__(self, key, _as_float_tuple(key, getattr(self, key)))
+            val = getattr(self, key)
+            if not isinstance(val, (list, tuple)):
+                raise ConfigError(f"{key} must be a list of numbers")
+            object.__setattr__(self, key, tuple(geo._positive(f"{key} entries", v) for v in val))
         for key in ("p", "h_divisor", "delta0", "eta"):
             val = getattr(self, key)
             if val is not None:
-                object.__setattr__(self, key, _as_float(val, f"{key} must be a number"))
+                object.__setattr__(self, key, geo._finite(key, val))
         for key in ("N", "k", "seed"):
             val = getattr(self, key)
             if isinstance(val, float) and val.is_integer():
@@ -99,30 +102,10 @@ class JobConfig:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.h_divisor <= 0:
             raise ConfigError(f"h_divisor must be positive, got {self.h_divisor}")
-        for key in ("epsilon", "eps_fractions"):
-            for val in getattr(self, key):
-                if not (math.isfinite(val) and val > 0):
-                    raise ConfigError(f"{key} entries must be finite and positive, got {val!r}")
         if self.form not in ("leading", "psi_numeric"):
             raise ConfigError(f"unknown form {self.form!r}")
         if not isinstance(self.out, str):
             raise ConfigError("out must be a path string")
-
-
-def _as_float(val, message):
-    # float() would also take True as 1.0 and "3" as 3.0
-    if isinstance(val, (bool, np.bool_, str, bytes)):
-        raise ConfigError(message)
-    try:
-        return float(val)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(message) from None
-
-
-def _as_float_tuple(key, val):
-    if not isinstance(val, (list, tuple)):
-        raise ConfigError(f"{key} must be a list of numbers")
-    return tuple(_as_float(v, f"{key} must be a list of numbers") for v in val)
 
 
 def config_from_dict(raw):

@@ -313,23 +313,21 @@ def _cross(a, b):
 def _close(curve, k, t0):
     """Closing chords of the k-step marches from each start phase t0,
     by one batched safeguarded Newton in c on the bracket
-    (0.25*l/k, 1.2*l/k), l the curve length; returns (ts, c, defect,
-    bracketed). The upper march overshoots, as a chord is never longer
-    than its arc (or cannot be placed). Rows without a sign change on
-    the bracket have bracketed False; a row whose defect jumps across
-    zero ends with its bracket collapsed and a large defect."""
+    (0.25*l/k, 1.2*l/k), l the curve length; returns (ts, c, defect).
+    The bracket changes sign: k chords of 0.25*l/k cover under a lap,
+    and the upper march overshoots, as a chord is never longer than its
+    arc (or cannot be placed). A row whose defect jumps across zero ends
+    with its bracket collapsed and a large defect."""
     t0 = np.asarray(t0, dtype=float)
     m = len(t0)
     ell = curve.total_length
     lo, hi = np.full(m, 0.25 * ell / k), np.full(m, 1.2 * ell / k)
-    bracketed = (_march(curve, k, lo, t0).defect < 0.0) & (
-        _march(curve, k, hi, t0).defect > 0.0)
     # start from the chord that closes a regular k-gon on a circle
     x = np.full(m, ell * np.sin(np.pi / k) / np.pi)
     dx, dx_old = hi - lo, hi - lo
     ts = np.full((m, k + 1), np.nan)
     c, defect = np.full(m, np.nan), np.full(m, np.inf)
-    rows = np.nonzero(bracketed)[0]
+    rows = np.arange(m)
     for _ in range(_NEWTON_STEPS):
         if not rows.size:
             break
@@ -341,7 +339,7 @@ def _close(curve, k, t0):
         ts[fin], c[fin], defect[fin] = mr.ts[done], x[fin], mr.defect[done]
         x[rows] = xn
         rows = rows[~done]
-    return ts, c, defect, bracketed
+    return ts, c, defect
 
 
 def _min_defect(curve, k, delta):
@@ -537,7 +535,7 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
         # arc short of a lap, so the ring's defect at delta* is negative
         _, gamma, _ = _critical_delta(bd, k - 1, delta_star, hi)
     shifts = rng.uniform(0.0, 1.0, n_members)
-    ts, _, defect, _ = _close(gamma, k - 1, shifts)
+    ts, _, defect = _close(gamma, k - 1, shifts)
     ts = ts[np.abs(defect) <= _CLOSURE_TOL * gamma.total_length]
     mid = 0.5 * (ts[:, 0] + ts[:, 1])
     deep_d = delta_star + eta

@@ -154,15 +154,15 @@ def _unit_disk():
     return geo.PlanarDomain(geo.circle(1.0))
 
 
-def _best_phase_defect(gamma, k, chord, center):
-    """(defect, phase): the least closure defect over start phases,
-    one oracle march per phase grid. Without a center, 48 phases pick
-    one; 4 rounds of 9-phase grids, each a quarter as wide as the last,
-    polish it, each without its middle, the incumbent, once that is
-    scored. The incumbent yields only to a strictly smaller defect."""
-    best, tb = np.inf, 0.0 if center is None else center
+def _best_phase_defect(gamma, k, chord):
+    """The least closure defect over start phases, one oracle march per
+    phase grid: 48 phases pick one; 4 rounds of 9-phase grids, each a
+    quarter as wide as the last, polish it, each without its middle,
+    the incumbent, once that is scored. The incumbent yields only to a
+    strictly smaller defect."""
+    best, tb = np.inf, 0.0
     widths = [1.0 / 48.0 / 4.0**r for r in range(4)]
-    for width in ([None] if center is None else []) + widths:
+    for width in [None] + widths:
         phases = (np.arange(48) / 48.0 if width is None
                   else tb + np.linspace(-width, width, 9))
         phases = np.delete(phases, 4) if best < np.inf else phases
@@ -170,32 +170,38 @@ def _best_phase_defect(gamma, k, chord, center):
         i = int(np.argmin(defect))
         if defect[i] < best:
             best, tb = float(defect[i]), float(phases[i])
-    return best, tb
+    return best
 
 
 def _delta_grid_search(dom, k):
     """Locate the critical offset by pure grid refinement.
 
     At each offset the closure defect of the equal-chord march (chord
-    2*delta) is minimized over the starting phase; the defect changes
-    sign at the critical offset, and each level shrinks the bracket to
-    one cell of a 9-point grid. Independent of the production solver's
-    bisection and phase handling.
+    2*delta) is minimized over the starting phase; the defect is
+    negative below the critical offset and not above it. Each level
+    bisects the indices of a 9-point grid on the bracket down to one
+    cell, the next level's bracket. Independent of the production
+    solver's Newton and phase handling.
     """
     bd = dom.boundary
+
+    def below(d):
+        gamma = geo.inner_parallel_curve(bd, float(d))
+        return _best_phase_defect(gamma, k, 2.0 * d) < 0.0
+
     lo = 0.05
     hi = min(0.95 / bd.kappa_max, 0.9 * dom.inradius)
-    t_center = None
+    if not below(lo) or below(hi):
+        raise NumericalError("defect did not change sign across the bracket")
     for _level in range(_GRID_LEVELS):
+        # the grid's own points, not midpoints of (lo, hi), keep the
+        # cells, and so grid_search, bit for bit
         grid = np.linspace(lo, hi, 9)
-        vals, phases = zip(*[
-            _best_phase_defect(geo.inner_parallel_curve(bd, float(d)), k, 2.0 * d, t_center)
-            for d in grid])
-        j = next((i for i in range(8) if vals[i] < 0.0 <= vals[i + 1]), None)
-        if j is None:
-            raise NumericalError("defect did not change sign across the bracket")
-        lo, hi = grid[j], grid[j + 1]
-        t_center = phases[j]
+        a, b = 0, 8
+        while b - a > 1:
+            mid = (a + b) // 2
+            a, b = (mid, b) if below(grid[mid]) else (a, mid)
+        lo, hi = grid[a], grid[b]
     return 0.5 * (lo + hi)
 
 

@@ -56,9 +56,8 @@ def test_criterion_03_ellipse_grid_search(report):
     assert e["pass"]
 
 
-def test_phase_polish_marches_the_incumbent_once(monkeypatch):
-    # a polish grid's middle is the incumbent; once a grid has marched
-    # it, its defect is known and the next grids leave it out
+def _marched_rows(monkeypatch):
+    """The row count of each oracle march that verify makes from now on."""
     rows = []
     march = verify.pk.equal_chord_march
 
@@ -67,12 +66,27 @@ def test_phase_polish_marches_the_incumbent_once(monkeypatch):
         return march(curve, k, chord, t0)
 
     monkeypatch.setattr(verify.pk, "equal_chord_march", counted)
+    return rows
+
+
+def test_phase_polish_marches_the_incumbent_once(monkeypatch):
+    # a polish grid's middle is the incumbent; once a grid has marched
+    # it, its defect is known and the next grids leave it out
+    rows = _marched_rows(monkeypatch)
     gamma = verify.geo.inner_parallel_curve(verify.geo.ellipse(1.2, 1.0), 0.45)
-    verify._best_phase_defect(gamma, 4, 0.9, None)
+    verify._best_phase_defect(gamma, 4, 0.9)
     assert rows == [48, 8, 8, 8, 8]
-    rows.clear()
-    verify._best_phase_defect(gamma, 4, 0.9, 0.1)
-    assert rows == [9, 8, 8, 8]
+
+
+def test_grid_search_bisects_each_grid_on_the_1_2x1_ellipse(monkeypatch):
+    # the least-defect phase drifts with delta, so each offset searches
+    # its phases afresh; 2 bracket ends and 3 offsets per level, each
+    # with 5 phase grids
+    rows = _marched_rows(monkeypatch)
+    dom = verify.geo.PlanarDomain(verify.geo.ellipse(1.2, 1.0))
+    found = verify._delta_grid_search(dom, 4)
+    assert abs(found - verify.pk.critical_distance(dom, 4)[0]) < 1e-6
+    assert len(rows) == 5 * (2 + 3 * verify._GRID_LEVELS) == 115
 
 
 def test_criterion_04_boundary_gap(report):

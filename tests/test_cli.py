@@ -95,6 +95,11 @@ def test_config_rejects_unknown_key():
     {"epsilon": [True, "0.05"]},
     {"p": "3"},
     {"eta": False},
+    # non-finite numbers would reach the config hash as NaN
+    {"h_divisor": float("nan")},
+    {"p": float("nan")},
+    {"eta": float("nan")},
+    {"delta0": -float("inf")},
 ])
 def test_config_rejects_bad_values(raw):
     # parsing and direct construction run the same checks

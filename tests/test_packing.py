@@ -36,11 +36,9 @@ def _defect(curve, k, chord, t0):
 
 
 def _close_one(curve, k, t0=0.0):
-    """pk._close from the one start phase t0, whose chord bracket must
-    change sign and whose march must close to _CLOSURE_TOL*l:
-    (points, ts, closing chord, closure defect)."""
-    ts, c, defect, bracketed = pk._close(curve, k, np.array([float(t0)]))
-    assert bracketed[0]
+    """pk._close from the one start phase t0, whose march must close to
+    _CLOSURE_TOL*l: (points, ts, closing chord, closure defect)."""
+    ts, c, defect = pk._close(curve, k, np.array([float(t0)]))
     assert abs(defect[0]) <= pk._CLOSURE_TOL * curve.total_length
     return curve.point(ts[0, :k]), ts[0], float(c[0]), float(defect[0])
 
@@ -191,8 +189,7 @@ def test_close_polygon_rejects_open_march():
     # there ends a whole chord short of its start, so its defect stays
     # above the closure tolerance that callers filter on.
     gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.05)
-    _, _, defect, bracketed = pk._close(gamma, 4, np.array([0.125]))
-    assert bracketed[0]
+    _, _, defect = pk._close(gamma, 4, np.array([0.125]))
     assert abs(defect[0]) > 1e-9 * gamma.total_length
 
 

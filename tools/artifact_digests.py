@@ -10,7 +10,8 @@ directory, and prints one `sha256  case/path` line per written file and
 one `exit  case  code` line per command, sorted. Two checkouts that
 write the same bits print the same lines, so `diff` of two outputs is
 the bit-for-bit check of a refactor. `--verify` adds `verify --seed 0`,
-which takes about 10 s on a 2-core host (about 29 s for the whole run).
+which takes about 15 s on a busy 2-core host (about 55 s for the whole
+run).
 
 `--against OTHER` runs every case in both checkouts and prints, instead
 of the digests, one line per file whose bytes differ: the largest
