@@ -55,10 +55,11 @@ class JobConfig:
     epsilon lists absolute scales; eps_fractions adds delta*/f for each
     entry f once the critical distance is known, so a config can pin
     scales relative to a crown it has not computed yet. h_divisor sets
-    the grid rule h = eps/h_divisor. Either k or delta0 sizes the
-    crown; eta defaults to delta*/10. Every field is coerced and checked
-    here, so config_from_dict, direct construction and dataclasses.replace
-    all give the same config, with the same digest.
+    the grid rule h = eps/h_divisor, and is at least 4, as the solver
+    needs h <= eps/4. Either k or delta0 sizes the crown; eta defaults
+    to delta*/10. Every field is coerced and checked here, so
+    config_from_dict, direct construction and dataclasses.replace all
+    give the same config, with the same digest.
     """
 
     domain: dict = None
@@ -100,8 +101,9 @@ class JobConfig:
                 raise ConfigError(f"{key} must be a number, got {val!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.h_divisor <= 0:
-            raise ConfigError(f"h_divisor must be positive, got {self.h_divisor}")
+        if self.h_divisor < 4:
+            raise ConfigError("h_divisor must be positive and at least 4 (h <= eps/4), "
+                              f"got {self.h_divisor}")
         if self.form not in ("leading", "psi_numeric"):
             raise ConfigError(f"unknown form {self.form!r}")
         if not isinstance(self.out, str):

@@ -19,7 +19,8 @@ place and lengths come from _length, not np.stack and np.linalg.norm:
 the same bits, fewer numpy calls. The offset's table
 comes from its base's by Steiner's formula: the same tangents, points
 moved by -delta*nu, speeds and curvatures rescaled by (1 - delta*kappa),
-and each arc shortened by delta times its turning angle.
+and each arc shortened by delta times its turning angle. Every offset,
+a circle's included, is built that way.
 """
 
 from typing import NamedTuple
@@ -202,12 +203,11 @@ class ConvexCurve:
     from the base curve's). Either way _check_table validates closure,
     counterclockwise orientation, outward normals, positive
     curvature (a small negative dip is tolerated only for flat-vertex
-    kinds like superellipses, where spline interpolation of the exact
+    curves like superellipses, where spline interpolation of the exact
     points wobbles at the curvature zeros), and single winding.
     """
 
-    def __init__(self, provider, kind, flat_tol=0.0, table=None):
-        self.kind = kind
+    def __init__(self, provider, flat_tol=0.0, table=None):
         self._provider = provider
         self._flat_tol = float(flat_tol)
         n = self._n = _TABLE_N
@@ -366,7 +366,7 @@ def _circle_args(radius, center=(0.0, 0.0)):
 
 
 def circle(radius, center=(0.0, 0.0)):
-    return ConvexCurve(_CircleProvider(*_circle_args(radius, center)), "circle")
+    return ConvexCurve(_CircleProvider(*_circle_args(radius, center)))
 
 
 def _ellipse_args(a, b):
@@ -374,7 +374,7 @@ def _ellipse_args(a, b):
 
 
 def ellipse(a, b):
-    return ConvexCurve(_EllipseProvider(*_ellipse_args(a, b)), "ellipse")
+    return ConvexCurve(_EllipseProvider(*_ellipse_args(a, b)))
 
 
 def _superellipse_point(a, b, m, th):
@@ -412,7 +412,7 @@ def superellipse(a, b, m):
     ts = np.arange(n + 1) / n
     sp = CubicSpline(ts, data, axis=0, bc_type="periodic")
     flat_tol = 1e-3 if m > 2 else 0.0
-    return ConvexCurve(_SplineProvider(sp), "superellipse", flat_tol)
+    return ConvexCurve(_SplineProvider(sp), flat_tol)
 
 
 def _spline_args(points):
@@ -448,7 +448,7 @@ def spline_curve(points):
     u = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(closed, axis=0), axis=1))])
     u /= u[-1]
     sp = CubicSpline(u, closed, axis=0, bc_type="periodic")
-    return ConvexCurve(_SplineProvider(sp), "spline")
+    return ConvexCurve(_SplineProvider(sp))
 
 
 def curve_from_csv(path):
@@ -715,10 +715,6 @@ def inner_parallel_curve(curve, delta):
             f"offset {delta} reaches 1/kappa_max = {1.0 / curve.kappa_max:.6g}; "
             "inner parallel curve degenerates"
         )
-    if curve.kind == "circle":
-        prov = curve._provider
-        return circle(prov.radius - delta, prov.center)
     prov = _OffsetProvider(curve._provider, delta)
-    return ConvexCurve(prov, f"parallel({curve.kind})", flat_tol=2.0 * curve._flat_tol,
-                       table=_offset_table(curve, prov))
+    return ConvexCurve(prov, flat_tol=2.0 * curve._flat_tol, table=_offset_table(curve, prov))
 

@@ -32,6 +32,7 @@ _VERTEX_STEPS = 64  # Newton steps per vertex before a row is dropped
 _NEWTON_STEPS = 100  # steps of the closure, phase and offset iterations
 _T_TOL, _C_TOL, _T0_TOL, _DELTA_TOL = 1e-14, 1e-14, 1e-12, 1e-13
 _PHASE_SAMPLES = 16  # start phases of _min_defect's coarse march
+_OFFSET_LIMIT = 0.95  # offsets stay below this fraction of 1/kappa_max
 _GAP_SAMPLES = 10_000  # sampled configurations of boundary_gap_check
 
 
@@ -353,11 +354,12 @@ def _min_defect(curve, k, delta):
     minimum at once. At a minimum the phase is stationary, so the slope
     is 2*d_chord + d_offset there. Minima within 1e-12 of the curve's
     length of the least go to the one with the smallest start foot
-    mod 1, so the crown's phase follows from the domain alone. The
-    circle needs the phase 0 only."""
+    mod 1, so the crown's phase follows from the domain alone. A curve
+    of constant curvature (a circle, and its offsets) needs the phase 0
+    only."""
     chord = 2.0 * delta
     samples = _PHASE_SAMPLES
-    t = np.zeros(1) if curve.kind == "circle" else np.arange(samples) / samples
+    t = np.zeros(1) if curve.kappa_min == curve.kappa_max else np.arange(samples) / samples
     coarse = _march(curve, k, chord, t)
     f = coarse.d_t0
     f_next = np.roll(f, -1)
@@ -417,16 +419,26 @@ def _critical_delta(bd, k, lo, hi):
     )
 
 
+def _offset_top(dom):
+    """The largest offset any crown search tries: _OFFSET_LIMIT/kappa_max,
+    or 0.9 of the inradius when that is lower."""
+    return min(_OFFSET_LIMIT / dom.boundary.kappa_max, 0.9 * dom.inradius)
+
+
 def critical_distance(dom, k):
     """Critical offset delta* and its equal-chord crown configuration.
 
-    The bracket is as wide as the offset curves allow, its lower end
-    l/(4k) for the curve length l, or half the upper end when l/(4k)
-    is no lower; its ends are halved until the defect changes sign,
-    and _critical_delta solves closure-chord = 2*delta on it. The
-    crown satisfies: vertex depths delta*, adjacent chords 2*delta*,
-    non-adjacent pairs >= 2*delta*; violations raise
-    PackingConsistencyError."""
+    The bracket is as wide as the offset curves allow: from l/(4k), l
+    the curve length (or half the top when l/(4k) is no lower), to
+    _offset_top. The defect is probed once, at the top; where k chords
+    of 2*delta still fall short of a lap there, there is no root and
+    NoCriticalDeltaError is raised. Otherwise _critical_delta solves
+    closure-chord = 2*delta on the bracket, bisecting past offsets
+    where a chord cannot be placed. The defect at the lower end was negative
+    on every domain tried; were it not, the solve would collapse onto
+    it and the chord check below would raise. The crown satisfies:
+    vertex depths delta*, adjacent chords 2*delta*, non-adjacent pairs
+    >= 2*delta*; violations raise PackingConsistencyError."""
     if k % 2 != 0:
         raise ConfigError(f"spike count must be even, got {k}")
     if k < 4:
@@ -435,31 +447,15 @@ def critical_distance(dom, k):
             "the offset-curve diameter and the march degenerates)"
         )
     bd = dom.boundary
-    ell = bd.total_length
-    d_lo = ell / (4.0 * k)
-    d_hi = min(0.95 / bd.kappa_max, 0.9 * dom.inradius)
+    d_hi = _offset_top(dom)
+    d_lo = bd.total_length / (4.0 * k)
     if d_lo >= d_hi:
         d_lo = 0.5 * d_hi
-
-    def g(delta):
-        return _min_defect(inner_parallel_curve(bd, delta), k, delta)[0]
-
-    g_hi = g(d_hi)
-    tries = 0
-    while not g_hi < np.inf and tries < 10:  # chord infeasible at the top end
-        d_hi = 0.5 * (d_hi + d_lo)
-        g_hi = g(d_hi)
-        tries += 1
-    g_lo = g(d_lo)
-    tries = 0
-    while g_lo >= 0.0 and tries < 6:
-        d_lo *= 0.5
-        g_lo = g(d_lo)
-        tries += 1
-    if not (g_lo < 0.0 < g_hi):
+    g_hi = _min_defect(inner_parallel_curve(bd, d_hi), k, d_hi)[0]
+    if g_hi < 0.0:
         raise NoCriticalDeltaError(
-            f"no critical offset for k={k}: defect spans "
-            f"{g_lo:.3e} .. {g_hi:.3e} on ({d_lo:.4g}, {d_hi:.4g})"
+            f"no critical offset for k={k}: defect spans up to {g_hi:.3e} "
+            f"at the top of ({d_lo:.4g}, {d_hi:.4g}), still short of a lap"
         )
     delta_star, gamma, ts = _critical_delta(bd, k, d_lo, d_hi)
     pts = gamma.point(ts[:k])
@@ -522,13 +518,13 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     two vertices. Returns (configurations, their foot parameters, NaN
     where the depth reaches 1/kappa_max, number of rings that closed).
 
-    The top is delta* + 0.9 eta, or 0.95/kappa_max when that reaches
-    1/kappa_max. A ring still short of a lap there sits at the top;
-    otherwise its offset is solved for on (delta*, top)."""
+    The top is delta* + 0.9 eta, or _OFFSET_LIMIT/kappa_max when that
+    reaches 1/kappa_max. A ring still short of a lap there sits at the
+    top; otherwise its offset is solved for on (delta*, top)."""
     bd = dom.boundary
     hi = delta_star + 0.9 * eta
     if hi * bd.kappa_max >= 1.0:
-        hi = 0.95 / bd.kappa_max
+        hi = _OFFSET_LIMIT / bd.kappa_max
     gamma = inner_parallel_curve(bd, hi)
     if not _min_defect(gamma, k - 1, hi)[0] < 0.0:
         # from the crown's phase, k-1 chords of 2*delta* fall one chord's

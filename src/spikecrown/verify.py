@@ -181,7 +181,8 @@ def _delta_grid_search(dom, k):
     negative below the critical offset and not above it. Each level
     bisects the indices of a 9-point grid on the bracket down to one
     cell, the next level's bracket. Independent of the production
-    solver's Newton and phase handling.
+    solver's Newton and phase handling; the bracket's top is the
+    solver's, packing._offset_top.
     """
     bd = dom.boundary
 
@@ -190,7 +191,7 @@ def _delta_grid_search(dom, k):
         return _best_phase_defect(gamma, k, 2.0 * d) < 0.0
 
     lo = 0.05
-    hi = min(0.95 / bd.kappa_max, 0.9 * dom.inradius)
+    hi = pk._offset_top(dom)
     if not below(lo) or below(hi):
         raise NumericalError("defect did not change sign across the bracket")
     for _level in range(_GRID_LEVELS):

@@ -86,6 +86,9 @@ def test_config_rejects_unknown_key():
     {"seed": 2 ** 64},
     {"form": "subleading"},
     {"h_divisor": 0.0},
+    # the solver needs h <= eps/4; a coarser rule fails only after the
+    # ground state, pack and reduce have run
+    {"h_divisor": 2.0},
     {"epsilon": 0.1},
     {"N": 2.5},
     {"domain": "circle"},

@@ -95,10 +95,22 @@ def test_projection_ellipse_medial_tie(ell21):
 
 
 def test_inner_parallel_circle_is_circle(unit_circle):
+    # Steiner's formula on the circle's table: constant curvature, which
+    # _min_defect reads, and every point at radius 0.7 (measured 2.2e-16)
     g = geo.inner_parallel_curve(unit_circle, 0.3)
-    assert g.kind == "circle"
+    assert g.kappa_min == g.kappa_max
+    assert np.abs(np.hypot(g.points[:, 0], g.points[:, 1]) - 0.7).max() <= 4.4e-16
     assert abs(g.total_length - 2 * np.pi * 0.7) < 1e-10
     assert_allclose(g.curvatures, 1.0 / 0.7, rtol=1e-12)
+
+
+def test_disk_offsets_need_no_quadrature(unit_circle, monkeypatch):
+    def quadrature(provider):
+        raise AssertionError("an offset's table comes from its base's")
+
+    monkeypatch.setattr(geo, "_quadrature_table", quadrature)
+    for delta in (0.1, 0.3, 0.9):
+        geo.inner_parallel_curve(unit_circle, delta)
 
 
 def test_inner_parallel_steiner(ell21):
@@ -185,7 +197,7 @@ def test_offset_table_matches_quadrature(offset_bases, name, delta):
     # offset's own parameterization by quadrature (measured <= 2.9e-14)
     base = offset_bases[name]
     g = geo.inner_parallel_curve(base, delta)
-    q = geo.ConvexCurve(geo._OffsetProvider(base._provider, delta), "quadrature",
+    q = geo.ConvexCurve(geo._OffsetProvider(base._provider, delta),
                         flat_tol=2.0 * base._flat_tol)
     assert np.abs(g.arclengths - q.arclengths).max() < 1e-13
     assert abs(g.total_length - q.total_length) < 1e-13
@@ -535,8 +547,12 @@ def test_curve_from_csv(tmp_path):
 
 
 def test_make_curve_dispatch():
-    assert geo.make_curve({"kind": "circle", "radius": 2.0}).kind == "circle"
-    assert geo.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0}).kind == "ellipse"
+    circle = geo.make_curve({"kind": "circle", "radius": 2.0})
+    assert isinstance(circle._provider, geo._CircleProvider)
+    assert circle._provider.radius == 2.0
+    ellipse = geo.make_curve({"kind": "ellipse", "a": 2.0, "b": 1.0})
+    assert isinstance(ellipse._provider, geo._EllipseProvider)
+    assert (ellipse._provider.a, ellipse._provider.b) == (2.0, 1.0)
     with pytest.raises(ConfigError):
         geo.make_curve({"kind": "hyperbola"})
     with pytest.raises(ConfigError):

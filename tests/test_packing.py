@@ -446,12 +446,61 @@ def test_too_few_spikes_on_elongated_domain_raises(egg):
     {"kind": "ellipse", "a": 3.0, "b": 1.0},
     {"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0},
 ], ids=lambda d: d["kind"] + str(d["a"]))
-def test_four_spikes_past_the_offset_limit_have_no_critical_delta(domain):
+def test_four_spikes_past_the_offset_limit_have_no_critical_delta(domain, monkeypatch):
     # l/16 lies above 0.95/kappa_max on these domains, so the bracket's
     # lower end starts below its upper one instead of building an offset
-    # curve past 1/kappa_max; the defect is negative on all of it
+    # curve past 1/kappa_max; the defect is negative at its top, the one
+    # offset probed
+    dom = geo.make_domain(domain)
+    calls = count_min_defect(monkeypatch)
     with pytest.raises(NoCriticalDeltaError, match="defect spans"):
-        pk.critical_distance(geo.make_domain(domain), 4)
+        pk.critical_distance(dom, 4)
+    assert len(calls) == 1
+
+
+def count_min_defect(monkeypatch):
+    # the offset of each _min_defect call
+    calls = []
+    least = pk._min_defect
+
+    def counted(curve, k, delta):
+        calls.append(delta)
+        return least(curve, k, delta)
+
+    monkeypatch.setattr(pk, "_min_defect", counted)
+    return calls
+
+
+@pytest.mark.parametrize("domain", [
+    {"kind": "circle", "radius": 1.0},
+    {"kind": "ellipse", "a": 1.2, "b": 1.0},
+], ids=lambda d: d["kind"])
+def test_crown_bracket_is_probed_once_at_its_top(domain, monkeypatch):
+    # one probe at the top, then seven Newton steps in delta
+    dom = geo.make_domain(domain)
+    calls = count_min_defect(monkeypatch)
+    pk.critical_distance(dom, 4)
+    assert len(calls) == 8
+    assert calls[0] == pk._offset_top(dom)
+
+
+@pytest.mark.parametrize("base,phases", [
+    (geo.circle(1.0), 1),
+    (geo.ellipse(1.2, 1.0), pk._PHASE_SAMPLES),
+], ids=["circle", "ellipse"])
+def test_constant_curvature_marches_phase_zero_alone(base, phases, monkeypatch):
+    # a circle's offset has constant curvature, so one start phase closes
+    # as well as any other
+    starts = []
+    march = pk._march
+
+    def recorded(curve, k, chord, t0):
+        starts.append(np.size(t0))
+        return march(curve, k, chord, t0)
+
+    monkeypatch.setattr(pk, "_march", recorded)
+    pk._min_defect(geo.inner_parallel_curve(base, 0.3), 4, 0.3)
+    assert starts[0] == phases
 
 
 def test_critical_delta_is_maximal(disk):
@@ -580,9 +629,9 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
 
 @pytest.mark.parametrize("domain,k,solves,want", [
     ({"kind": "circle", "radius": 1.0}, 4, 0,
-     (0.40405567956331223, 0.010157882809811225, (200, 200, 7500, 0, 2500))),
+     (0.4040556795632864, 0.010157882809808949, (200, 200, 7500, 0, 2500))),
     ({"kind": "circle", "radius": 1.0}, 6, 0,
-     (0.32605795884265854, 0.007275374490674835, (200, 200, 7500, 0, 2500))),
+     (0.32605795884273375, 0.007275374490677278, (200, 200, 7500, 0, 2500))),
     ({"kind": "ellipse", "a": 1.2, "b": 1.0}, 4, 1,
      (0.4483942335591808, 0.010451493252809252, (200, 200, 7500, 0, 2500))),
     ({"kind": "ellipse", "a": 2.0, "b": 1.0}, 10, 1,
@@ -594,11 +643,12 @@ def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, mon
     # On the disk the (k-1)-ring's critical offset lies above the tube,
     # so the ring sits at the tube top with no offset solve; on the
     # others it lies inside, and is solved for on (delta*, tube top).
-    # The disk and 1.2x1 sup and gap are also those of a ring offset
-    # solved on the crown's whole bracket; the 1.2x1 value is for the
-    # crown that starts at foot 0 (the smallest-foot tie rule). On the
-    # superellipse that bracket ends at 0.95/kappa_max, below the
-    # 5-ring's offset, which only (delta*, tube top) reaches.
+    # The disk rows are those of the disk's offsets by Steiner's formula.
+    # The 1.2x1 sup and gap are also those of a ring offset solved on the
+    # crown's whole bracket, for the crown that starts at foot 0 (the
+    # smallest-foot tie rule). On the superellipse that bracket ends at
+    # 0.95/kappa_max, below the 5-ring's offset, which only (delta*,
+    # tube top) reaches.
     dom = geo.make_domain(domain)
     ds, crown = pk.critical_distance(dom, k)
     calls = count_critical_delta(monkeypatch)
