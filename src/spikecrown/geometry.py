@@ -46,6 +46,8 @@ _FOOT_TOL, _FOOT_STEPS, _FOOT_FLOOR = 1e-15, 20, 1e-2  # see PlanarDomain.neares
 # may be ordered apart by rounding; PlanarDomain._nearest_nodes leaves
 # them to the kd-tree
 _NODE_TIE = 1e-9
+# curvature tables spread by at most this times kappa_max count as constant
+_CONSTANT_KAPPA = 1e-12
 
 def _length(v):
     """|v| over a last axis of length 2, with np.linalg.norm's bits (its
@@ -227,6 +229,9 @@ class ConvexCurve:
         self.t_closed = np.append(self.t_nodes, 1.0)
         self.kappa_max = float(self.curvatures.max())
         self.kappa_min = max(float(self.curvatures.min()), 0.0)
+        # a circle's, and a round ellipse's, whose a*b/g**1.5 spreads by ulps
+        self.constant_curvature = bool(
+            self.kappa_max - self.kappa_min <= _CONSTANT_KAPPA * self.kappa_max)
         self._check_table(table.end)
         self._tree = None
         self._angles = None

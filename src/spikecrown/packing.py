@@ -3,12 +3,13 @@
 The optimal placement of k interior points maximizing
 min(depth to the boundary, half pairwise distances) is an equal-chord
 polygon inscribed in the inner parallel curve at the critical offset
-delta*, where the closing chord equals exactly 2*delta. This module
-marches equal chords around a curve, many chords and start phases at
-once, closes polygons by Newton in the chord length, finds the critical
-offset by Newton in delta, and samples the boundary strata of the
-admissible neighborhood for the gap property. equal_chord_march, by
-table scans and bisection, stays as the independent oracle of _march.
+delta*, where the closing chord equals exactly 2*delta: a fold of the
+closed equal-chord polygons, the root of a regular extended system
+(Moore and Spence, SIAM J. Numer. Anal. 17, 1980), which one batched
+Newton solves for the crown and the gap check's ring. This module also
+marches equal chords, closes polygons by Newton in the chord, and
+samples the boundary strata of the admissible neighborhood for the gap
+property. equal_chord_march stays as the independent oracle of _march.
 """
 
 from dataclasses import dataclass, field
@@ -29,9 +30,10 @@ from .geometry import inner_parallel_curve, project_to_curve  # noqa: F401
 
 _CLOSURE_TOL = 1e-9  # a closed march misses its start by at most this times l
 _VERTEX_STEPS = 64  # Newton steps per vertex before a row is dropped
-_NEWTON_STEPS = 100  # steps of the closure, phase and offset iterations
-_T_TOL, _C_TOL, _T0_TOL, _DELTA_TOL = 1e-14, 1e-14, 1e-12, 1e-13
-_PHASE_SAMPLES = 16  # start phases of _min_defect's coarse march
+_NEWTON_STEPS = 100  # steps of the closure and fold iterations
+_T_TOL, _C_TOL, _DELTA_TOL, _FOLD_TOL = 1e-14, 1e-14, 1e-13, 1e-12
+_SCAN_PHASES = 16  # start phases of a closing-chord scan
+_MIN_GAP = 1e-9  # a fold start is given up where some t_{i+1} - t_i falls to this
 _OFFSET_LIMIT = 0.95  # offsets stay below this fraction of 1/kappa_max
 _GAP_SAMPLES = 10_000  # sampled configurations of boundary_gap_check
 
@@ -170,17 +172,12 @@ def equal_chord_march(curve, k, chord, t0=0.0):
 
 
 class _March(NamedTuple):
-    """Equal-chord marches, one per row: ts (m, k+1) and the closure
-    defect with its derivatives in the chord, the start phase and an
-    inward offset of the curve along its normals (chord and phase held).
-    Rows that cannot place a chord have defect +inf and nan derivatives.
-    """
+    """Equal-chord marches, one per row: ts (m, k+1), the closure defect
+    and its chord derivative (+inf and nan where a chord is not placed)."""
 
     ts: np.ndarray
     defect: np.ndarray
     d_chord: np.ndarray
-    d_t0: np.ndarray
-    d_offset: np.ndarray
 
 
 def _safeguarded_newton(x, f, df, lo, hi, dx, dx_old, tol):
@@ -255,26 +252,19 @@ def _next_vertex(curve, t, p, c):
 
 def _march(curve, k, chord, t0):
     """Batched equal_chord_march: a k-step march per row of (chord, t0),
-    with the closure defect and its derivatives (see _March).
+    with the closure defect and its derivative in the chord (see _March).
 
-    The derivatives follow one tangent recursion along the march. With
+    The derivative follows one tangent recursion along the march. With
     u the unit chord from vertex i to i+1 and P' = dP/dt,
-    dt_{i+1} = (s_i + (u.P'(t_i)) dt_i) / (u.P'(t_{i+1})), where the
-    source s_i is 1 for the chord, 0 for the phase (dt_0 = 1) and
-    u.(nu(t_{i+1}) - nu(t_i)) for the offset, nu the outward normal. An
-    inward offset h shortens arcs by h times their turning angle, so the
-    offset derivative of the defect also carries the turning of the
-    march past one lap, taken within half a turn."""
+    dt_{i+1} = (1 + (u.P'(t_i)) dt_i) / (u.P'(t_{i+1})), from dt_0 = 0."""
     chord, t0 = (np.array(a, dtype=float).ravel()
                  for a in np.broadcast_arrays(chord, t0))
     m = len(t0)
     ts = np.full((m, k + 1), np.nan)
     ts[:, 0] = t0
-    w = np.zeros((3, m))  # dt_i / d(chord, t0, offset)
-    w[1] = 1.0
+    w = np.zeros(m)  # dt_i / d chord
     rows = np.arange(m)
-    p, d1_0, _ = curve.frame(t0)
-    d1 = d1_0
+    p, d1, _ = curve.frame(t0)
     for i in range(k):
         t_next, placed = _next_vertex(curve, ts[rows, i], p, chord[rows])
         rows, p, d1 = rows[placed], p[placed], d1[placed]
@@ -283,32 +273,16 @@ def _march(curve, k, chord, t0):
         u = (q - p) / chord[rows, None]
         a = np.einsum("ij,ij->i", u, d1)
         b = np.einsum("ij,ij->i", u, e1)
-        src = np.zeros((3, len(rows)))
-        src[0] = 1.0
-        src[2] = _cross(u, _unit(e1)) - _cross(u, _unit(d1))  # u.(nu' - nu)
-        w[:, rows] = (src + a * w[:, rows]) / b
+        w[rows] = (1.0 + a * w[rows]) / b
         ts[rows, i + 1] = t_next
         p, d1 = q, e1
     defect = np.full(m, np.inf)
-    d_chord, d_t0, d_offset = np.full((3, m), np.nan)
+    d_chord = np.full(m, np.nan)
     if rows.size:
         defect[rows] = (curve.arclength(ts[rows, k]) - curve.arclength(t0[rows])
                         - curve.total_length)
-        sp_k = np.hypot(d1[:, 0], d1[:, 1])
-        tk, t_0 = _unit(d1), _unit(d1_0[rows])
-        turn = np.arctan2(_cross(t_0, tk), np.einsum("ij,ij->i", t_0, tk))
-        d_chord[rows] = sp_k * w[0, rows]
-        d_t0[rows] = sp_k * w[1, rows] - np.hypot(d1_0[rows, 0], d1_0[rows, 1])
-        d_offset[rows] = sp_k * w[2, rows] - turn
-    return _March(ts, defect, d_chord, d_t0, d_offset)
-
-
-def _unit(v):
-    return v / np.hypot(v[:, 0], v[:, 1])[:, None]
-
-
-def _cross(a, b):
-    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        d_chord[rows] = np.hypot(d1[:, 0], d1[:, 1]) * w[rows]
+    return _March(ts, defect, d_chord)
 
 
 def _close(curve, k, t0):
@@ -343,80 +317,112 @@ def _close(curve, k, t0):
     return ts, c, defect
 
 
-def _min_defect(curve, k, delta):
-    """Least closure defect over start phases of the chord-2*delta march
-    on curve; returns (defect, ts, slope), slope its derivative in delta
-    when curve is the inner parallel curve at delta.
+def _fold_system(bd, k, x):
+    """Residuals (m, k+1) and Jacobian at rows x = (t_0..t_{k-1}, delta) on
+    the base curve bd: F_i = |Q(t_{i+1}) - Q(t_i)| - 2 delta (t_k = t_0 + 1,
+    Q = P - delta nu), then prod_i (u_i.T_{i+1})/(u_i.T_i) - 1 (u the unit
+    chord, T the unit tangent), zero where the Jacobian in t is singular;
+    unlike its log, it holds past 90 degrees between chord and tangent."""
+    delta = x[:, k, None]
+    p, d1, kappa = bd.frame(x[:, :k])
+    speed = np.hypot(d1[..., 0], d1[..., 1])
+    tan = d1 / speed[..., None]
+    nu = np.stack([tan[..., 1], -tan[..., 0]], axis=-1)
+    q, dq = p - delta[..., None] * nu, d1 * (1.0 - delta * kappa)[..., None]
+    # each at vertex i + 1, in place i: chord i's far end
+    q1, dq1, tan1, nu1, bend1 = (np.roll(a, -1, axis=1)
+                                 for a in (q, dq, tan, nu, kappa * speed))
+    r = q1 - q
+    chord = np.hypot(r[..., 0], r[..., 1])
+    u = r / chord[..., None]
+    perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    dr = np.stack([-dq, dq1, nu - nu1])  # chord i's in t_i, t_{i+1}, delta
+    along, turn = (u * dr).sum(-1), (perp * dr).sum(-1) / chord
+    i = np.arange(k)
+    jac = np.zeros((len(x), k + 1, k + 1))
+    jac[:, i, i], jac[:, i, (i + 1) % k], jac[:, i, k] = along[0], along[1], along[2] - 2.0
+    beta, alpha = (u * tan1).sum(-1), (u * tan).sum(-1)
+    d_beta = turn * (perp * tan1).sum(-1)
+    d_beta[1] -= bend1 * (u * nu1).sum(-1)
+    d_alpha = turn * (perp * tan).sum(-1)
+    d_alpha[0] -= kappa * speed * (u * nu).sum(-1)
+    ratio = beta.prod(axis=1) / alpha.prod(axis=1)
+    row = ratio[:, None] * (d_beta / beta - d_alpha / alpha)
+    jac[:, k, :k], jac[:, k, k] = row[0] + np.roll(row[1], 1, axis=1), row[2].sum(axis=1)
+    return np.column_stack([chord - 2.0 * delta, ratio - 1.0]), jac
 
-    One batched march over _PHASE_SAMPLES phases finds the cells in which
-    d(defect)/dt0 turns from negative to positive; a batched secant on
-    d(defect)/dt0 = 0, bracketed in each cell, polishes every local
-    minimum at once. At a minimum the phase is stationary, so the slope
-    is 2*d_chord + d_offset there. Minima within 1e-12 of the curve's
-    length of the least go to the one with the smallest start foot
-    mod 1, so the crown's phase follows from the domain alone. A curve
-    of constant curvature (a circle, and its offsets) needs the phase 0
-    only."""
-    chord = 2.0 * delta
-    samples = _PHASE_SAMPLES
-    t = np.zeros(1) if curve.kappa_min == curve.kappa_max else np.arange(samples) / samples
-    coarse = _march(curve, k, chord, t)
-    f = coarse.d_t0
-    f_next = np.roll(f, -1)
-    cells = np.nonzero((f <= 0.0) & (f_next > 0.0))[0]
-    lo, hi = t[cells], t[cells] + 1.0 / samples
-    x_prev, f_prev = hi.copy(), f_next[cells]
-    x = lo - f[cells] * (hi - lo) / (f_prev - f[cells])
-    dx, dx_old = hi - lo, hi - lo
-    found = []
-    rows = np.arange(cells.size)
+
+def _short_at(bd, k, delta):
+    """bd's inner parallel curve at delta, and whether k chords of 2*delta
+    from one of _SCAN_PHASES phases fall short of a lap: a closing chord
+    there exceeds 2*delta."""
+    gamma = inner_parallel_curve(bd, delta)
+    phases = np.arange(_SCAN_PHASES) / _SCAN_PHASES
+    return gamma, bool(_march(gamma, k, 2.0 * delta, phases).defect.min() < 0.0)
+
+
+def _fold_newton(bd, k, x):
+    """Newton on _fold_system from all rows of x at once; returns x and the
+    converged rows: a full step moving delta by <= _DELTA_TOL from residuals
+    <= _FOLD_TOL (chords over l), t left noisy where the phase hardly
+    matters. Steps halve at most a gap t_{i+1} - t_i or a margin of delta to
+    (0, 1/kappa_max); rows singular or with a gap down to _MIN_GAP are
+    given up. Where the fold row vanishes (constant curvature) t_0 is held."""
+    x, pinned = x.copy(), bd.constant_curvature
+    scale = np.append(np.full(k, bd.total_length), 1.0)
+    done, rows = np.zeros(len(x), dtype=bool), np.arange(len(x))
     for _ in range(_NEWTON_STEPS):
+        res, jac = _fold_system(bd, k, x[rows])
+        if pinned:
+            res, jac = res[:, :k], jac[:, :k, 1:]
+        det = np.linalg.det(jac)
+        rows, res, jac = (a[np.isfinite(det) & (det != 0.0)] for a in (rows, res, jac))
+        step = np.linalg.solve(jac, res[..., None])[..., 0]
+        if pinned:
+            step = np.column_stack([np.zeros(len(rows)), step])
+        t, d = x[rows, :k], x[rows, k]
+        room = np.column_stack([np.diff(t, axis=1, append=t[:, :1] + 1.0), d,
+                                1.0 / bd.kappa_max - d])
+        shrink = np.column_stack([np.diff(step[:, :k], axis=1, append=step[:, :1]),
+                                  step[:, k], -step[:, k]])
+        alpha = 1.0 / np.maximum(2.0 * shrink / room, 1.0).max(axis=1)
+        x[rows] -= alpha[:, None] * step
+        conv = ((alpha == 1.0) & (np.abs(step[:, k]) <= _DELTA_TOL)
+                & (np.abs(res / scale[:res.shape[1]]).max(axis=1) <= _FOLD_TOL))
+        done[rows[conv]] = True
+        gone = (room[:, :k] - alpha[:, None] * shrink[:, :k]).min(axis=1) <= _MIN_GAP
+        rows = rows[~conv & ~gone]
         if not rows.size:
             break
-        mr = _march(curve, k, chord, x[rows])
-        fr = mr.d_t0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            secant = (fr - f_prev[rows]) / (x[rows] - x_prev[rows])
-        x_prev[rows], f_prev[rows] = x[rows], fr
-        xn, lo[rows], hi[rows], dx[rows], dx_old[rows], done = _safeguarded_newton(
-            x[rows], fr, secant, lo[rows], hi[rows], dx[rows], dx_old[rows],
-            _T0_TOL)
-        found.append((mr, done))
-        x[rows] = xn
-        rows = rows[~done]
-    found.append((coarse, np.ones(len(t), dtype=bool)))
-    defect = np.concatenate([m.defect[d] for m, d in found])
-    ts = np.concatenate([m.ts[d] for m, d in found])
-    slope = np.concatenate([2.0 * m.d_chord[d] + m.d_offset[d] for m, d in found])
-    i = int(np.argmin(defect))
-    if np.isfinite(defect[i]):
-        # at delta* every vertex of the critical polygon closes it, so the
-        # k minima tie up to rounding; the smallest foot breaks the tie
-        tied = np.nonzero(defect <= defect[i] + 1e-12 * curve.total_length)[0]
-        i = int(tied[np.argmin(np.mod(ts[tied, 0], 1.0))])
-    return float(defect[i]), ts[i], float(slope[i])
+    return x, done
 
 
-def _critical_delta(bd, k, lo, hi):
-    """Root in delta of min_t0 defect(delta, t0, chord=2*delta) on the
-    bracket (lo, hi), the defect negative at lo and not at hi (+inf
-    where a chord cannot be placed): a safeguarded Newton from the
-    bracket's middle, its slope from _min_defect. Returns (delta, bd's
-    inner parallel curve at delta, the ts of its least-defect march)."""
-    x = 0.5 * (lo + hi)
-    dx = dx_old = hi - lo
-    for _ in range(_NEWTON_STEPS):
-        gamma = inner_parallel_curve(bd, x)
-        val, ts, slope = _min_defect(gamma, k, x)
-        xn, lo, hi, dx, dx_old, done = _safeguarded_newton(
-            x, val, slope, lo, hi, dx, dx_old, _DELTA_TOL)
-        if done:
-            return float(x), gamma, ts
-        x = float(xn)
-    raise NoCriticalDeltaError(
-        f"critical offset for k={k} not resolved in {_NEWTON_STEPS} steps "
-        f"on ({lo:.6g}, {hi:.6g})"
-    )
+def _critical_offset(bd, k, lo, hi):
+    """(delta, ts (k,)) of the critical k-gon of chords 2*delta on (lo, hi):
+    the largest fold inside, by _fold_newton from each local maximum over
+    _SCAN_PHASES phases of the closing chord at the circle estimate R
+    sin(pi/k)/(1 + sin(pi/k)), R = l/(2 pi), clipped into [lo, hi]. Folds
+    within 1e-12 l tie; the smallest foot mod 1 wins and starts the polygon,
+    so the crown's phase follows from the domain. NoCriticalDeltaError
+    says why no fold was found."""
+    s = np.sin(np.pi / k)
+    d0 = min(max(bd.total_length / (2.0 * np.pi) * s / (1.0 + s), lo), hi)
+    gamma = inner_parallel_curve(bd, d0)
+    # where the curvature is constant every phase is alike
+    phases = np.zeros(1) if bd.constant_curvature else np.arange(_SCAN_PHASES) / _SCAN_PHASES
+    ts, c, defect = _close(gamma, k, phases)
+    c = np.where(np.abs(defect) <= _CLOSURE_TOL * gamma.total_length, c, -np.inf)
+    starts = np.isfinite(c) & (c >= np.roll(c, 1)) & (c >= np.roll(c, -1))
+    x, done = _fold_newton(bd, k, np.column_stack([ts[starts, :k], np.full(starts.sum(), d0)]))
+    d = x[:, k]
+    keep = done & (lo < d) & (d < hi)
+    if not keep.any():
+        why = (f"the folds reached, {np.sort(d[done])}, lie outside" if done.any() else
+               f"no fold converged in {_NEWTON_STEPS} steps from {starts.sum()} starts on")
+        raise NoCriticalDeltaError(f"critical offset for k={k}: {why} ({lo:.6g}, {hi:.6g})")
+    tied = np.nonzero(keep & (d >= d[keep].max() - 1e-12 * bd.total_length))[0]
+    i, j = np.unravel_index(np.argmin(np.mod(x[tied, :k], 1.0)), (len(tied), k))
+    return float(d[tied[i]]), np.roll(x[tied[i], :k], -j)
 
 
 def _offset_top(dom):
@@ -430,35 +436,29 @@ def critical_distance(dom, k):
 
     The bracket is as wide as the offset curves allow: from l/(4k), l
     the curve length (or half the top when l/(4k) is no lower), to
-    _offset_top. The defect is probed once, at the top; where k chords
-    of 2*delta still fall short of a lap there, there is no root and
-    NoCriticalDeltaError is raised. Otherwise _critical_delta solves
-    closure-chord = 2*delta on the bracket, bisecting past offsets
-    where a chord cannot be placed. The defect at the lower end was negative
-    on every domain tried; were it not, the solve would collapse onto
-    it and the chord check below would raise. The crown satisfies:
-    vertex depths delta*, adjacent chords 2*delta*, non-adjacent pairs
-    >= 2*delta*; violations raise PackingConsistencyError."""
+    _offset_top. One march probes the top (_short_at); where k chords of
+    2*delta still fall short of a lap there, there is no root and
+    NoCriticalDeltaError is raised. Otherwise _critical_offset solves
+    for the fold on the bracket. The crown satisfies: vertex depths
+    delta*, adjacent chords 2*delta*, non-adjacent pairs >= 2*delta*;
+    violations raise PackingConsistencyError."""
     if k % 2 != 0:
         raise ConfigError(f"spike count must be even, got {k}")
     if k < 4:
         raise ConfigError(
             "crown closure needs k >= 4 (at k=2 the closing chord equals "
-            "the offset-curve diameter and the march degenerates)"
-        )
+            "the offset-curve diameter and the march degenerates)")
     bd = dom.boundary
     d_hi = _offset_top(dom)
     d_lo = bd.total_length / (4.0 * k)
     if d_lo >= d_hi:
         d_lo = 0.5 * d_hi
-    g_hi = _min_defect(inner_parallel_curve(bd, d_hi), k, d_hi)[0]
-    if g_hi < 0.0:
+    if _short_at(bd, k, d_hi)[1]:
         raise NoCriticalDeltaError(
-            f"no critical offset for k={k}: defect spans up to {g_hi:.3e} "
-            f"at the top of ({d_lo:.4g}, {d_hi:.4g}), still short of a lap"
-        )
-    delta_star, gamma, ts = _critical_delta(bd, k, d_lo, d_hi)
-    pts = gamma.point(ts[:k])
+            f"no critical offset for k={k}: the defect spans negative values at "
+            f"the top of ({d_lo:.4g}, {d_hi:.4g}), still short of a lap")
+    delta_star, ts = _critical_offset(bd, k, d_lo, d_hi)
+    pts = bd.point_at_depth(ts, delta_star)
     config = SpikeConfiguration(pts)
 
     depth_dev, chord_dev = _crown_deviations(dom, pts, delta_star)
@@ -517,19 +517,18 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     deep stratum depth delta* + eta, midway between the ring's first
     two vertices. Returns (configurations, their foot parameters, NaN
     where the depth reaches 1/kappa_max, number of rings that closed).
-
     The top is delta* + 0.9 eta, or _OFFSET_LIMIT/kappa_max when that
-    reaches 1/kappa_max. A ring still short of a lap there sits at the
-    top; otherwise its offset is solved for on (delta*, top)."""
+    reaches 1/kappa_max. A ring still short of a lap there (_short_at)
+    sits at the top; otherwise _critical_offset solves on (delta*, top)."""
     bd = dom.boundary
     hi = delta_star + 0.9 * eta
     if hi * bd.kappa_max >= 1.0:
         hi = _OFFSET_LIMIT / bd.kappa_max
-    gamma = inner_parallel_curve(bd, hi)
-    if not _min_defect(gamma, k - 1, hi)[0] < 0.0:
+    gamma, short = _short_at(bd, k - 1, hi)
+    if not short:
         # from the crown's phase, k-1 chords of 2*delta* fall one chord's
-        # arc short of a lap, so the ring's defect at delta* is negative
-        _, gamma, _ = _critical_delta(bd, k - 1, delta_star, hi)
+        # arc short of a lap, so the ring's closing chord at delta* is longer
+        gamma = inner_parallel_curve(bd, _critical_offset(bd, k - 1, delta_star, hi)[0])
     shifts = rng.uniform(0.0, 1.0, n_members)
     ts, _, defect = _close(gamma, k - 1, shifts)
     ts = ts[np.abs(defect) <= _CLOSURE_TOL * gamma.total_length]

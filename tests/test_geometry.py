@@ -95,13 +95,23 @@ def test_projection_ellipse_medial_tie(ell21):
 
 
 def test_inner_parallel_circle_is_circle(unit_circle):
-    # Steiner's formula on the circle's table: constant curvature, which
-    # _min_defect reads, and every point at radius 0.7 (measured 2.2e-16)
+    # Steiner's formula on the circle's table: constant curvature, and
+    # every point at radius 0.7 (measured 2.2e-16)
     g = geo.inner_parallel_curve(unit_circle, 0.3)
-    assert g.kappa_min == g.kappa_max
+    assert g.kappa_min == g.kappa_max and g.constant_curvature
     assert np.abs(np.hypot(g.points[:, 0], g.points[:, 1]) - 0.7).max() <= 4.4e-16
     assert abs(g.total_length - 2 * np.pi * 0.7) < 1e-10
     assert_allclose(g.curvatures, 1.0 / 0.7, rtol=1e-12)
+
+
+def test_constant_curvature_allows_rounding_only(unit_circle):
+    # a round ellipse's a*b/g**1.5 spreads by ulps (6.7e-16 measured) and
+    # counts as constant; an ellipse 1e-9 off round does not
+    assert unit_circle.constant_curvature
+    round_ellipse = geo.ellipse(1.0, 1.0)
+    assert round_ellipse.kappa_max > round_ellipse.curvatures.min()
+    assert round_ellipse.constant_curvature
+    assert not geo.ellipse(1.0 + 1e-9, 1.0).constant_curvature
 
 
 def test_disk_offsets_need_no_quadrature(unit_circle, monkeypatch):

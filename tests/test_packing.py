@@ -335,27 +335,7 @@ def test_batched_march_derivatives_match_differences(name):
         for i in np.nonzero(placed)[0]:
             d_c = (_defect(curve, k, chord[i] + h, t0[i])
                    - _defect(curve, k, chord[i] - h, t0[i])) / (2.0 * h)
-            d_t = (_defect(curve, k, chord[i], t0[i] + h)
-                   - _defect(curve, k, chord[i], t0[i] - h)) / (2.0 * h)
             assert abs(batch.d_chord[i] - d_c) < 1e-6 * max(1.0, abs(d_c))
-            assert abs(batch.d_t0[i] - d_t) < 1e-6 * max(1.0, abs(d_t))
-
-
-def test_batched_march_offset_derivative_matches_differences():
-    base = geo.ellipse(1.2, 1.0)
-    h = 1e-6
-    for delta in (0.1, 0.3):
-        gamma = geo.inner_parallel_curve(base, delta)
-        for k in (4, 10):
-            t0 = np.array([0.1, 0.37])
-            chord = np.array([0.95, 1.0]) * gamma.total_length / k
-            batch = pk._march(gamma, k, chord, t0)
-            for i in range(2):
-                up, down = (_defect(geo.inner_parallel_curve(base, d), k,
-                                    chord[i], t0[i])
-                            for d in (delta + h, delta - h))
-                fd = (up - down) / (2.0 * h)
-                assert abs(batch.d_offset[i] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_packing_reaches_neither_scalar_march_nor_brentq(monkeypatch):
@@ -415,23 +395,26 @@ def test_critical_crown_consistency_on_ellipse(round_egg):
     assert abs(pk.packing_functional(round_egg, pts) - ds) < 1e-8
 
 
-def test_critical_distance_stable_under_phase_granularity(round_egg, monkeypatch):
-    monkeypatch.setattr(pk, "_PHASE_SAMPLES", 12)
-    d1, _ = pk.critical_distance(round_egg, 6)
-    monkeypatch.setattr(pk, "_PHASE_SAMPLES", 24)
-    d2, _ = pk.critical_distance(round_egg, 6)
-    assert abs(d1 - d2) < 1e-9
-
-
 def test_crown_phase_follows_from_the_domain(round_egg, monkeypatch):
     # at delta* every vertex of the critical polygon closes it; the
-    # smallest foot breaks the tie, whatever the phase sampling
-    monkeypatch.setattr(pk, "_PHASE_SAMPLES", 16)
-    _, a = pk.critical_distance(round_egg, 6)
-    monkeypatch.setattr(pk, "_PHASE_SAMPLES", 20)
-    _, b = pk.critical_distance(round_egg, 6)
-    assert np.linalg.norm(np.asarray(a.points)[0] - np.asarray(b.points)[0]) < 1e-9
-    assert list(a.signs) == list(b.signs)
+    # smallest foot breaks the tie, whatever the starts: scans of 12 to
+    # 24 phases, and each start of the 16-phase scan on its own
+    ds, crown = pk.critical_distance(round_egg, 6)
+    first = np.asarray(crown.points)[0]
+    fold = pk._fold_newton
+    runs = []
+    for phases in (12, 20, 24):
+        monkeypatch.setattr(pk, "_SCAN_PHASES", phases)
+        runs.append(pk.critical_distance(round_egg, 6))
+    monkeypatch.setattr(pk, "_SCAN_PHASES", 16)
+    for j in range(3):
+        monkeypatch.setattr(pk, "_fold_newton",
+                            lambda bd, k, x, j=j: fold(bd, k, x[j % len(x):][:1]))
+        runs.append(pk.critical_distance(round_egg, 6))
+    for d, c in runs:
+        assert abs(d - ds) < 1e-13
+        assert np.linalg.norm(np.asarray(c.points)[0] - first) < 1e-9
+        assert list(c.signs) == list(crown.signs)
 
 
 def test_too_few_spikes_on_elongated_domain_raises(egg):
@@ -450,24 +433,26 @@ def test_four_spikes_past_the_offset_limit_have_no_critical_delta(domain, monkey
     # l/16 lies above 0.95/kappa_max on these domains, so the bracket's
     # lower end starts below its upper one instead of building an offset
     # curve past 1/kappa_max; the defect is negative at its top, the one
-    # offset probed
+    # offset probed, and no fold is sought
     dom = geo.make_domain(domain)
-    calls = count_min_defect(monkeypatch)
+    calls = count_top_probes(monkeypatch)
+    solves = count_critical_offset(monkeypatch)
     with pytest.raises(NoCriticalDeltaError, match="defect spans"):
         pk.critical_distance(dom, 4)
-    assert len(calls) == 1
+    assert calls == [pk._offset_top(dom)]
+    assert solves == []
 
 
-def count_min_defect(monkeypatch):
-    # the offset of each _min_defect call
+def count_top_probes(monkeypatch):
+    # the offset of each _short_at call
     calls = []
-    least = pk._min_defect
+    probe = pk._short_at
 
-    def counted(curve, k, delta):
+    def counted(bd, k, delta):
         calls.append(delta)
-        return least(curve, k, delta)
+        return probe(bd, k, delta)
 
-    monkeypatch.setattr(pk, "_min_defect", counted)
+    monkeypatch.setattr(pk, "_short_at", counted)
     return calls
 
 
@@ -476,42 +461,132 @@ def count_min_defect(monkeypatch):
     {"kind": "ellipse", "a": 1.2, "b": 1.0},
 ], ids=lambda d: d["kind"])
 def test_crown_bracket_is_probed_once_at_its_top(domain, monkeypatch):
-    # one probe at the top, then seven Newton steps in delta
+    # one probe at the top, then one fold solve on the whole bracket,
+    # which builds one offset curve, for its scan
     dom = geo.make_domain(domain)
-    calls = count_min_defect(monkeypatch)
+    calls = count_top_probes(monkeypatch)
+    solves = count_critical_offset(monkeypatch)
+    builds = []
+    offset = pk.inner_parallel_curve
+    monkeypatch.setattr(pk, "inner_parallel_curve",
+                        lambda curve, delta: builds.append(delta) or offset(curve, delta))
     pk.critical_distance(dom, 4)
-    assert len(calls) == 8
-    assert calls[0] == pk._offset_top(dom)
+    assert calls == [pk._offset_top(dom)]
+    assert [(k, hi) for k, _, hi in solves] == [(4, pk._offset_top(dom))]
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("base,phases", [
     (geo.circle(1.0), 1),
-    (geo.ellipse(1.2, 1.0), pk._PHASE_SAMPLES),
-], ids=["circle", "ellipse"])
+    (geo.ellipse(1.2, 1.0), pk._SCAN_PHASES),
+    (geo.ellipse(1.0, 1.0), 1),
+], ids=["circle", "ellipse", "round ellipse"])
 def test_constant_curvature_marches_phase_zero_alone(base, phases, monkeypatch):
     # a circle's offset has constant curvature, so one start phase closes
-    # as well as any other
+    # as well as any other; a round ellipse's curvature spreads by ulps
+    # only, and counts as constant too
     starts = []
-    march = pk._march
+    close = pk._close
 
-    def recorded(curve, k, chord, t0):
+    def recorded(curve, k, t0):
         starts.append(np.size(t0))
-        return march(curve, k, chord, t0)
+        return close(curve, k, t0)
 
-    monkeypatch.setattr(pk, "_march", recorded)
-    pk._min_defect(geo.inner_parallel_curve(base, 0.3), 4, 0.3)
-    assert starts[0] == phases
+    monkeypatch.setattr(pk, "_close", recorded)
+    pk.critical_distance(geo.PlanarDomain(base), 4)
+    assert starts == [phases]
 
 
-def test_critical_delta_is_maximal(disk):
-    # G(delta) = min over phases of the closure defect at chord 2*delta
-    # changes sign at delta*: short at delta* - h, long at delta* + h.
-    ds = circle_law(1.0, 8)
-    gm = geo.inner_parallel_curve(disk.boundary, ds - 1e-3)
-    gp = geo.inner_parallel_curve(disk.boundary, ds + 1e-3)
-    below = pk._min_defect(gm, 8, ds - 1e-3)[0]
-    above = pk._min_defect(gp, 8, ds + 1e-3)[0]
-    assert below < 0.0 < above
+def test_critical_delta_is_maximal(disk, round_egg):
+    # by the oracle march: at delta* - h some phase's march of chord
+    # 2*delta falls short of a lap, and at delta* + h every phase's
+    # overshoots, so no equal-chord polygon closes there
+    phases = np.arange(48) / 48
+    for dom, k in ((disk, 8), (round_egg, 6)):
+        ds = pk.critical_distance(dom, k)[0]
+        below, above = (
+            pk.equal_chord_march(geo.inner_parallel_curve(dom.boundary, d), k,
+                                 2.0 * d, phases)[2]
+            for d in (ds - 1e-3, ds + 1e-3))
+        assert below.min() < 0.0 < above.min()
+
+
+def test_round_ellipse_meets_the_circle_law():
+    # the curvature of ellipse(1, 1) spreads by ulps; counted as constant,
+    # it takes the circle's pinned fold
+    dom = geo.PlanarDomain(geo.ellipse(1.0, 1.0))
+    assert dom.boundary.constant_curvature
+    for k in (4, 6, 8):
+        ds, crown = pk.critical_distance(dom, k)
+        assert abs(ds - circle_law(1.0, k)) <= pk._DELTA_TOL
+        assert_allclose(np.asarray(crown.points)[0], [1.0 - ds, 0.0], atol=1e-15)
+
+
+def _spline_egg():
+    # pack-spline's domain: 24 points of the 1.3x1 ellipse
+    th = 2.0 * np.pi * np.arange(24) / 24
+    return geo.PlanarDomain(geo.spline_curve(np.stack([1.3 * np.cos(th), np.sin(th)], axis=1)))
+
+
+@pytest.mark.parametrize("dom,k", [
+    (geo.PlanarDomain(geo.ellipse(1.2, 1.0)), 4),
+    (_spline_egg(), 3),
+], ids=["ellipse 1.2x1", "spline egg"])
+def test_fold_jacobian_matches_differences(dom, k):
+    # every row of the analytic Jacobian, the fold row's included,
+    # against central differences of the residuals
+    bd = dom.boundary
+    rng = np.random.default_rng(2)
+    x = np.column_stack([np.sort(rng.uniform(0.0, 1.0, (4, k)), axis=1),
+                         rng.uniform(0.2, 0.5, 4)])
+    _, jac = pk._fold_system(bd, k, x)
+    h = 1e-6
+    for j in range(k + 1):
+        e = np.zeros(k + 1)
+        e[j] = h
+        fd = (pk._fold_system(bd, k, x + e)[0] - pk._fold_system(bd, k, x - e)[0]) / (2.0 * h)
+        assert np.abs(jac[:, :, j] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_spline_egg_ring_sits_at_a_verified_fold():
+    # pack-spline's 3-ring: its offset, chords and fold row at the fold
+    # that the gap check's ring solve returns
+    dom = _spline_egg()
+    ds, _ = pk.critical_distance(dom, 4)
+    d, ts = pk._critical_offset(dom.boundary, 3, ds, ds + 0.09 * ds)
+    assert abs(d - 0.5039769788086753) <= 1e-13
+    res, _ = pk._fold_system(dom.boundary, 3, np.append(np.unwrap(ts, period=1.0), d)[None])
+    assert np.abs(res[0, :3]).max() <= 1e-12
+    assert abs(res[0, 3]) <= 1e-12
+
+
+def test_fold_solve_says_why_it_fails(round_egg, monkeypatch):
+    bd = round_egg.boundary
+    ds = pk.critical_distance(round_egg, 6)[0]
+    with pytest.raises(NoCriticalDeltaError, match="lie outside"):
+        pk._critical_offset(bd, 6, 0.5 * ds, ds - 1e-3)
+    monkeypatch.setattr(pk, "_NEWTON_STEPS", 1)
+    with pytest.raises(NoCriticalDeltaError, match="no fold converged in 1 steps"):
+        pk._critical_offset(bd, 6, 0.5 * ds, 1.5 * ds)
+
+
+def test_fold_steps_keep_the_cyclic_order(round_egg):
+    # from far starts, polygons crowded into a third of the lap or spread
+    # over all of it at offsets from 0.05 to 0.6, every damped step keeps
+    # the gaps and the offset positive, and no warning is raised: the
+    # crowded starts are driven onto a collapsing chord and given up,
+    # most spread ones reach a fold
+    bd = round_egg.boundary
+    rng = np.random.default_rng(0)
+    t = np.concatenate([rng.uniform(0.0, 0.3, (12, 6)), rng.uniform(0.0, 1.0, (12, 6))])
+    x = np.column_stack([np.sort(t, axis=1), rng.uniform(0.05, 0.6, 24)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, done = pk._fold_newton(bd, 6, x)
+    gaps = np.diff(np.column_stack([x[:, :6], x[:, 0] + 1.0]), axis=1)
+    assert (gaps > 0.0).all() and (x[:, 6] > 0.0).all()
+    assert not done[:12].any() and done[12:].sum() >= 10
+    assert (gaps[done] > 0.1).all()
 
 
 # ----------------------------------------------------------------- even count
@@ -598,16 +673,16 @@ def test_boundary_gap_degenerate_tube(disk):
         0.0, ds, (0, 0, 0, 0, 0))
 
 
-def count_critical_delta(monkeypatch):
+def count_critical_offset(monkeypatch):
     # one (k, lo, hi) per offset solve: its count and its bracket
     calls = []
-    solve = pk._critical_delta
+    solve = pk._critical_offset
 
     def counted(bd, k, lo, hi):
         calls.append((k, lo, hi))
         return solve(bd, k, lo, hi)
 
-    monkeypatch.setattr(pk, "_critical_delta", counted)
+    monkeypatch.setattr(pk, "_critical_offset", counted)
     return calls
 
 
@@ -618,7 +693,7 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
     # on a bracket from delta*
     monkeypatch.setattr(pk, "_GAP_SAMPLES", 1500)
     ds = circle_law(1.0, 8)
-    calls = count_critical_delta(monkeypatch)
+    calls = count_critical_offset(monkeypatch)
     with pytest.raises(PropertyViolationError) as exc:
         pk.boundary_gap_check(disk, circle_crown(1.0, 8), ds, 0.6, seed=0)
     rep = exc.value.report
@@ -629,15 +704,15 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
 
 @pytest.mark.parametrize("domain,k,solves,want", [
     ({"kind": "circle", "radius": 1.0}, 4, 0,
-     (0.4040556795632864, 0.010157882809808949, (200, 200, 7500, 0, 2500))),
+     (0.40405567956328614, 0.010157882809808894, (200, 200, 7500, 0, 2500))),
     ({"kind": "circle", "radius": 1.0}, 6, 0,
-     (0.32605795884273375, 0.007275374490677278, (200, 200, 7500, 0, 2500))),
+     (0.32605795884265865, 0.007275374490674669, (200, 200, 7500, 0, 2500))),
     ({"kind": "ellipse", "a": 1.2, "b": 1.0}, 4, 1,
-     (0.4483942335591808, 0.010451493252809252, (200, 200, 7500, 0, 2500))),
+     (0.4483942335591803, 0.010451493252809252, (200, 200, 7500, 0, 2500))),
     ({"kind": "ellipse", "a": 2.0, "b": 1.0}, 10, 1,
-     (0.35623981427239626, 0.007272250883125608, (200, 200, 7887, 387, 2500))),
+     (0.3562398142723962, 0.007272250883125664, (200, 200, 7887, 387, 2500))),
     ({"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0}, 6, 1,
-     (0.351309535520922, 0.008524009180661263, (200, 200, 7736, 236, 2500))),
+     (0.351952961567877, 0.007880583133705987, (200, 200, 7742, 242, 2500))),
 ])
 def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, monkeypatch):
     # On the disk the (k-1)-ring's critical offset lies above the tube,
@@ -649,9 +724,17 @@ def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, mon
     # smallest-foot tie rule). On the superellipse that bracket ends at
     # 0.95/kappa_max, below the 5-ring's offset, which only (delta*,
     # tube top) reaches.
+    # The rows follow the fold solve's crowns. The disk's delta* moved by
+    # -3.3e-16 (k=4) and -7.8e-14 (k=6, now 1/3 to the bit), the 1.2x1's
+    # by -5.0e-16, and each sup with it; the 2x1's delta* kept its bits
+    # and its crown's points moved by ulps, moving sup by -5.6e-17. The
+    # superellipse's crown is now the mirror image t -> -t of the earlier
+    # one, which the old phase search reached alone: both are critical,
+    # and the smallest foot, 0.0188 against 0.125, picks the new one. The
+    # gap check's draws are not mirrored with it, so its whole row moved.
     dom = geo.make_domain(domain)
     ds, crown = pk.critical_distance(dom, k)
-    calls = count_critical_delta(monkeypatch)
+    calls = count_critical_offset(monkeypatch)
     assert pk.boundary_gap_check(dom, crown, ds, ds / 10.0, seed=0) == want
     assert [(n, lo) for n, lo, _ in calls] == [(k - 1, ds)] * solves
 
