@@ -13,10 +13,10 @@ Offsetting inward by delta < 1/kappa_max yields the inner parallel curve
 with curvature kappa/(1 - delta*kappa); no third derivatives are needed
 for that, which is why a provider has one method, frame: point, first
 derivative and curvature from one pass. Every curve query reads it,
-through ConvexCurve.frame. The packing march calls frame once per
-Newton step on a few rows, so frames fill their (..., 2) arrays in
-place and lengths come from _length, not np.stack and np.linalg.norm:
-the same bits, fewer numpy calls. The offset's table
+through ConvexCurve.frame. The packing Newtons and the oracle march
+call frame once per step on small batches, so frames fill their
+(..., 2) arrays in place and lengths come from _length, not np.stack
+and np.linalg.norm: the same bits, fewer numpy calls. The offset's table
 comes from its base's by Steiner's formula: the same tangents, points
 moved by -delta*nu, speeds and curvatures rescaled by (1 - delta*kappa),
 and each arc shortened by delta times its turning angle. Every offset,

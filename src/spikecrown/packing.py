@@ -5,11 +5,11 @@ min(depth to the boundary, half pairwise distances) is an equal-chord
 polygon inscribed in the inner parallel curve at the critical offset
 delta*, where the closing chord equals exactly 2*delta: a fold of the
 closed equal-chord polygons, the root of a regular extended system
-(Moore and Spence, SIAM J. Numer. Anal. 17, 1980), which one batched
-Newton solves for the crown and the gap check's ring. This module also
-marches equal chords, closes polygons by Newton in the chord, and
-samples the boundary strata of the admissible neighborhood for the gap
-property. equal_chord_march stays as the independent oracle of _march.
+(Moore and Spence, SIAM J. Numer. Anal. 17, 1980). One batched Newton
+closes polygons at a fixed offset, another solves for the fold. This
+module also samples the boundary strata of the admissible neighborhood
+for the gap property. equal_chord_march is only an oracle for the tests
+and criterion 3.
 """
 
 from dataclasses import dataclass, field
@@ -28,12 +28,11 @@ from .errors import (
 # project_to_curve is unused here; perfbench/layers.py hooks this binding
 from .geometry import inner_parallel_curve, project_to_curve  # noqa: F401
 
-_CLOSURE_TOL = 1e-9  # a closed march misses its start by at most this times l
-_VERTEX_STEPS = 64  # Newton steps per vertex before a row is dropped
-_NEWTON_STEPS = 100  # steps of the closure and fold iterations
-_T_TOL, _C_TOL, _DELTA_TOL, _FOLD_TOL = 1e-14, 1e-14, 1e-13, 1e-12
+_NEWTON_STEPS = 100  # steps of the closure and fold iterations, halvings of a closure step
+_DELTA_TOL = 1e-13  # a converged fold step moves delta by at most this
+_CHORD_TOL = 1e-12  # converged closure and fold residuals, chords over l
 _SCAN_PHASES = 16  # start phases of a closing-chord scan
-_MIN_GAP = 1e-9  # a fold start is given up where some t_{i+1} - t_i falls to this
+_MIN_GAP = 1e-9  # a Newton row is given up where some t_{i+1} - t_i falls to this
 _OFFSET_LIMIT = 0.95  # offsets stay below this fraction of 1/kappa_max
 _GAP_SAMPLES = 10_000  # sampled configurations of boundary_gap_check
 
@@ -117,16 +116,15 @@ def _phi_batch(dom, pts_batch, feet=None):
 
 
 def equal_chord_march(curve, k, chord, t0=0.0):
-    """March k equal chords per row of (chord, t0), broadcast like
-    _march, with no Newton and no tangent recursion: its independent
-    oracle. Each vertex is the first sign change of |P - p| - chord
-    ahead of the last vertex p on table cells, from two cells before
-    the table's arclength-chord point (a chord is never longer than its
-    arc; a whole lap if 64 cells show none), then 45 halvings of its
-    cell to a few ulps. Returns points (m, k, 2), unwrapped ts (m, k+1)
-    and defect (m,), the arclength advanced less the curve length; a
-    row that cannot place a chord has defect +inf, and NaN parameters
-    and points from there on."""
+    """March k equal chords per row of (chord, t0), broadcast, with no
+    Newton: an independent oracle. Each vertex is the first sign change
+    of |P - p| - chord ahead of the last vertex p on table cells, from
+    two cells before the table's arclength-chord point (a chord is never
+    longer than its arc; a whole lap if 64 cells show none), then 45
+    halvings of its cell to a few ulps. Returns points (m, k, 2),
+    unwrapped ts (m, k+1) and defect (m,), the arclength advanced less
+    the curve length; a row that cannot place a chord has defect +inf,
+    and NaN parameters and points from there on."""
     chord, t0 = (np.array(a, dtype=float).ravel()
                  for a in np.broadcast_arrays(chord, t0))
     if not np.all(chord > 0):
@@ -171,150 +169,87 @@ def equal_chord_march(curve, k, chord, t0=0.0):
     return pts, ts, defect
 
 
-class _March(NamedTuple):
-    """Equal-chord marches, one per row: ts (m, k+1), the closure defect
-    and its chord derivative (+inf and nan where a chord is not placed)."""
-
-    ts: np.ndarray
-    defect: np.ndarray
-    d_chord: np.ndarray
-
-
-def _safeguarded_newton(x, f, df, lo, hi, dx, dx_old, tol):
-    """One bracketed Newton step per row (rtsafe; Press et al.,
-    Numerical Recipes, sec. 9.4). The bracket [lo, hi], f(lo) < 0 <=
-    f(hi), first moves to x; then x bisects wherever the Newton step
-    leaves the bracket or is over half the step before last. Non-finite
-    f or df bisect. Returns (x_next, lo, hi, dx, dx_old, done), done
-    where the Newton step or the bracket is within tol."""
-    below = f < 0.0
-    lo = np.where(below, x, lo)
-    hi = np.where(below, hi, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = f / df
-    newton = x - step
-    take = (newton >= lo) & (newton <= hi) & (np.abs(step) <= 0.5 * np.abs(dx_old))
-    step = np.where(take, step, x - 0.5 * (lo + hi))
-    done = (take & (np.abs(step) <= tol)) | (hi - lo <= tol)
-    return x - step, lo, hi, step, dx, done
+def _chords(q, dq, *more):
+    """Chord i of each closed polygon q (m, k, 2), from vertex i to vertex
+    i + 1 mod k, with the vertices moving at dq: (lengths (m, k), unit
+    chords u, their derivatives dr, a square Jacobian whose first k rows
+    are the lengths' in t_0..t_{k-1}, then in more). dr stacks the
+    derivatives in t_i and t_{i+1}, -dq_i and dq_{i+1}, then more."""
+    m, k, _ = q.shape
+    r = np.roll(q, -1, axis=1) - q
+    chord = np.hypot(r[..., 0], r[..., 1])
+    u = r / chord[..., None]
+    dr = np.stack([-dq, np.roll(dq, -1, axis=1), *more])
+    along, i = (u * dr).sum(-1), np.arange(k)
+    jac = np.zeros((m, k + len(more), k + len(more)))
+    jac[:, i, i], jac[:, i, (i + 1) % k] = along[:2]
+    jac[:, :k, k:] = np.moveaxis(along[2:], 0, -1)
+    return chord, u, dr, jac
 
 
-def _arc_start(curve, t, c):
-    """A parameter past t and less than one arclength c ahead of it: the
-    table's arclength-c point less two cells, or half of it for chords
-    that short. Up to there the chord from t is below c."""
-    s_ext, t_ext = curve.s_closed, curve.t_closed
-    lap = np.floor(t)
-    s = np.interp(t - lap, t_ext, s_ext) + c
-    ahead = np.floor(s / curve.total_length)
-    ta = lap + ahead + np.interp(s - ahead * curve.total_length, s_ext, t_ext)
-    return np.maximum(ta - 2.0 / curve._n, 0.5 * (t + ta))
-
-
-def _next_vertex(curve, t, p, c):
-    """First t' > t with |P(t') - p| = c on the distance's first rising
-    branch, per row; returns (t', placed).
-
-    Newton on |P - p| - c starts from the arclength-c point and is
-    bracketed by _safeguarded_newton. Until the chord reaches c, a point
-    where the distance falls also bounds the bracket from above (so does
-    t + 1, back at p). A row whose bracket closes on such a point, a
-    local maximum of the distance below c, is not placed."""
-    out = np.full(len(t), np.nan)
-    x = _arc_start(curve, t, c)
-    rows = np.nonzero(x < t + 1.0)[0]
-    # the live rows' state, compacted whenever some row finishes
-    x, p, c, lo = x[rows], p[rows], c[rows], t[rows]
-    hi = lo + 1.0
-    top = np.ones(rows.size, dtype=bool)  # hi is where the distance falls below c
-    dx = dx_old = np.full(rows.size, np.inf)
-    for _ in range(_VERTEX_STEPS):
-        if not rows.size:
-            break
-        q, d1, _ = curve.frame(x)
-        r = q - p
-        g = np.hypot(r[:, 0], r[:, 1])
-        f = g - c
-        slope = np.einsum("ij,ij->i", r, d1) / g
-        falls = (f < 0.0) & ~(slope > 0.0) & top
-        top = falls | (top & (f < 0.0))
-        x, lo, hi, dx, dx_old, done = _safeguarded_newton(
-            x, np.where(falls, 1.0, f), np.where(falls, np.nan, slope),
-            lo, hi, dx, dx_old, _T_TOL)
-        if done.any():
-            placed = done & ~(top & (hi - lo <= _T_TOL))
-            out[rows[placed]] = x[placed]
-            live = ~done
-            rows, x, lo, hi, dx, dx_old, top, p, c = (
-                a[live] for a in (rows, x, lo, hi, dx, dx_old, top, p, c))
-    return out, np.isfinite(out)
-
-
-def _march(curve, k, chord, t0):
-    """Batched equal_chord_march: a k-step march per row of (chord, t0),
-    with the closure defect and its derivative in the chord (see _March).
-
-    The derivative follows one tangent recursion along the march. With
-    u the unit chord from vertex i to i+1 and P' = dP/dt,
-    dt_{i+1} = (1 + (u.P'(t_i)) dt_i) / (u.P'(t_{i+1})), from dt_0 = 0."""
-    chord, t0 = (np.array(a, dtype=float).ravel()
-                 for a in np.broadcast_arrays(chord, t0))
-    m = len(t0)
-    ts = np.full((m, k + 1), np.nan)
-    ts[:, 0] = t0
-    w = np.zeros(m)  # dt_i / d chord
-    rows = np.arange(m)
-    p, d1, _ = curve.frame(t0)
-    for i in range(k):
-        t_next, placed = _next_vertex(curve, ts[rows, i], p, chord[rows])
-        rows, p, d1 = rows[placed], p[placed], d1[placed]
-        t_next = t_next[placed]
-        q, e1, _ = curve.frame(t_next)
-        u = (q - p) / chord[rows, None]
-        a = np.einsum("ij,ij->i", u, d1)
-        b = np.einsum("ij,ij->i", u, e1)
-        w[rows] = (1.0 + a * w[rows]) / b
-        ts[rows, i + 1] = t_next
-        p, d1 = q, e1
-    defect = np.full(m, np.inf)
-    d_chord = np.full(m, np.nan)
-    if rows.size:
-        defect[rows] = (curve.arclength(ts[rows, k]) - curve.arclength(t0[rows])
-                        - curve.total_length)
-        d_chord[rows] = np.hypot(d1[:, 0], d1[:, 1]) * w[rows]
-    return _March(ts, defect, d_chord)
-
-
-def _close(curve, k, t0):
-    """Closing chords of the k-step marches from each start phase t0,
-    by one batched safeguarded Newton in c on the bracket
-    (0.25*l/k, 1.2*l/k), l the curve length; returns (ts, c, defect).
-    The bracket changes sign: k chords of 0.25*l/k cover under a lap,
-    and the upper march overshoots, as a chord is never longer than its
-    arc (or cannot be placed). A row whose defect jumps across zero ends
-    with its bracket collapsed and a large defect."""
-    t0 = np.asarray(t0, dtype=float)
-    m = len(t0)
+def _equal_arcs(curve, k, t0):
+    """The k-gons (m, k) with vertices l/k of arclength apart from each
+    start phase t0 (m,) in [0, 1), by the table (s_closed, t_closed)."""
     ell = curve.total_length
-    lo, hi = np.full(m, 0.25 * ell / k), np.full(m, 1.2 * ell / k)
-    # start from the chord that closes a regular k-gon on a circle
-    x = np.full(m, ell * np.sin(np.pi / k) / np.pi)
-    dx, dx_old = hi - lo, hi - lo
-    ts = np.full((m, k + 1), np.nan)
-    c, defect = np.full(m, np.nan), np.full(m, np.inf)
-    rows = np.arange(m)
+    s = np.interp(t0, curve.t_closed, curve.s_closed)[:, None] + ell * np.arange(k) / k
+    ahead = np.floor(s / ell)
+    t = ahead + np.interp(s - ahead * ell, curve.s_closed, curve.t_closed)
+    t[:, 0] = t0
+    return t
+
+
+def _close_polygons(curve, ts):
+    """Closed, ordered equal-chord polygons inscribed in curve, one from
+    each start polygon ts (m, k): (ts (m, k), chord c (m,), closed (m,));
+    not always the first-branch polygon equal_chord_march closes from t_0.
+
+    Newton in y = (c, t_1..t_{k-1}) on the rows |P(t_{i+1}) - P(t_i)| - c
+    (t_k = t_0 + 1), from ts and its mean chord. Each step is cut so that
+    no gap t_{i+1} - t_i shrinks by more than half, then halved until the
+    largest residual falls (Deuflhard, Newton Methods for Nonlinear
+    Problems, 2004). A row is closed once a step from residuals within
+    _CHORD_TOL*l (l the curve length) ends within it, with positive gaps.
+    Rows with a singular Jacobian, a gap down to _MIN_GAP, or a step that
+    no halving lowers are given up."""
+    def system(t0, y):  # residuals and Jacobian; t_0 is held, its column is c's
+        q, dq, _ = curve.frame(np.column_stack([t0, y[:, 1:]]))
+        chord, _, _, jac = _chords(q, dq)
+        jac[:, :, 0] = -1.0
+        return chord - y[:, :1], jac
+
+    t0, tol = ts[:, 0], _CHORD_TOL * curve.total_length
+    y = np.column_stack([np.zeros(len(ts)), ts[:, 1:]])
+    res, jac = system(t0, y)
+    y[:, 0] = res.mean(axis=1)
+    res -= y[:, :1]
+    size, rows, start = np.abs(res).max(axis=1), np.arange(len(y)), np.full(len(y), np.inf)
     for _ in range(_NEWTON_STEPS):
+        # a row stops after a step from within tol, or one that no halving lowers
+        gaps = np.diff(np.column_stack([t0[rows], y[rows, 1:], t0[rows] + 1.0]), axis=1)
+        det = np.linalg.det(jac)
+        live = (start > tol) & np.isfinite(det) & (det != 0.0) & (gaps.min(axis=1) > _MIN_GAP)
+        rows, res, jac, gaps = rows[live], res[live], jac[live], gaps[live]
         if not rows.size:
             break
-        mr = _march(curve, k, x[rows], t0[rows])
-        xn, lo[rows], hi[rows], dx[rows], dx_old[rows], done = _safeguarded_newton(
-            x[rows], mr.defect, mr.d_chord, lo[rows], hi[rows], dx[rows],
-            dx_old[rows], _C_TOL)
-        fin = rows[done]
-        ts[fin], c[fin], defect[fin] = mr.ts[done], x[fin], mr.defect[done]
-        x[rows] = xn
-        rows = rows[~done]
-    return ts, c, defect
+        step = np.linalg.solve(jac, res[..., None])[..., 0]
+        shrink = np.diff(np.pad(step[:, 1:], ((0, 0), (1, 1))), axis=1)
+        alpha = 1.0 / np.maximum(2.0 * shrink / gaps, 1.0).max(axis=1)
+        start, todo = size[rows], np.arange(rows.size)
+        for _ in range(_NEWTON_STEPS):
+            trial = y[rows[todo]] - alpha[todo, None] * step[todo]
+            r, j = system(t0[rows[todo]], trial)
+            s = np.abs(r).max(axis=1)
+            fell = s < size[rows[todo]]
+            i = todo[fell]
+            y[rows[i]], size[rows[i]], res[i], jac[i] = trial[fell], s[fell], r[fell], j[fell]
+            todo = todo[~fell & (start[todo] > tol)]  # a step from within tol is not halved
+            alpha[todo] *= 0.5
+            if not todo.size:
+                break
+        start[todo] = 0.0
+    ts = np.column_stack([t0, y[:, 1:]])
+    order = (np.diff(np.column_stack([ts, t0 + 1.0]), axis=1) > 0.0).all(axis=1)
+    return ts, y[:, 0], (size <= tol) & order
 
 
 def _fold_system(bd, k, x):
@@ -330,17 +265,11 @@ def _fold_system(bd, k, x):
     nu = np.stack([tan[..., 1], -tan[..., 0]], axis=-1)
     q, dq = p - delta[..., None] * nu, d1 * (1.0 - delta * kappa)[..., None]
     # each at vertex i + 1, in place i: chord i's far end
-    q1, dq1, tan1, nu1, bend1 = (np.roll(a, -1, axis=1)
-                                 for a in (q, dq, tan, nu, kappa * speed))
-    r = q1 - q
-    chord = np.hypot(r[..., 0], r[..., 1])
-    u = r / chord[..., None]
+    tan1, nu1, bend1 = (np.roll(a, -1, axis=1) for a in (tan, nu, kappa * speed))
+    chord, u, dr, jac = _chords(q, dq, nu - nu1)  # the last column: chord i's in delta
+    jac[:, :k, k] -= 2.0
     perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    dr = np.stack([-dq, dq1, nu - nu1])  # chord i's in t_i, t_{i+1}, delta
-    along, turn = (u * dr).sum(-1), (perp * dr).sum(-1) / chord
-    i = np.arange(k)
-    jac = np.zeros((len(x), k + 1, k + 1))
-    jac[:, i, i], jac[:, i, (i + 1) % k], jac[:, i, k] = along[0], along[1], along[2] - 2.0
+    turn = (perp * dr).sum(-1) / chord
     beta, alpha = (u * tan1).sum(-1), (u * tan).sum(-1)
     d_beta = turn * (perp * tan1).sum(-1)
     d_beta[1] -= bend1 * (u * nu1).sum(-1)
@@ -353,18 +282,19 @@ def _fold_system(bd, k, x):
 
 
 def _short_at(bd, k, delta):
-    """bd's inner parallel curve at delta, and whether k chords of 2*delta
-    from one of _SCAN_PHASES phases fall short of a lap: a closing chord
-    there exceeds 2*delta."""
+    """bd's inner parallel curve at delta, and whether a k-gon closed
+    from one of _SCAN_PHASES phases has a chord over 2*delta: k chords of
+    2*delta fall short of a lap there."""
     gamma = inner_parallel_curve(bd, delta)
     phases = np.arange(_SCAN_PHASES) / _SCAN_PHASES
-    return gamma, bool(_march(gamma, k, 2.0 * delta, phases).defect.min() < 0.0)
+    _, c, closed = _close_polygons(gamma, _equal_arcs(gamma, k, phases))
+    return gamma, bool((closed & (c > 2.0 * delta)).any())
 
 
 def _fold_newton(bd, k, x):
     """Newton on _fold_system from all rows of x at once; returns x and the
     converged rows: a full step moving delta by <= _DELTA_TOL from residuals
-    <= _FOLD_TOL (chords over l), t left noisy where the phase hardly
+    <= _CHORD_TOL (chords over l), t left noisy where the phase hardly
     matters. Steps halve at most a gap t_{i+1} - t_i or a margin of delta to
     (0, 1/kappa_max); rows singular or with a gap down to _MIN_GAP are
     given up. Where the fold row vanishes (constant curvature) t_0 is held."""
@@ -388,7 +318,7 @@ def _fold_newton(bd, k, x):
         alpha = 1.0 / np.maximum(2.0 * shrink / room, 1.0).max(axis=1)
         x[rows] -= alpha[:, None] * step
         conv = ((alpha == 1.0) & (np.abs(step[:, k]) <= _DELTA_TOL)
-                & (np.abs(res / scale[:res.shape[1]]).max(axis=1) <= _FOLD_TOL))
+                & (np.abs(res / scale[:res.shape[1]]).max(axis=1) <= _CHORD_TOL))
         done[rows[conv]] = True
         gone = (room[:, :k] - alpha[:, None] * shrink[:, :k]).min(axis=1) <= _MIN_GAP
         rows = rows[~conv & ~gone]
@@ -410,10 +340,10 @@ def _critical_offset(bd, k, lo, hi):
     gamma = inner_parallel_curve(bd, d0)
     # where the curvature is constant every phase is alike
     phases = np.zeros(1) if bd.constant_curvature else np.arange(_SCAN_PHASES) / _SCAN_PHASES
-    ts, c, defect = _close(gamma, k, phases)
-    c = np.where(np.abs(defect) <= _CLOSURE_TOL * gamma.total_length, c, -np.inf)
-    starts = np.isfinite(c) & (c >= np.roll(c, 1)) & (c >= np.roll(c, -1))
-    x, done = _fold_newton(bd, k, np.column_stack([ts[starts, :k], np.full(starts.sum(), d0)]))
+    ts, c, closed = _close_polygons(gamma, _equal_arcs(gamma, k, phases))
+    c = np.where(closed, c, -np.inf)
+    starts = closed & (c >= np.roll(c, 1)) & (c >= np.roll(c, -1))
+    x, done = _fold_newton(bd, k, np.column_stack([ts[starts], np.full(starts.sum(), d0)]))
     d = x[:, k]
     keep = done & (lo < d) & (d < hi)
     if not keep.any():
@@ -436,8 +366,8 @@ def critical_distance(dom, k):
 
     The bracket is as wide as the offset curves allow: from l/(4k), l
     the curve length (or half the top when l/(4k) is no lower), to
-    _offset_top. One march probes the top (_short_at); where k chords of
-    2*delta still fall short of a lap there, there is no root and
+    _offset_top. One closure scan probes the top (_short_at); where a
+    closing chord still exceeds 2*delta there, there is no root and
     NoCriticalDeltaError is raised. Otherwise _critical_offset solves
     for the fold on the bracket. The crown satisfies: vertex depths
     delta*, adjacent chords 2*delta*, non-adjacent pairs >= 2*delta*;
@@ -447,7 +377,7 @@ def critical_distance(dom, k):
     if k < 4:
         raise ConfigError(
             "crown closure needs k >= 4 (at k=2 the closing chord equals "
-            "the offset-curve diameter and the march degenerates)")
+            "the offset-curve diameter and the polygon degenerates)")
     bd = dom.boundary
     d_hi = _offset_top(dom)
     d_lo = bd.total_length / (4.0 * k)
@@ -455,7 +385,7 @@ def critical_distance(dom, k):
         d_lo = 0.5 * d_hi
     if _short_at(bd, k, d_hi)[1]:
         raise NoCriticalDeltaError(
-            f"no critical offset for k={k}: the defect spans negative values at "
+            f"no critical offset for k={k}: a closing chord exceeds 2*delta at "
             f"the top of ({d_lo:.4g}, {d_hi:.4g}), still short of a lap")
     delta_star, ts = _critical_offset(bd, k, d_lo, d_hi)
     pts = bd.point_at_depth(ts, delta_star)
@@ -530,13 +460,13 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
         # arc short of a lap, so the ring's closing chord at delta* is longer
         gamma = inner_parallel_curve(bd, _critical_offset(bd, k - 1, delta_star, hi)[0])
     shifts = rng.uniform(0.0, 1.0, n_members)
-    ts, _, defect = _close(gamma, k - 1, shifts)
-    ts = ts[np.abs(defect) <= _CLOSURE_TOL * gamma.total_length]
+    ts, _, closed = _close_polygons(gamma, _equal_arcs(gamma, k - 1, shifts))
+    ts = ts[closed]
     mid = 0.5 * (ts[:, 0] + ts[:, 1])
     deep_d = delta_star + eta
     deep = bd.point_at_depth(mid, deep_d)
-    pts = np.concatenate([gamma.point(ts[:, :k - 1]), deep[:, None]], axis=1)
-    feet = np.column_stack([ts[:, :k - 1], _known_feet(bd, mid, deep_d)])
+    pts = np.concatenate([gamma.point(ts), deep[:, None]], axis=1)
+    feet = np.column_stack([ts, _known_feet(bd, mid, deep_d)])
     return pts, feet, len(ts)
 
 
@@ -561,8 +491,8 @@ def boundary_gap_check(dom, crown, delta_star, eta, seed=0):
     admissible neighborhood of the critical crown (its points, (k, 2), or
     a SpikeConfiguration): depth pinned at delta* +- eta, an adjacent
     chord pinned at 2*delta* - eta, plus an adversarial ring-and-deep-point
-    family. Returns (sup of the
-    packing functional over the samples, delta* - sup, GapCounts).
+    family. Returns (sup of the packing functional over the samples,
+    delta* - sup, GapCounts).
 
     The cyclic-order-collapse stratum is vacuous for the eta used here:
     collapsing two projections forces a chord below 2*delta* - eta first.

@@ -7,7 +7,7 @@ k-gon inscribed in the circle of radius R - delta has side
     delta*(k) = R * sin(pi/k) / (1 + sin(pi/k)).
 
 Everything on the circle is checked against that, and the generic
-machinery (phase optimization, closure bisection) is exercised on
+machinery (the closure and fold Newtons, phase ties) is exercised on
 ellipses where no closed form exists.
 """
 
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spikecrown import geometry as geo
@@ -29,18 +27,12 @@ from spikecrown.errors import (
 )
 
 
-def _defect(curve, k, chord, t0):
-    """The oracle march's closure defect from one (chord, t0) row, +inf
-    where a chord cannot be placed."""
-    return float(pk.equal_chord_march(curve, k, chord, t0)[2][0])
-
-
 def _close_one(curve, k, t0=0.0):
-    """pk._close from the one start phase t0, whose march must close to
-    _CLOSURE_TOL*l: (points, ts, closing chord, closure defect)."""
-    ts, c, defect = pk._close(curve, k, np.array([float(t0)]))
-    assert abs(defect[0]) <= pk._CLOSURE_TOL * curve.total_length
-    return curve.point(ts[0, :k]), ts[0], float(c[0]), float(defect[0])
+    """pk._close_polygons from the equal-arclength k-gon at the one start
+    phase t0, which must close: (points, ts, closing chord)."""
+    ts, c, closed = pk._close_polygons(curve, pk._equal_arcs(curve, k, np.array([float(t0)])))
+    assert closed[0] and ts[0, 0] == t0
+    return curve.point(ts[0]), ts[0], float(c[0])
 
 
 def circle_law(R, k):
@@ -146,26 +138,26 @@ def test_march_chord_exceeding_diameter_reads_inf():
 
 def test_close_polygon_octagon():
     c = geo.circle(1.4)
-    pts, ts, cstar, _ = _close_one(c, 8)
+    pts, ts, cstar = _close_one(c, 8)
     assert abs(cstar - 2.0 * 1.4 * np.sin(np.pi / 8)) < 1e-9
 
 
 def test_close_polygon_triangle():
     c = geo.circle(0.7)
-    pts, ts, cstar, _ = _close_one(c, 3)
+    pts, ts, cstar = _close_one(c, 3)
     assert abs(cstar - np.sqrt(3.0) * 0.7) < 1e-9
 
 
 def test_close_polygon_rotation_invariant_on_circle():
     c = geo.circle(1.0)
-    _, _, c0, _ = _close_one(c, 8, t0=0.0)
-    _, _, c1, _ = _close_one(c, 8, t0=0.37)
+    _, _, c0 = _close_one(c, 8, t0=0.0)
+    _, _, c1 = _close_one(c, 8, t0=0.37)
     assert abs(c0 - c1) < 1e-10
 
 
 def test_close_polygon_ellipse_equal_chords():
     gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.2)
-    pts, ts, cstar, _ = _close_one(gamma, 6)
+    pts, ts, cstar = _close_one(gamma, 6)
     ch = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     assert ch.max() - ch.min() < 1e-9
     # vertices sit on the offset curve
@@ -178,71 +170,57 @@ def test_close_polygon_phase_dependence_on_ellipse():
     # circle: k=4 on an ellipse offset gives a rhombus from one phase
     # and a near square from another, with very different sides.
     gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.05)
-    _, _, ca, _ = _close_one(gamma, 4, t0=0.0)
-    _, _, cb, _ = _close_one(gamma, 4, t0=0.2)
+    _, _, ca = _close_one(gamma, 4, t0=0.0)
+    _, _, cb = _close_one(gamma, 4, t0=0.2)
     assert abs(ca - cb) > 0.1
 
 
-def test_close_polygon_rejects_open_march():
-    # From t0=0.125 the march's first root ahead jumps across the chord
-    # bracket, and the chord iteration converges onto the jump: the march
-    # there ends a whole chord short of its start, so its defect stays
-    # above the closure tolerance that callers filter on.
+def test_close_polygon_closes_where_the_march_jumps():
+    # From t0=0.125 the march's closure defect jumps across zero near
+    # chord 1.863 (-1.36 to +1.00), so no chord closes the march there;
+    # the polygon Newton closes an ordered equal-chord 4-gon all the
+    # same. It is not the march's: the oracle at its chord ends 1.57 short.
     gamma = geo.inner_parallel_curve(geo.ellipse(2.0, 1.0), 0.05)
-    _, _, defect = pk._close(gamma, 4, np.array([0.125]))
-    assert abs(defect[0]) > 1e-9 * gamma.total_length
+    pts, ts, c = _close_one(gamma, 4, t0=0.125)
+    assert abs(c - 1.8509) < 1e-4
+    chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    assert np.abs(chords - c).max() <= 1e-12
+    assert (np.diff(np.append(ts, ts[0] + 1.0)) > 0.0).all()
+    assert np.abs(geo.PlanarDomain(gamma).signed_distance(pts)).max() < 1e-9
+    assert abs(pk.equal_chord_march(gamma, 4, c, 0.125)[2][0] + 1.57) < 0.01
 
 
-@settings(max_examples=40, deadline=None)
-@given(ratio=st.floats(0.4, 1.0), offset=st.floats(0.0, 0.8),
-       k=st.integers(3, 16), t0=st.floats(0.0, 1.0))
-def test_close_polygon_bracket_changes_sign(ratio, offset, k, t0):
-    # k chords of 0.25*l/k cover well under a lap; k chords of 1.2*l/k
-    # cover at least 1.2*l of arc, or cannot be placed at all
-    curve = geo.ellipse(1.0, ratio)
-    delta = offset * ratio**2  # offset is a fraction of the reach b^2/a
-    if delta > 0.0:  # a subnormal offset times ratio**2 can round to 0
-        curve = geo.inner_parallel_curve(curve, delta)
-    ell = curve.total_length
-    assert _defect(curve, k, 0.25 * ell / k, t0) < 0.0
-    assert _defect(curve, k, 1.2 * ell / k, t0) > 0.0
+def test_closure_steps_keep_the_cyclic_order(round_egg):
+    # from start polygons crowded into a third of the lap or spread over
+    # all of it, every damped step keeps the gaps positive and t_0 held,
+    # and no warning is raised: the crowded starts are driven onto
+    # collapsing chords and given up, most spread ones close
+    bd = round_egg.boundary
+    rng = np.random.default_rng(0)
+    t = np.sort(np.concatenate([rng.uniform(0.0, 0.3, (12, 6)), rng.uniform(0.0, 1.0, (12, 6))]),
+                axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts, c, closed = pk._close_polygons(bd, t)
+    gaps = np.diff(np.column_stack([ts, ts[:, 0] + 1.0]), axis=1)
+    assert (gaps > 0.0).all() and (ts[:, 0] == t[:, 0]).all()
+    assert not closed[:12].any() and closed[12:].sum() >= 8
+    pts = bd.point(ts[closed])
+    chords = np.linalg.norm(np.roll(pts, -1, axis=1) - pts, axis=-1)
+    assert np.abs(chords - c[closed, None]).max() <= pk._CHORD_TOL * bd.total_length
+    assert (gaps[closed] > 0.1).all()
 
 
-# ------------------------------------------------------------ batched march
+# ---------------------------------------------------------------- oracle march
 
 ORACLE_CURVES = {
     "disk": lambda: geo.circle(1.0),
-    "ellipse 1.2x1 offset 0.2": lambda: geo.inner_parallel_curve(
-        geo.ellipse(1.2, 1.0), 0.2),
     "ellipse 2x1 offset 0.15": lambda: geo.inner_parallel_curve(
         geo.ellipse(2.0, 1.0), 0.15),
 }
 
 
-def _jumps_a_dip(curve, ts):
-    """Whether some step of a march passes a local maximum of the
-    distance from its vertex before reaching the chord."""
-    for a, b in zip(ts[:-1], ts[1:]):
-        s = np.linspace(a, b, 4000)
-        d = np.linalg.norm(curve.point(s) - curve.point(a), axis=1)
-        if np.any(np.diff(d) < -1e-9):
-            return True
-    return False
-
-
-def _rows_have_the_bits_of_one_row_calls(march, curve, k, chord, t0):
-    """march's batch over the rows of (chord, t0), after checking that
-    every output of each row equals that of a one-row call."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        batch = march(curve, k, chord, t0)
-    for i in range(len(t0)):
-        for got, want in zip(march(curve, k, chord[i], t0[i]), batch):
-            assert_array_equal(got[0], want[i])
-    return batch
-
-
-@pytest.mark.parametrize("name", ["disk", "ellipse 2x1 offset 0.15"])
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 def test_march_rows_have_the_bits_of_one_row_calls(name):
     # so batching the oracle cannot move a defect, and with it the
     # verdict of acceptance criterion 3; start phases run over several
@@ -253,89 +231,13 @@ def test_march_rows_have_the_bits_of_one_row_calls(name):
     for k in (3, 10):
         t0 = rng.uniform(-1.5, 2.5, 16)
         chord = rng.uniform(0.1, 0.6, 16) * curve.total_length
-        defect = _rows_have_the_bits_of_one_row_calls(pk.equal_chord_march, curve, k,
-                                                      chord, t0)[2]
-        assert np.isinf(defect).any() and np.isfinite(defect).any()
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
-def test_newton_march_rows_have_the_bits_of_one_row_calls(name):
-    # so _next_vertex's compaction of its live rows cannot move a bit;
-    # short chords are placed, chords of 0.22-0.3 l pass a dip on the
-    # 2x1 offset and are not placed there, chords over 0.45 l never fit
-    curve = ORACLE_CURVES[name]()
-    ell = curve.total_length
-    rng = np.random.default_rng(5)
-    for k in (3, 4, 10):
-        t0 = rng.uniform(-1.5, 2.5, 20)
-        chord = np.concatenate([rng.uniform(0.25, 1.6, 8) / k, rng.uniform(0.22, 0.3, 8),
-                                rng.uniform(0.45, 0.6, 4)]) * ell
-        placed = np.isfinite(
-            _rows_have_the_bits_of_one_row_calls(pk._march, curve, k, chord, t0).defect)
-        oracle = pk.equal_chord_march(curve, k, chord, t0)[2]
-        assert placed.any() and np.isinf(oracle).any()
-        assert (~placed & np.isfinite(oracle)).any() == name.startswith("ellipse 2x1")
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
-def test_batched_march_matches_scalar_march(name):
-    # random phases, and chords from a quarter of l/k, which never
-    # closes, to 1.6*l/k, which often cannot be placed
-    curve = ORACLE_CURVES[name]()
-    ell = curve.total_length
-    rng = np.random.default_rng(3)
-    for k in (3, 4, 10):
-        t0 = rng.uniform(0.0, 1.0, 24)
-        chord = rng.uniform(0.25, 1.6, 24) * ell / k
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = pk._march(curve, k, chord, t0)
-        placed = np.isfinite(batch.defect)
-        _, oracle_ts, oracle_defect = pk.equal_chord_march(curve, k, chord, t0)
-        for i in range(24):
-            ts, defect = oracle_ts[i], oracle_defect[i]
-            if not np.isfinite(defect):
-                assert not placed[i]
-                continue
-            if not placed[i]:
-                # the batched march stops where the distance falls before
-                # it reaches the chord; the oracle scans on past the dip,
-                # which only the 2x1 ellipse has
-                assert name.startswith("ellipse 2x1") and _jumps_a_dip(curve, ts)
-                continue
-            # each vertex from the oracle's own predecessor agrees to
-            # 4e-15 (measured); whole marches agree less closely where a
-            # nearly tangential step amplifies rounding (2.9e-14 on one
-            # 1.2x1 row, k=4)
-            pred = curve.point(ts[:-1])
-            step, ok = pk._next_vertex(curve, ts[:-1], pred, np.full(k, chord[i]))
-            assert ok.all() and np.abs(step - ts[1:]).max() < 1e-12
-            assert np.abs(batch.ts[i] - ts).max() < 1e-10
-            assert abs(batch.defect[i] - defect) < 1e-10 * ell
-            sides = np.linalg.norm(np.diff(curve.point(batch.ts[i]), axis=0), axis=1)
-            assert np.abs(sides - chord[i]).max() < 1e-14 * ell
-        assert np.all(np.isinf(batch.defect[~placed]))
-        assert np.all(np.isnan(batch.d_chord[~placed]))
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
-def test_batched_march_derivatives_match_differences(name):
-    # chords near l/k keep every step well clear of a tangential
-    # crossing, where differences of the defect lose their digits
-    curve = ORACLE_CURVES[name]()
-    ell = curve.total_length
-    rng = np.random.default_rng(4)
-    h = 1e-6
-    for k in (3, 4, 10):
-        t0 = rng.uniform(0.0, 1.0, 6)
-        chord = rng.uniform(0.6, 1.1, 6) * ell / k
-        batch = pk._march(curve, k, chord, t0)
-        placed = np.isfinite(batch.defect)
-        assert placed.sum() >= 3
-        for i in np.nonzero(placed)[0]:
-            d_c = (_defect(curve, k, chord[i] + h, t0[i])
-                   - _defect(curve, k, chord[i] - h, t0[i])) / (2.0 * h)
-            assert abs(batch.d_chord[i] - d_c) < 1e-6 * max(1.0, abs(d_c))
+            batch = pk.equal_chord_march(curve, k, chord, t0)
+        for i in range(len(t0)):
+            for got, want in zip(pk.equal_chord_march(curve, k, chord[i], t0[i]), batch):
+                assert_array_equal(got[0], want[i])
+        assert np.isinf(batch[2]).any() and np.isfinite(batch[2]).any()
 
 
 def test_packing_reaches_neither_scalar_march_nor_brentq(monkeypatch):
@@ -432,12 +334,12 @@ def test_too_few_spikes_on_elongated_domain_raises(egg):
 def test_four_spikes_past_the_offset_limit_have_no_critical_delta(domain, monkeypatch):
     # l/16 lies above 0.95/kappa_max on these domains, so the bracket's
     # lower end starts below its upper one instead of building an offset
-    # curve past 1/kappa_max; the defect is negative at its top, the one
-    # offset probed, and no fold is sought
+    # curve past 1/kappa_max; a closing chord exceeds 2*delta at its top,
+    # the one offset probed, and no fold is sought
     dom = geo.make_domain(domain)
     calls = count_top_probes(monkeypatch)
     solves = count_critical_offset(monkeypatch)
-    with pytest.raises(NoCriticalDeltaError, match="defect spans"):
+    with pytest.raises(NoCriticalDeltaError, match="closing chord exceeds"):
         pk.critical_distance(dom, 4)
     assert calls == [pk._offset_top(dom)]
     assert solves == []
@@ -484,17 +386,18 @@ def test_crown_bracket_is_probed_once_at_its_top(domain, monkeypatch):
 def test_constant_curvature_marches_phase_zero_alone(base, phases, monkeypatch):
     # a circle's offset has constant curvature, so one start phase closes
     # as well as any other; a round ellipse's curvature spreads by ulps
-    # only, and counts as constant too
+    # only, and counts as constant too. The top probe closes all its
+    # phases first, whatever the curvature.
     starts = []
-    close = pk._close
+    close = pk._close_polygons
 
-    def recorded(curve, k, t0):
-        starts.append(np.size(t0))
-        return close(curve, k, t0)
+    def recorded(curve, ts):
+        starts.append(len(ts))
+        return close(curve, ts)
 
-    monkeypatch.setattr(pk, "_close", recorded)
+    monkeypatch.setattr(pk, "_close_polygons", recorded)
     pk.critical_distance(geo.PlanarDomain(base), 4)
-    assert starts == [phases]
+    assert starts == [pk._SCAN_PHASES, phases]
 
 
 def test_critical_delta_is_maximal(disk, round_egg):
@@ -522,10 +425,13 @@ def test_round_ellipse_meets_the_circle_law():
         assert_allclose(np.asarray(crown.points)[0], [1.0 - ds, 0.0], atol=1e-15)
 
 
+# pack-spline's domain: 24 points of the 1.3x1 ellipse
+_TH = 2.0 * np.pi * np.arange(24) / 24
+SPLINE_EGG = {"kind": "spline", "points": np.stack([1.3 * np.cos(_TH), np.sin(_TH)], axis=1).tolist()}
+
+
 def _spline_egg():
-    # pack-spline's domain: 24 points of the 1.3x1 ellipse
-    th = 2.0 * np.pi * np.arange(24) / 24
-    return geo.PlanarDomain(geo.spline_curve(np.stack([1.3 * np.cos(th), np.sin(th)], axis=1)))
+    return geo.make_domain(SPLINE_EGG)
 
 
 @pytest.mark.parametrize("dom,k", [
@@ -713,6 +619,10 @@ def test_boundary_gap_violated_in_fat_tube(disk, monkeypatch):
      (0.3562398142723962, 0.007272250883125664, (200, 200, 7887, 387, 2500))),
     ({"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0}, 6, 1,
      (0.351952961567877, 0.007880583133705987, (200, 200, 7742, 242, 2500))),
+    ({"kind": "ellipse", "a": 2.0, "b": 1.0}, 8, 1,
+     (0.4217901888941555, 0.006752895450583496, (200, 200, 7868, 368, 2500))),
+    (SPLINE_EGG, 4, 1,
+     (0.47245001050458457, 0.010798286601522933, (200, 200, 7500, 0, 2500))),
 ])
 def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, monkeypatch):
     # On the disk the (k-1)-ring's critical offset lies above the tube,
@@ -732,6 +642,9 @@ def test_ring_offset_is_solved_only_inside_the_tube(domain, k, solves, want, mon
     # one, which the old phase search reached alone: both are critical,
     # and the smallest foot, 0.0188 against 0.125, picks the new one. The
     # gap check's draws are not mirrored with it, so its whole row moved.
+    # The last two rows are the ring families that the vertex-by-vertex
+    # march closed in part, 76 and 88 of 200 rings; the polygon Newton
+    # closes them all, and sup and gap keep their bits.
     dom = geo.make_domain(domain)
     ds, crown = pk.critical_distance(dom, k)
     calls = count_critical_offset(monkeypatch)

@@ -13,9 +13,10 @@ eta = delta*/10 and seed 0. The package comes from DIR's `src` (default:
 the checkout holding this script).
 
 Without `--record` the script compares each case with `pack_sweep.json`
-beside it: a recorded delta* must be met to within 1e-13, and a recorded
-error by an error of the same type. It prints one line per case, with the
-gap check's closed rings now and as recorded, and exits 1 if some case
+beside it: a recorded delta* must be met to within 1e-13, a recorded
+error by an error of the same type, and a recorded count of the gap
+check's closed rings by at least as many. It prints one line per case,
+with the closed rings now and as recorded, and exits 1 if some case
 disagrees. `--record COMMIT` writes `pack_sweep.json` from this run
 instead, naming COMMIT, the commit DIR holds, as its source.
 """
@@ -74,6 +75,8 @@ def disagreement(got, want):
         return f"delta* off the record by {got['delta_star'] - want['delta_star']:.2e}"
     if got["error"] != want["error"]:
         return f"raised {got['error']}, recorded {want['error']}"
+    if want["ring_closed"] is not None and got["ring_closed"] < want["ring_closed"]:
+        return f"closed {got['ring_closed']} rings, recorded {want['ring_closed']}"
     return None
 
 
