@@ -537,6 +537,7 @@ class PlanarDomain:
             raise ConfigError("domain boundary must be a ConvexCurve")
         self.boundary = boundary
         self._inradius = None
+        self._centroid_depth = None
 
     def nearest(self, X, guess=None):
         """(t, d) per row of X: the parameter t of its nearest boundary
@@ -631,10 +632,21 @@ class PlanarDomain:
         return self.boundary._centroid.copy()
 
     @property
+    def centroid_depth(self):
+        """Depth of the centroid, one nearest-point query: a lower bound
+        on inradius, bit for bit, since the search starts there and never
+        returns a worse vertex."""
+        if self._centroid_depth is None:
+            self._centroid_depth = -self.signed_distance(self.centroid)
+        return self._centroid_depth
+
+    @property
     def inradius(self):
         """Depth of the deepest point, by Nelder-Mead from the centroid;
         a search that stops short raises IterationError with scipy's
-        reason."""
+        reason. Callers ask for it only where centroid_depth cannot
+        decide their question, as for a disk's crown bracket, whose
+        top 0.9*inradius lies below _OFFSET_LIMIT/kappa_max."""
         if self._inradius is None:
             res = minimize(
                 lambda z: self.signed_distance(z),

@@ -357,8 +357,15 @@ def _critical_offset(bd, k, lo, hi):
 
 def _offset_top(dom):
     """The largest offset any crown search tries: _OFFSET_LIMIT/kappa_max,
-    or 0.9 of the inradius when that is lower."""
-    return min(_OFFSET_LIMIT / dom.boundary.kappa_max, 0.9 * dom.inradius)
+    or 0.9 of the inradius when that is lower. The inradius search runs
+    only when 0.9 of the centroid's depth, its lower bound, falls short
+    of the curvature term (on a disk, 0.9 < _OFFSET_LIMIT); otherwise
+    the curvature term wins the min, bit for bit."""
+    top = _OFFSET_LIMIT / dom.boundary.kappa_max
+    # compared as 0.9*x >= top, the form the min takes; x >= top/0.9 rounds differently
+    if 0.9 * dom.centroid_depth >= top:
+        return top
+    return min(top, 0.9 * dom.inradius)
 
 
 def critical_distance(dom, k):
@@ -431,8 +438,9 @@ def _min_nonadjacent(pts):
 
 
 def choose_spike_count(dom, delta0):
-    """Smallest even k strictly above boundary length / (2*delta0)."""
-    if not 0.0 < delta0 < 0.9 * dom.inradius:
+    """Smallest even k strictly above boundary length / (2*delta0).
+    delta0 below 0.9 of the centroid's depth needs no inradius search."""
+    if not 0.0 < delta0 < 0.9 * dom.centroid_depth and not 0.0 < delta0 < 0.9 * dom.inradius:
         raise ConfigError(
             f"delta0 must lie in (0, 0.9*inradius), got {delta0}"
         )

@@ -91,10 +91,13 @@ class Grid2D:
 def discretize(dom, h):
     """Classify lattice nodes against the domain and measure cut legs.
 
-    A node is inside when its signed distance is negative; _inside
-    computes that distance only near the curve. Cut fractions are found
-    by bisection of the signed distance along the leg (53 halvings, so
-    the root is resolved to machine precision relative to h). A leg
+    h must lie below inradius/20; the inradius search runs only when h
+    is not below the centroid's depth/20, its lower bound. A node is
+    inside when its signed distance is negative; _inside computes that
+    distance only near the curve. Cut fractions are found by bisection
+    of the signed distance along the leg (53 halvings, so the root is
+    resolved to machine precision relative to h), each query handing
+    its feet to the next (PlanarDomain.nearest's guess). A leg
     shorter than 1e-8*h would make the stencil singular, so its inner
     node is reclassified exterior and the scan repeats; the grid's
     n_reclassified counts those nodes.
@@ -102,7 +105,7 @@ def discretize(dom, h):
     h = float(h)
     if not h > 0:
         raise ConfigError(f"spacing must be positive, got {h}")
-    if h >= dom.inradius / 20.0:
+    if h >= dom.centroid_depth / 20.0 and h >= dom.inradius / 20.0:
         raise ConfigError(
             f"spacing {h} too coarse: need h < inradius/20 = {dom.inradius / 20.0:.4g}"
         )
@@ -194,9 +197,10 @@ def _measure_cuts(dom, legs, h, i_lo, j_lo):
     dirs = _LEG_DIR[legs[:, 2]]
     lo = np.zeros(len(legs))
     hi = np.ones(len(legs))
+    foot = None
     for _ in range(53):
         mid = 0.5 * (lo + hi)
-        d = dom.signed_distance(base + mid[:, None] * h * dirs)
+        foot, d = dom.nearest(base + mid[:, None] * h * dirs, foot)
         neg = d < 0.0
         lo[neg] = mid[neg]
         hi[~neg] = mid[~neg]

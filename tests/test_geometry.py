@@ -592,6 +592,26 @@ def test_inradius(unit_circle, ell21):
     assert abs(geo.PlanarDomain(ell21).inradius - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "circle", "radius": 1.0},
+    {"kind": "ellipse", "a": 1.2, "b": 1.0},
+    {"kind": "ellipse", "a": 3.0, "b": 1.0},
+    {"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 3.0},
+], ids=["disk", "ellipse-1.2x1", "ellipse-3x1", "superellipse-m3"])
+def test_centroid_depth_bounds_the_inradius(spec, monkeypatch):
+    # one query, cached; the search starts at the centroid and keeps its
+    # best vertex, so the bound holds bit for bit
+    dom = geo.make_domain(spec)
+    queries = []
+    nearest = dom.nearest
+    monkeypatch.setattr(dom, "nearest", lambda X, guess=None: queries.append(len(X))
+                        or nearest(X, guess))
+    depth = dom.centroid_depth
+    assert dom.centroid_depth == depth == -dom.signed_distance(dom.centroid)
+    assert queries == [1, 1]
+    assert depth <= dom.inradius
+
+
 def test_inradius_says_why_it_stopped(monkeypatch):
     # the 1.2x1 ellipse takes 29 Nelder-Mead iterations; two cannot settle
     def capped(*args, options, **kwargs):

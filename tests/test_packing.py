@@ -11,6 +11,8 @@ machinery (the closure and fold Newtons, phase ties) is exercised on
 ellipses where no closed form exists.
 """
 
+import importlib.util
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +27,12 @@ from spikecrown.errors import (
     NoCriticalDeltaError,
     PropertyViolationError,
 )
+
+
+_SWEEP_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "pack_sweep.py")
+_SWEEP_SPEC = importlib.util.spec_from_file_location("pack_sweep", _SWEEP_PATH)
+pack_sweep = importlib.util.module_from_spec(_SWEEP_SPEC)
+_SWEEP_SPEC.loader.exec_module(pack_sweep)
 
 
 def _close_one(curve, k, t0=0.0):
@@ -378,6 +386,44 @@ def test_crown_bracket_is_probed_once_at_its_top(domain, monkeypatch):
     assert len(builds) == 2
 
 
+@pytest.mark.parametrize("name", list(pack_sweep.DOMAINS))
+def test_offset_top_keeps_the_bits_of_the_min(name):
+    # the centroid's depth decides the min on every non-round domain;
+    # whichever way it goes, the top is the one the full min gives
+    dom = geo.make_domain(pack_sweep.DOMAINS[name])
+    top = pk._offset_top(dom)
+    assert top == min(pk._OFFSET_LIMIT / dom.boundary.kappa_max, 0.9 * dom.inradius)
+
+
+def forbid_inradius_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inradius search ran")
+
+    monkeypatch.setattr(geo, "minimize", refuse)
+
+
+def test_ellipse_crown_and_gap_check_skip_the_inradius_search(monkeypatch):
+    # 0.9 of the 1.2x1 ellipse's centroid depth is above 0.95/kappa_max,
+    # so the curvature term is the top without a Nelder-Mead search
+    forbid_inradius_search(monkeypatch)
+    dom = geo.make_domain({"kind": "ellipse", "a": 1.2, "b": 1.0})
+    ds, crown = pk.critical_distance(dom, 4)
+    pk.boundary_gap_check(dom, crown, ds, ds / 10.0, seed=0)
+    assert dom._inradius is None
+
+
+def test_disk_crown_top_still_asks_the_inradius(monkeypatch):
+    # on a disk 0.9 of the depth is below 0.95/kappa_max: the bound
+    # cannot decide the min, and the search runs
+    calls = []
+    search = geo.minimize
+    monkeypatch.setattr(geo, "minimize",
+                        lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
+    dom = geo.make_domain({"kind": "circle", "radius": 1.0})
+    assert pk._offset_top(dom) == 0.9 * dom.inradius
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("base,phases", [
     (geo.circle(1.0), 1),
     (geo.ellipse(1.2, 1.0), pk._SCAN_PHASES),
@@ -510,6 +556,22 @@ def test_choose_spike_count_rejects_bad_delta(disk):
         pk.choose_spike_count(disk, 0.0)
     with pytest.raises(ConfigError):
         pk.choose_spike_count(disk, 2.0)
+
+
+def test_choose_spike_count_below_the_depth_bound_skips_the_search(monkeypatch):
+    # perimeter 6.93; the ratio 9.89 rounds up to the next even count
+    forbid_inradius_search(monkeypatch)
+    dom = geo.make_domain({"kind": "ellipse", "a": 1.2, "b": 1.0})
+    assert pk.choose_spike_count(dom, 0.35) == 10
+
+
+def test_choose_spike_count_asks_the_inradius_above_the_bound():
+    # 0.9 lies above 0.9 of the disk's centroid depth (1 - 2e-16) and
+    # not below 0.9 of the inradius, which the search finds equal to it
+    dom = geo.make_domain({"kind": "circle", "radius": 1.0})
+    with pytest.raises(ConfigError, match="0.9\\*inradius"):
+        pk.choose_spike_count(dom, 0.9)
+    assert dom._inradius is not None
 
 
 # ------------------------------------------------------------------ two point

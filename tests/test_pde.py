@@ -145,6 +145,52 @@ def test_discretize_rejects_coarse_or_bad_spacing(disk):
         pde.discretize(disk, -0.01)
 
 
+def test_coarse_ellipse_spacing_raises_after_the_search():
+    # h = 0.05 is not below the centroid's depth/20, so the inradius
+    # search decides, and the grid is refused as on the disk
+    dom = geo.make_domain({"kind": "ellipse", "a": 1.2, "b": 1.0})
+    with pytest.raises(ConfigError, match=r"spacing 0\.05 too coarse: need h < inradius/20 = 0\.05$"):
+        pde.discretize(dom, 0.05)
+    assert dom._inradius is not None
+
+
+def test_fine_ellipse_grid_skips_the_inradius_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inradius search ran")
+
+    monkeypatch.setattr(geo, "minimize", refuse)
+    dom = geo.make_domain({"kind": "ellipse", "a": 1.2, "b": 1.0})
+    assert pde.discretize(dom, 0.04).n_nodes > 0
+    assert dom._inradius is None
+
+
+def plain_cuts(dom, legs, h, i_lo, j_lo):
+    """Cut fractions by 53 halvings of the signed distance along each leg."""
+    base = (legs[:, :2] + (i_lo, j_lo)) * h
+    dirs = pde._LEG_DIR[legs[:, 2]]
+    lo, hi = np.zeros(len(legs)), np.ones(len(legs))
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        neg = dom.signed_distance(base + mid[:, None] * h * dirs) < 0.0
+        lo[neg] = mid[neg]
+        hi[~neg] = mid[~neg]
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("spec,h", [
+    # a solve on the disk's k=4 crown at eps = delta*/6, h = eps/4
+    ({"kind": "circle", "radius": 1.0}, np.sqrt(0.5) / (1.0 + np.sqrt(0.5)) / 24.0),
+    ({"kind": "ellipse", "a": 1.2, "b": 1.0}, 0.01),
+], ids=["disk", "ellipse-1.2x1"])
+def test_cut_bisection_with_foot_guesses_keeps_the_bits(spec, h, monkeypatch):
+    # each halving hands its feet to the next query; the fractions keep
+    # the bits of a plain bisection on the signed distance
+    dom = geo.make_domain(spec)
+    got = pde.discretize(dom, h)
+    monkeypatch.setattr(pde, "_measure_cuts", plain_cuts)
+    assert np.array_equal(got.theta, pde.discretize(dom, h).theta)
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "circle", "radius": 1.0},
     {"kind": "ellipse", "a": 1.2, "b": 1.0},

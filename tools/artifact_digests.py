@@ -48,6 +48,8 @@ CASES = [
     ("pack-ellipse", "pack", {"domain": ELLIPSE, "k": 4}, ["--seed", "7"]),
     # its gap check solves for a 9-ring's offset
     ("pack-ellipse-2x1", "pack", {"domain": ELLIPSE_2X1, "k": 10}, []),
+    # sized by delta0, so choose_spike_count runs: k = 10
+    ("pack-ellipse-delta0", "pack", {"domain": ELLIPSE, "delta0": 0.35}, []),
     ("pack-disk", "pack", {"domain": DISK, "k": 8}, []),
     ("pack-superellipse", "pack", {"domain": SUPERELLIPSE, "k": 6}, []),
     ("pack-spline", "pack", {"domain": SPLINE, "k": 4}, []),
