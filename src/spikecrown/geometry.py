@@ -27,13 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigError,
     IntegrationError,
-    IterationError,
     NonUniqueProjectionError,
     ParallelCurveDegeneracyError,
 )
@@ -536,7 +535,6 @@ class PlanarDomain:
         if not isinstance(boundary, ConvexCurve):
             raise ConfigError("domain boundary must be a ConvexCurve")
         self.boundary = boundary
-        self._inradius = None
         self._centroid_depth = None
 
     def nearest(self, X, guess=None):
@@ -633,31 +631,13 @@ class PlanarDomain:
 
     @property
     def centroid_depth(self):
-        """Depth of the centroid, one nearest-point query: a lower bound
-        on inradius, bit for bit, since the search starts there and never
-        returns a worse vertex."""
+        """Depth of the centroid, one nearest-point query, cached. By
+        Minkowski-Radon it is at least 2/3 of the inradius, and on a
+        centrally symmetric domain it is the inradius; discretize and
+        choose_spike_count bound their inputs by it."""
         if self._centroid_depth is None:
             self._centroid_depth = -self.signed_distance(self.centroid)
         return self._centroid_depth
-
-    @property
-    def inradius(self):
-        """Depth of the deepest point, by Nelder-Mead from the centroid;
-        a search that stops short raises IterationError with scipy's
-        reason. Callers ask for it only where centroid_depth cannot
-        decide their question, as for a disk's crown bracket, whose
-        top 0.9*inradius lies below _OFFSET_LIMIT/kappa_max."""
-        if self._inradius is None:
-            res = minimize(
-                lambda z: self.signed_distance(z),
-                self.centroid,
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 2000},
-            )
-            if not res.success:
-                raise IterationError(f"inradius search stopped: {res.message}")
-            self._inradius = float(-res.fun)
-        return self._inradius
 
 
 def make_domain(spec):

@@ -355,17 +355,12 @@ def _critical_offset(bd, k, lo, hi):
     return float(d[tied[i]]), np.roll(x[tied[i], :k], -j)
 
 
-def _offset_top(dom):
-    """The largest offset any crown search tries: _OFFSET_LIMIT/kappa_max,
-    or 0.9 of the inradius when that is lower. The inradius search runs
-    only when 0.9 of the centroid's depth, its lower bound, falls short
-    of the curvature term (on a disk, 0.9 < _OFFSET_LIMIT); otherwise
-    the curvature term wins the min, bit for bit."""
-    top = _OFFSET_LIMIT / dom.boundary.kappa_max
-    # compared as 0.9*x >= top, the form the min takes; x >= top/0.9 rounds differently
-    if 0.9 * dom.centroid_depth >= top:
-        return top
-    return min(top, 0.9 * dom.inradius)
+def _offset_top(bd):
+    """The largest offset any crown search tries, _OFFSET_LIMIT/kappa_max
+    of the curve bd: the inner parallel curve is regular below
+    1/kappa_max, and by Blaschke's rolling theorem the inradius is at
+    least that, so the top always lies inside the domain."""
+    return _OFFSET_LIMIT / bd.kappa_max
 
 
 def critical_distance(dom, k):
@@ -386,7 +381,7 @@ def critical_distance(dom, k):
             "crown closure needs k >= 4 (at k=2 the closing chord equals "
             "the offset-curve diameter and the polygon degenerates)")
     bd = dom.boundary
-    d_hi = _offset_top(dom)
+    d_hi = _offset_top(bd)
     d_lo = bd.total_length / (4.0 * k)
     if d_lo >= d_hi:
         d_lo = 0.5 * d_hi
@@ -438,12 +433,12 @@ def _min_nonadjacent(pts):
 
 
 def choose_spike_count(dom, delta0):
-    """Smallest even k strictly above boundary length / (2*delta0).
-    delta0 below 0.9 of the centroid's depth needs no inradius search."""
-    if not 0.0 < delta0 < 0.9 * dom.centroid_depth and not 0.0 < delta0 < 0.9 * dom.inradius:
+    """Smallest even k strictly above boundary length / (2*delta0), for
+    delta0 below 0.9 of the centroid's depth (PlanarDomain.centroid_depth)."""
+    bound = 0.9 * dom.centroid_depth
+    if not 0.0 < delta0 < bound:
         raise ConfigError(
-            f"delta0 must lie in (0, 0.9*inradius), got {delta0}"
-        )
+            f"delta0 must lie in (0, 0.9*centroid depth) = (0, {bound:.6g}), got {delta0}")
     ratio = dom.boundary.total_length / (2.0 * delta0)
     return 2 * (int(np.floor(ratio / 2.0)) + 1)
 
@@ -455,13 +450,13 @@ def _ring_plus_deep_family(dom, k, delta_star, eta, rng, n_members):
     deep stratum depth delta* + eta, midway between the ring's first
     two vertices. Returns (configurations, their foot parameters, NaN
     where the depth reaches 1/kappa_max, number of rings that closed).
-    The top is delta* + 0.9 eta, or _OFFSET_LIMIT/kappa_max when that
-    reaches 1/kappa_max. A ring still short of a lap there (_short_at)
+    The top is delta* + 0.9 eta, or _offset_top when that reaches
+    1/kappa_max. A ring still short of a lap there (_short_at)
     sits at the top; otherwise _critical_offset solves on (delta*, top)."""
     bd = dom.boundary
     hi = delta_star + 0.9 * eta
     if hi * bd.kappa_max >= 1.0:
-        hi = _OFFSET_LIMIT / bd.kappa_max
+        hi = _offset_top(bd)
     gamma, short = _short_at(bd, k - 1, hi)
     if not short:
         # from the crown's phase, k-1 chords of 2*delta* fall one chord's

@@ -91,8 +91,9 @@ class Grid2D:
 def discretize(dom, h):
     """Classify lattice nodes against the domain and measure cut legs.
 
-    h must lie below inradius/20; the inradius search runs only when h
-    is not below the centroid's depth/20, its lower bound. A node is
+    h must lie below the centroid's depth/20 (PlanarDomain.centroid_depth:
+    the inradius on a centrally symmetric domain, at least 2/3 of it on
+    any other). The lattice spans the boundary table's box. A node is
     inside when its signed distance is negative; _inside computes that
     distance only near the curve. Cut fractions are found by bisection
     of the signed distance along the leg (53 halvings, so the root is
@@ -105,11 +106,11 @@ def discretize(dom, h):
     h = float(h)
     if not h > 0:
         raise ConfigError(f"spacing must be positive, got {h}")
-    if h >= dom.centroid_depth / 20.0 and h >= dom.inradius / 20.0:
+    if h >= dom.centroid_depth / 20.0:
         raise ConfigError(
-            f"spacing {h} too coarse: need h < inradius/20 = {dom.inradius / 20.0:.4g}"
+            f"spacing {h} too coarse: need h < centroid depth/20 = {dom.centroid_depth / 20.0:.4g}"
         )
-    pts = dom.boundary.point(np.linspace(0.0, 1.0, 2048, endpoint=False))
+    pts = dom.boundary.points
     i_lo = int(np.floor(pts[:, 0].min() / h)) - 2
     i_hi = int(np.ceil(pts[:, 0].max() / h)) + 2
     j_lo = int(np.floor(pts[:, 1].min() / h)) - 2

@@ -191,7 +191,7 @@ def _delta_grid_search(dom, k):
         return _best_phase_defect(gamma, k, 2.0 * d) < 0.0
 
     lo = 0.05
-    hi = pk._offset_top(dom)
+    hi = pk._offset_top(bd)
     if not below(lo) or below(hi):
         raise NumericalError("defect did not change sign across the bracket")
     for _level in range(_GRID_LEVELS):

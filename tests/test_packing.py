@@ -349,7 +349,7 @@ def test_four_spikes_past_the_offset_limit_have_no_critical_delta(domain, monkey
     solves = count_critical_offset(monkeypatch)
     with pytest.raises(NoCriticalDeltaError, match="closing chord exceeds"):
         pk.critical_distance(dom, 4)
-    assert calls == [pk._offset_top(dom)]
+    assert calls == [pk._offset_top(dom.boundary)]
     assert solves == []
 
 
@@ -381,47 +381,38 @@ def test_crown_bracket_is_probed_once_at_its_top(domain, monkeypatch):
     monkeypatch.setattr(pk, "inner_parallel_curve",
                         lambda curve, delta: builds.append(delta) or offset(curve, delta))
     pk.critical_distance(dom, 4)
-    assert calls == [pk._offset_top(dom)]
-    assert [(k, hi) for k, _, hi in solves] == [(4, pk._offset_top(dom))]
+    assert calls == [pk._offset_top(dom.boundary)]
+    assert [(k, hi) for k, _, hi in solves] == [(4, pk._offset_top(dom.boundary))]
     assert len(builds) == 2
 
 
 @pytest.mark.parametrize("name", list(pack_sweep.DOMAINS))
 def test_offset_top_keeps_the_bits_of_the_min(name):
-    # the centroid's depth decides the min on every non-round domain;
-    # whichever way it goes, the top is the one the full min gives
+    # the top is the curvature term alone, the bits of
+    # min(0.95/kappa_max, 0.9 r_in) wherever 0.9 of the centroid's depth
+    # reaches it: on every domain but the disk, where 0.9 r_in = 0.9
+    # lies below the top, 0.95
     dom = geo.make_domain(pack_sweep.DOMAINS[name])
-    top = pk._offset_top(dom)
-    assert top == min(pk._OFFSET_LIMIT / dom.boundary.kappa_max, 0.9 * dom.inradius)
+    top = pk._offset_top(dom.boundary)
+    assert top == pk._OFFSET_LIMIT / dom.boundary.kappa_max
+    assert (0.9 * dom.centroid_depth >= top) == (name != "disk")
 
 
-def forbid_inradius_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the inradius search ran")
-
-    monkeypatch.setattr(geo, "minimize", refuse)
-
-
-def test_ellipse_crown_and_gap_check_skip_the_inradius_search(monkeypatch):
-    # 0.9 of the 1.2x1 ellipse's centroid depth is above 0.95/kappa_max,
-    # so the curvature term is the top without a Nelder-Mead search
-    forbid_inradius_search(monkeypatch)
+def test_ellipse_crown_and_gap_check_skip_the_inradius_search():
+    # neither the crown nor the gap check asks how deep the domain is:
+    # their offsets stop below 0.95/kappa_max, read from the curve
     dom = geo.make_domain({"kind": "ellipse", "a": 1.2, "b": 1.0})
     ds, crown = pk.critical_distance(dom, 4)
     pk.boundary_gap_check(dom, crown, ds, ds / 10.0, seed=0)
-    assert dom._inradius is None
+    assert dom._centroid_depth is None
 
 
-def test_disk_crown_top_still_asks_the_inradius(monkeypatch):
-    # on a disk 0.9 of the depth is below 0.95/kappa_max: the bound
-    # cannot decide the min, and the search runs
-    calls = []
-    search = geo.minimize
-    monkeypatch.setattr(geo, "minimize",
-                        lambda *args, **kwargs: calls.append(1) or search(*args, **kwargs))
+def test_disk_crown_top_is_the_curvature_term():
+    # 0.95 on the unit disk, above 0.9 of its inradius; the k=4 crown's
+    # delta* is the pack sweep's recorded bits
     dom = geo.make_domain({"kind": "circle", "radius": 1.0})
-    assert pk._offset_top(dom) == 0.9 * dom.inradius
-    assert calls == [1]
+    assert abs(pk._offset_top(dom.boundary) - 0.95) < 1e-15
+    assert pk.critical_distance(dom, 4)[0] == 0.41421356237309503
 
 
 @pytest.mark.parametrize("base,phases", [
@@ -559,19 +550,33 @@ def test_choose_spike_count_rejects_bad_delta(disk):
 
 
 def test_choose_spike_count_below_the_depth_bound_skips_the_search(monkeypatch):
-    # perimeter 6.93; the ratio 9.89 rounds up to the next even count
-    forbid_inradius_search(monkeypatch)
+    # perimeter 6.93; the ratio 9.89 rounds up to the next even count,
+    # after one query of the centroid's depth
     dom = geo.make_domain({"kind": "ellipse", "a": 1.2, "b": 1.0})
+    queries = []
+    signed_distance = dom.signed_distance
+    monkeypatch.setattr(dom, "signed_distance", lambda x: queries.append(np.shape(x))
+                        or signed_distance(x))
     assert pk.choose_spike_count(dom, 0.35) == 10
+    assert queries == [(2,)]
 
 
-def test_choose_spike_count_asks_the_inradius_above_the_bound():
-    # 0.9 lies above 0.9 of the disk's centroid depth (1 - 2e-16) and
-    # not below 0.9 of the inradius, which the search finds equal to it
+def test_choose_spike_count_refuses_the_disk_at_its_depth_bound():
+    # 0.9 lies above 0.9 of the disk's centroid depth, 1 - 2e-16
     dom = geo.make_domain({"kind": "circle", "radius": 1.0})
-    with pytest.raises(ConfigError, match="0.9\\*inradius"):
+    with pytest.raises(ConfigError, match=r"0\.9\*centroid depth\) = \(0, 0\.9\), got 0\.9$"):
         pk.choose_spike_count(dom, 0.9)
-    assert dom._inradius is not None
+
+
+def test_choose_spike_count_bound_off_the_incenter():
+    # the rotated egg moved to (2, 1): centroid depth 0.94962, inradius
+    # about 0.9545, so the bound is 0.9 * 0.94962 = 0.85465, where an
+    # inradius bound would take delta0 up to 0.859; perimeter 6.32, so
+    # the ratio 3.72 rounds up to 4
+    dom = geo.make_domain(pack_sweep.DOMAINS["rotated egg +(2,1)"])
+    assert pk.choose_spike_count(dom, 0.85) == 4
+    with pytest.raises(ConfigError, match=r"centroid depth\) = \(0, 0\.854653\), got 0\.857$"):
+        pk.choose_spike_count(dom, 0.857)
 
 
 # ------------------------------------------------------------------ two point

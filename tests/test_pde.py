@@ -140,28 +140,48 @@ def test_node_count_matches_area_law(disk):
 
 def test_discretize_rejects_coarse_or_bad_spacing(disk):
     with pytest.raises(ConfigError):
-        pde.discretize(disk, 0.05)  # inradius/20 exactly
+        pde.discretize(disk, 0.05)  # the centroid's depth/20 exactly
     with pytest.raises(ConfigError):
         pde.discretize(disk, -0.01)
 
 
-def test_coarse_ellipse_spacing_raises_after_the_search():
-    # h = 0.05 is not below the centroid's depth/20, so the inradius
-    # search decides, and the grid is refused as on the disk
+def test_coarse_ellipse_spacing_names_the_centroid_depth():
+    # h = 0.05 is not below the centroid's depth/20, so the grid is
+    # refused as on the disk
     dom = geo.make_domain({"kind": "ellipse", "a": 1.2, "b": 1.0})
-    with pytest.raises(ConfigError, match=r"spacing 0\.05 too coarse: need h < inradius/20 = 0\.05$"):
+    with pytest.raises(ConfigError,
+                       match=r"spacing 0\.05 too coarse: need h < centroid depth/20 = 0\.05$"):
         pde.discretize(dom, 0.05)
-    assert dom._inradius is not None
 
 
 def test_fine_ellipse_grid_skips_the_inradius_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the inradius search ran")
-
-    monkeypatch.setattr(geo, "minimize", refuse)
+    # one query of the centroid's depth, the first of the grid's, decides
+    # the spacing; every other query is a batch of nodes
     dom = geo.make_domain({"kind": "ellipse", "a": 1.2, "b": 1.0})
+    queries = []
+    signed_distance = dom.signed_distance
+    monkeypatch.setattr(dom, "signed_distance", lambda x: queries.append(np.shape(x))
+                        or signed_distance(x))
     assert pde.discretize(dom, 0.04).n_nodes > 0
-    assert dom._inradius is None
+    assert queries[0] == (2,) and (2,) not in queries[1:]
+
+
+def test_lattice_spans_the_boundary_table_off_the_origin():
+    # a lopsided egg turned by 0.3 around (2, 1): the lattice's box is the
+    # boundary table's with two nodes to spare on every side, so its rim
+    # carries no unknown, and every unknown lies inside
+    h = 0.04
+    th = 2.0 * np.pi * np.arange(40) / 40 + 0.3
+    r = 1.0 + 0.12 * np.cos(th - 0.3) + 0.05 * np.sin(2.0 * (th - 0.3))
+    dom = geo.PlanarDomain(geo.spline_curve(
+        np.stack([r * np.cos(th), r * np.sin(th)], axis=1) + (2.0, 1.0)))
+    g = pde.discretize(dom, h)
+    pts = dom.boundary.points
+    lo = np.array([g.i0, g.j0]) * h
+    hi = (np.array([g.i0, g.j0]) + g.shape - 1) * h
+    assert (lo <= pts.min(axis=0) - 2.0 * h).all() and (hi >= pts.max(axis=0) + 2.0 * h).all()
+    assert (g.index[[0, -1], :] == -1).all() and (g.index[:, [0, -1]] == -1).all()
+    assert (dom.signed_distance(g.xy) < 0.0).all()
 
 
 def plain_cuts(dom, legs, h, i_lo, j_lo):

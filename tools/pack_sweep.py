@@ -1,13 +1,15 @@
-"""The crown and gap check over 54 domain and spike-count cases, against
+"""The crown and gap check over 60 domain and spike-count cases, against
 a recorded run.
 
 Usage:
 
     python tools/pack_sweep.py [--checkout DIR] [--record COMMIT]
 
-Each case builds one of nine domains (the unit disk, the 1.2x1, 1.5x1,
-2x1 and 3x1 ellipses, the m=3 and m=4 superellipses and 24-point spline
-eggs of 1.3x1 and 1.6x1) and, for k in 4, 6, 8, 10, 12 and 16, calls
+Each case builds one of ten domains (the unit disk, the 1.2x1, 1.5x1,
+2x1 and 3x1 ellipses, the m=3 and m=4 superellipses, 24-point spline
+eggs of 1.3x1 and 1.6x1, and a 40-point egg with no symmetry, turned by
+0.3 and moved off the origin, whose centroid is not its incenter) and,
+for k in 4, 6, 8, 10, 12 and 16, calls
 `packing.critical_distance` and then `packing.boundary_gap_check` with
 eta = delta*/10 and seed 0. The package comes from DIR's `src` (default:
 the checkout holding this script).
@@ -39,6 +41,19 @@ def _egg(a):
                        for j in range(24)]}
 
 
+def _rotated_egg():
+    """r = 1 + 0.12 cos(th) + 0.05 sin(2 th) at 40 angles, turned by 0.3
+    and moved by (2, 1)."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    points = []
+    for j in range(40):
+        th = 2.0 * math.pi * j / 40
+        r = 1.0 + 0.12 * math.cos(th) + 0.05 * math.sin(2.0 * th)
+        x, y = r * math.cos(th), r * math.sin(th)
+        points.append([c * x - s * y + 2.0, s * x + c * y + 1.0])
+    return {"kind": "spline", "points": points}
+
+
 DOMAINS = {
     "disk": {"kind": "circle", "radius": 1.0},
     "ellipse 1.2x1": {"kind": "ellipse", "a": 1.2, "b": 1.0},
@@ -49,6 +64,7 @@ DOMAINS = {
     "superellipse m=4": {"kind": "superellipse", "a": 1.0, "b": 1.0, "m": 4.0},
     "egg 1.3x1": _egg(1.3),
     "egg 1.6x1": _egg(1.6),
+    "rotated egg +(2,1)": _rotated_egg(),
 }
 KS = (4, 6, 8, 10, 12, 16)
 
@@ -103,7 +119,7 @@ def main(argv=None):
             wall = time.perf_counter() - start
             cases.append({"domain": name, "k": k, **got})
             outcome = got["error"] or f"{got['delta_star']!r}"
-            line = f"{name:17s} k={k:2d}  {outcome:22s} rings {got['ring_closed']}"
+            line = f"{name:19s} k={k:2d}  {outcome:22s} rings {got['ring_closed']}"
             if recorded is not None:
                 want = recorded[(name, k)]
                 why = disagreement(got, want)
