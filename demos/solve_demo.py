@@ -37,7 +37,7 @@ def main():
     print(f"grid: {grid.n_nodes} unknowns at h = {grid.h:.5f}, "
           f"{grid.n_reclassified} rim node(s) reclassified exterior")
 
-    sol, hist, trail, _ = pde.newton_solve(grid, nl, eps, profile, cfg_min)
+    sol, hist, trail, _, _ = pde.newton_solve(grid, nl, eps, profile, cfg_min)
     moves = sum(moved for _, _, moved, _ in trail)
     lus = sum(lu for _, _, _, lu in trail)
     print(f"Newton: {len(hist) - 1} iterations, {lus} LU factorizations, "

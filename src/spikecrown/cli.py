@@ -188,20 +188,38 @@ def _write_json(path, obj):
     _atomic_write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _cell(v):
-    if type(v) is float:
-        return f"{v:.17g}"
-    if isinstance(v, (bool, np.bool_)):
+def _column_format(cells):
+    """The % conversion of one CSV column: %d when every cell is an
+    integer (NumPy's included), else %.17g, which prints float(v) the
+    way f"{float(v):.17g}" does."""
+    if any(isinstance(v, (bool, np.bool_)) for v in cells):
         raise ValueError("no boolean CSV cells")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+    ints = [isinstance(v, (int, np.integer)) for v in cells]
+    if all(ints):
+        return "%d"
+    if any(ints):
+        raise ValueError("a CSV column mixes integers with floats")
+    return "%.17g"
 
 
 def _write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Header, then rows through one % row template.
+
+    rows is a 2-D NumPy array or an iterable of equal-length rows; each
+    column takes its conversion from its cells (_column_format), or
+    from the array's dtype.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind == "b":
+            raise ValueError("no boolean CSV cells")
+        formats = ["%d" if rows.dtype.kind in "iu" else "%.17g"] * rows.shape[1]
+        cells, n_rows = rows.ravel().tolist(), rows.shape[0]
+    else:
+        table = [tuple(row) for row in rows]
+        formats = [_column_format(col) for col in zip(*table)]
+        cells, n_rows = [v for row in table for v in row], len(table)
+    body = ((",".join(formats) + "\n") * n_rows) % tuple(cells)
+    _atomic_write(path, ",".join(columns) + "\n" + body)
 
 
 def thread_cap():
@@ -241,7 +259,7 @@ _PROFILE_COLUMNS = ("r", "w", "w_prime")
 def run_ground_state(cfg, out_dir):
     profile = shoot(Nonlinearity(p=cfg.p, dim_n=cfg.N))
     _write_csv(os.path.join(out_dir, "profile.csv"), _PROFILE_COLUMNS,
-               zip(profile.r_grid, profile.w_values, profile.w_prime_values))
+               np.column_stack([profile.r_grid, profile.w_values, profile.w_prime_values]))
     _write_json(os.path.join(out_dir, "profile.json"),
                 {"p": profile.p, "N": profile.dim_n, "w0": profile.w0,
                  "A": profile.decay_A, "r_tail": profile.r_tail, **_stamp(cfg)})
@@ -422,12 +440,12 @@ def run_solve(cfg, out_dir, continuation=False):
 
     def one(idx, eps, init_config):
         grid = pde.discretize(dom, eps / cfg.h_divisor)
-        sol, hist, trail, positions = pde.newton_solve(grid, nl, eps, profile, init_config)
+        sol, hist, trail, positions, _ = pde.newton_solve(grid, nl, eps, profile, init_config)
         peaks = pde.extract_peaks(grid, sol, expected=k)
         energy = pde.discrete_energy(grid, nl, eps, sol)
         tag = f"{idx:03d}"
         _write_csv(os.path.join(out_dir, f"field_{tag}.csv"), ("x", "y", "value"),
-                   np.column_stack([grid.xy, sol.values]).tolist())
+                   np.column_stack([grid.xy, sol.values]))
         steps = [(0.0, 0.0, False, False)] + trail
         _write_csv(os.path.join(out_dir, f"residuals_{tag}.csv"),
                    ("iter", "sup_residual", "step", "lam_norm", "moved", "lu"),

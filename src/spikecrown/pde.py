@@ -43,7 +43,8 @@ _NEWTON_MAX_ITER = 50
 # whose contraction theta is below this
 _NEWTON_REUSE_THETA = 0.05
 
-# every sparse LU in this module (see _splu)
+# every sparse LU in this module (see _splu); _Operator.factorize
+# swaps in the natural ordering once the pattern's order is known
 _SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 2, "panel_size": 4}
 
 
@@ -150,33 +151,36 @@ def discretize(dom, h):
 def _inside(dom, nodes, h):
     """dom.signed_distance(nodes) < 0, with exact distances only near the curve.
 
-    Only nodes within r of a table node get the exact nearest-point
-    query. Every other node lies more than r - c from the curve, where c
-    is the largest table chord (each arc between table nodes stays within
-    c of an end), so with r > c its side is that of the inscribed table
-    polygon. The polygon is convex and star-shaped about the centroid:
-    the table edge whose angular sector holds the node decides. r is 4h,
-    raised to twice the largest chord if that is more, so the answer is
-    exact whatever h.
+    A node closer to the centroid than its depth less r lies in the
+    inscribed disk about the centroid, more than r from the curve: it is
+    inside with no query. Of the rest, only nodes within r of a table
+    node get the exact nearest-point query. Every other node lies more
+    than r - c from the curve, where c is the largest table chord (each
+    arc between table nodes stays within c of an end), so with r > c its
+    side is that of the inscribed table polygon. The polygon is convex
+    and star-shaped about the centroid: the table edge whose angular
+    sector holds the node decides. r is 4h, raised to twice the largest
+    chord if that is more, so the answer is exact whatever h.
     """
     bd = dom.boundary
     pts = bd.points
     edges = np.roll(pts, -1, axis=0) - pts
     r = max(4.0 * h, 2.0 * float(np.hypot(edges[:, 0], edges[:, 1]).max()))
-    near = np.isfinite(bd.kdtree.query(nodes, distance_upper_bound=r)[0])
-    inside = np.empty(len(nodes), dtype=bool)
-    inside[near] = dom.signed_distance(nodes[near]) < 0.0
-    far = nodes[~near]
     c = dom.centroid
+    inside = np.hypot(nodes[:, 0] - c[0], nodes[:, 1] - c[1]) < dom.centroid_depth - r
+    rest = np.flatnonzero(~inside)
+    is_near = np.isfinite(bd.kdtree.query(nodes[rest], distance_upper_bound=r)[0])
+    near, far = rest[is_near], rest[~is_near]
+    inside[near] = dom.signed_distance(nodes[near]) < 0.0
     start = np.arctan2(pts[0, 1] - c[1], pts[0, 0] - c[0])
 
     def angle(X):  # about the centroid, in [start, start + 2 pi)
         return start + np.mod(np.arctan2(X[:, 1] - c[1], X[:, 0] - c[0]) - start,
                               2.0 * np.pi)
 
-    j = np.searchsorted(angle(pts), angle(far), side="right") - 1
-    rel = far - pts[j]
-    inside[~near] = edges[j, 0] * rel[:, 1] - edges[j, 1] * rel[:, 0] > 0.0
+    j = np.searchsorted(angle(pts), angle(nodes[far]), side="right") - 1
+    rel = nodes[far] - pts[j]
+    inside[far] = edges[j, 0] * rel[:, 1] - edges[j, 1] * rel[:, 0] > 0.0
     return inside
 
 
@@ -233,6 +237,9 @@ class _Operator:
     For a cut leg the stencil weight multiplies the (known) boundary
     value instead of an unknown; rows/coefs/points record exactly those
     couplings so inhomogeneous data lands on the right-hand side.
+
+    It is also the one place that factorizes matrices with A's pattern:
+    A itself (lu) and the Jacobians A + diag(f') (jacobian, factorize).
     """
 
     def __init__(self, grid, eps):
@@ -267,17 +274,70 @@ class _Operator:
         self.cut_coefs = np.concatenate(cut_coefs)
         self.cut_points = np.concatenate(cut_pts)
         self.norm_a = float(np.max(np.abs(self.A).sum(axis=1)))
+        # A in CSC, rows sorted in each column, and where its diagonal sits
+        self._csc = self.A.tocsc()
+        indptr = self._csc.indptr
+        self._diag = np.flatnonzero(
+            self._csc.indices == np.repeat(np.arange(n), np.diff(indptr)))
+        self._order = None  # set by the first factorize
         self._lu = None
 
     @property
     def lu(self):
         if self._lu is None:
-            self._lu = _splu(self.A.tocsc())
+            self._lu = self.factorize(self._csc)
         return self._lu
+
+    def jacobian(self, fp):
+        """A + diag(fp) in CSC, with the values and pattern of
+        (A + sp.diags(fp)).tocsc(): fp is added to A's diagonal in place."""
+        data = self._csc.data.copy()
+        data[self._diag] += fp
+        return sp.csc_matrix((data, self._csc.indices, self._csc.indptr),
+                             shape=self.A.shape)
+
+    def factorize(self, M):
+        """LU of M, a CSC matrix with A's pattern, that solves as _splu(M)'s.
+
+        SuperLU factors Pr M Pc, and M Pc = M[:, q] with
+        q = argsort(perm_c). The ordering depends on the pattern alone,
+        so only the first LU runs _splu's minimum degree, and it records
+        q. Every later one factors M[:, q], a gather of M's data, with
+        the natural ordering. That gives _splu's factors bit for bit
+        (permuting the rows by q as well does not), and its solve puts
+        x[q] = y back.
+        """
+        if self._order is None:
+            lu = _splu(M)
+            q = np.argsort(lu.perm_c)
+            indptr = self._csc.indptr
+            lens = np.diff(indptr)[q]
+            indptr_q = np.concatenate([[0], np.cumsum(lens)])
+            gather = np.repeat(indptr[q] - indptr_q[:-1], lens) + np.arange(len(M.data))
+            self._order = q, gather, self._csc.indices[gather], indptr_q
+            return lu
+        q, gather, indices_q, indptr_q = self._order
+        Mq = sp.csc_matrix((M.data[gather], indices_q, indptr_q), shape=M.shape)
+        return _ColumnPermutedLU(
+            spla.splu(Mq, **{**_SPLU_OPTIONS, "permc_spec": "NATURAL"}), q)
 
     def solve(self, b):
         return _refine_solve(self.lu.solve, self.A.dot, self.norm_a, b, 1e-11,
                              "boundary correction")
+
+
+class _ColumnPermutedLU:
+    """An LU of M[:, q] that solves M x = b."""
+
+    def __init__(self, lu, q):
+        self._lu = lu
+        self._q = q
+
+    def solve(self, b):
+        y = self._lu.solve(b)
+        x = np.empty_like(y)  # keeps SuperLU's layout: Fortran order for a matrix b
+        x[self._q] = y
+        return x
 
 
 def _splu(M):
@@ -398,16 +458,18 @@ def assemble_ansatz(grid, profile, eps, config):
 class _BorderedLU:
     """[[J, Z], [Z', 0]] solved from an LU of J (Keller's bordering).
 
-    J is factorized through _splu. W = J^{-1}Z and the Schur complement
-    S = Z'W are formed once, so a solve costs one back-solve with J and
-    a 2k x 2k solve. The bordered matrix itself is never assembled:
+    J = A + diag(fp), with A the operator op's, is built and factorized
+    by op (_Operator.jacobian and factorize). W = J^{-1}Z and the Schur
+    complement S = Z'W are formed once, so a solve costs one back-solve
+    with J and a 2k x 2k solve. The bordered matrix itself is never assembled:
     dot applies it as [J x + Z y; Z' x], and norm_a is its infinity
     norm, the larger of the row sums |J| + |Z| and the column sums of
     |Z|.
     """
 
-    def __init__(self, J, Z):
-        self.lu = _splu(J)
+    def __init__(self, op, fp, Z):
+        J = op.jacobian(fp)
+        self.lu = op.factorize(J)
         self.J = J
         self.Z = Z
         self.W = self.lu.solve(Z)
@@ -471,7 +533,8 @@ def newton_solve(grid, nl, eps, profile, config):
 
     where U_P is the ansatz at P and Z = dU_P/dP its translation modes.
     Each step solves the bordered system from an LU of J (minimum
-    degree on J' + J, see _splu), refined to 1e-12 normwise backward
+    degree on J' + J, found once per operator, see
+    _Operator.factorize), refined to 1e-12 normwise backward
     error against the bordered matrix, which _BorderedLU applies but
     never assembles. The step is halved until the correction that the
     same LU computes at the trial point falls below (1 - alpha/2) of
@@ -495,14 +558,16 @@ def newton_solve(grid, nl, eps, profile, config):
     p < 3 the true f' has unbounded slope at 0 and the patch removes
     far-field noise.
 
-    Returns (field, history, trail, positions): the sup of the plain
-    residual at the start and after each iteration; per iteration the
-    step length, |lam| (the value moved on, if the spikes moved),
-    whether they moved and whether the iteration factorized J; and the
-    final spike positions P, one row per spike.
+    Returns (field, history, trail, positions, ansatz): the sup of the
+    plain residual at the start and after each iteration; per iteration
+    the step length, |lam| (the value moved on, if the spikes moved),
+    whether they moved and whether the iteration factorized J; the
+    final spike positions P, one row per spike; and the starting ansatz
+    at config, assemble_ansatz's field.
     """
     _require_resolution(grid, eps)
-    A = grid.operator(eps).A
+    op = grid.operator(eps)
+    A = op.A
     n = grid.n_nodes
     P = np.array(config.points, dtype=float).reshape(-1, 2)
     signs = np.asarray(config.signs, dtype=float)
@@ -510,9 +575,10 @@ def newton_solve(grid, nl, eps, profile, config):
     def bordered_lu(u, Z):
         fp = nl.fprime(u)
         fp[np.abs(u) < 1e-14] = 0.0
-        return _BorderedLU((A + sp.diags(fp)).tocsc(), Z)
+        return _BorderedLU(op, fp, Z)
 
     U, Z = _ansatz_and_modes(grid, profile, eps, P, signs)
+    ansatz = DiscreteField(grid, eps, U)
     u = U.copy()
     lam = np.zeros(Z.shape[1])
     r = A @ u + nl.f(u)
@@ -570,7 +636,7 @@ def newton_solve(grid, nl, eps, profile, config):
         if moved or alpha < 1.0 or correction >= _NEWTON_REUSE_THETA * size:
             K = None  # freed now; the next step factorizes J afresh
         history.append(sup)
-    return DiscreteField(grid, eps, u), np.array(history), trail, P
+    return DiscreteField(grid, eps, u), np.array(history), trail, P, ansatz
 
 
 def discrete_energy(grid, nl, eps, fld):

@@ -358,8 +358,7 @@ def _criterion_newton_family(profile, dom, delta_star, crown, nl):
     for frac in (8.0, 12.0, 16.0):
         eps = delta_star / frac
         grid = pde.discretize(dom, eps / 4.0)
-        ansatz = pde.assemble_ansatz(grid, profile, eps, crown)
-        sol, hist, _, _ = pde.newton_solve(grid, nl, eps, profile, crown)
+        sol, hist, _, _, ansatz = pde.newton_solve(grid, nl, eps, profile, crown)
         peaks = pde.extract_peaks(grid, sol)
         drift = max(
             float(np.linalg.norm(crown.points - loc, axis=1).min())

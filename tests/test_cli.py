@@ -326,15 +326,43 @@ def test_csv_bytes_match_the_per_cell_formatter(tmp_path):
                                   for row in rows)
         cli._write_csv(path, ("i", "x", "y"), rows)
         assert path.read_bytes() == want.encode()
-    # the field writer's rows: one float array, as Python floats
+    # the field writer's table: one float array, as rows or whole
     table = np.array(floats).reshape(-1, 1) * [1.0, -1.0, 3.0]
-    cli._write_csv(path, ("x", "y", "value"), table.tolist())
     want = "x,y,value\n" + "".join(",".join(per_cell(v) for v in row) + "\n"
                                    for row in table)
-    assert path.read_bytes() == want.encode()
+    for rows in (table.tolist(), table):
+        cli._write_csv(path, ("x", "y", "value"), rows)
+        assert path.read_bytes() == want.encode()
     for flag in (True, np.bool_(False)):
         with pytest.raises(ValueError, match="boolean"):
             cli._write_csv(tmp_path / "b.csv", ("a",), [(flag,)])
+
+
+def test_csv_bytes_match_the_per_cell_formatter_at_the_edges(tmp_path):
+    # signed zeros, the least subnormal, infinities, nan, and integers
+    # past 2^53 (where a float would round them) keep the per-cell bytes
+    floats = [-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+    ints = [2 ** 62 + 1, -(2 ** 63), np.int64(2 ** 63 - 1), np.uint64(2 ** 64 - 1),
+            10 ** 30, 0, -1, 2 ** 53 + 1]
+    path = tmp_path / "t.csv"
+    rows = list(zip(ints, floats, [np.float64(v) for v in floats]))
+    want = "i,x,y\n" + "".join(",".join(per_cell(v) for v in row) + "\n" for row in rows)
+    cli._write_csv(path, ("i", "x", "y"), rows)
+    assert path.read_bytes() == want.encode()
+    for table in (np.array(floats).reshape(-1, 2),
+                  np.array([2 ** 62 + 1, -(2 ** 63), 2 ** 63 - 1, 7], dtype=np.int64).reshape(-1, 2)):
+        cli._write_csv(path, ("a", "b"), table)
+        want = "a,b\n" + "".join(",".join(per_cell(v) for v in row) + "\n" for row in table)
+        assert path.read_bytes() == want.encode()
+    cli._write_csv(path, ("a", "b"), [])
+    assert path.read_bytes() == b"a,b\n"
+    with pytest.raises(ValueError, match="boolean"):
+        cli._write_csv(path, ("a", "b"), np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="boolean"):
+        cli._write_csv(path, ("a",), [(1,), (True,)])
+    # no one conversion prints both 3 and 0.5 as the per-cell formatter did
+    with pytest.raises(ValueError, match="mixes"):
+        cli._write_csv(path, ("a",), [(3,), (0.5,)])
 
 
 # ------------------------------------------------- acceptance helpers
@@ -697,8 +725,8 @@ def test_continuation_walks_eps_downward(tmp_path):
 
 
 def _ansatz_as_solution(grid, nl, eps, profile, config):
-    return (pde.assemble_ansatz(grid, profile, eps, config), [0.0], [],
-            np.asarray(config.points, dtype=float))
+    ansatz = pde.assemble_ansatz(grid, profile, eps, config)
+    return ansatz, [0.0], [], np.asarray(config.points, dtype=float), ansatz
 
 
 @pytest.mark.filterwarnings("error")

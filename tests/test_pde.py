@@ -47,7 +47,7 @@ def pair2(disk, grid_m, profile_p3n2):
     """Antipodal two-spike run at eps = depth/5: ansatz, solution, history."""
     cfg = pk.make_configuration(disk, np.array([[0.5, 0.0], [-0.5, 0.0]]))
     ans = pde.assemble_ansatz(grid_m, profile_p3n2, 0.1, cfg)
-    sol, hist, trail, _ = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
+    sol, hist, trail, _, _ = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
     return {"cfg": cfg, "ans": ans, "sol": sol, "hist": hist, "trail": trail}
 
 
@@ -58,7 +58,7 @@ def singles(disk, profile_p3n2):
     cfg = SimpleNamespace(points=np.array([[0.0, 0.0]]), signs=np.array([1.0]))
     for eps in (0.12, 0.08, 0.05):
         g = pde.discretize(disk, eps / 4.0)
-        sol, hist, _, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
+        sol, hist, _, _, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
         out[eps] = {"grid": g, "sol": sol, "hist": hist,
                     "J": pde.discrete_energy(g, NL, eps, sol)}
     return out
@@ -73,7 +73,7 @@ def crown10(disk, profile_p3n2):
     model = red.ReducedEnergyModel(disk, profile_p3n2, eps, ds, ds / 10.0)
     cfg_min = red.minimize_energy(model, crown)[0]
     ans_raw = pde.assemble_ansatz(g, profile_p3n2, eps, crown)
-    sol, hist, _, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg_min)
+    sol, hist, _, _, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg_min)
     return {"ds": ds, "eps": eps, "grid": g, "crown": crown, "model": model,
             "ans_raw": ans_raw, "sol": sol, "hist": hist,
             "peaks": pde.extract_peaks(g, sol, expected=4)}
@@ -337,7 +337,7 @@ def test_ansatz_boundary_trace_bound(grid_m, profile_p3n2, pair2):
 
 def test_newton_zero_init_stays_zero(grid_m, profile_p3n2):
     empty = SimpleNamespace(points=np.zeros((0, 2)), signs=np.zeros(0))
-    sol, hist, trail, positions = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, empty)
+    sol, hist, trail, positions, _ = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, empty)
     assert sup_norm(sol) == 0.0
     assert hist.tolist() == [0.0]
     assert trail == []
@@ -345,14 +345,19 @@ def test_newton_zero_init_stays_zero(grid_m, profile_p3n2):
 
 
 def test_newton_factorizes_only_the_jacobian_once_per_iteration(
-        grid_m, profile_p3n2, monkeypatch):
+        disk, profile_p3n2, monkeypatch):
     # the bordered system is solved from the LU of J alone: no other
     # matrix (such as J'J) is factorized, no iteration factorizes twice,
     # and the trail flags exactly the iterations that did; while the
-    # contraction is small an LU serves several steps
-    A = grid_m.operator(0.1).A.tocsc()
+    # contraction is small an LU serves several steps. The first LU
+    # orders A's pattern by minimum degree; every later one factors
+    # J[:, q] in the natural ordering, q being the first LU's order
+    grid = pde.discretize(disk, 0.025)  # its operator has factorized nothing yet
+    A = grid.operator(0.1).A.tocsc()
     seen = []
     real_splu = pde.spla.splu
+    q = np.argsort(real_splu(A, **pde._SPLU_OPTIONS).perm_c)
+    Aq = A[:, q]
 
     def splu(M, **kwargs):
         seen.append((M.shape, M.indices.tobytes(), M.indptr.tobytes(), kwargs))
@@ -361,12 +366,14 @@ def test_newton_factorizes_only_the_jacobian_once_per_iteration(
     monkeypatch.setattr(pde, "spla", SimpleNamespace(splu=splu))
     cfg = SimpleNamespace(points=np.array([[0.5, 0.0], [-0.5, 0.0]]),
                           signs=np.array([1.0, -1.0]))
-    _, hist, trail, _ = pde.newton_solve(grid_m, NL, 0.1, profile_p3n2, cfg)
+    _, hist, trail, _, _ = pde.newton_solve(grid, NL, 0.1, profile_p3n2, cfg)
     factorized = sum(lu for _, _, _, lu in trail)
     assert len(seen) == factorized
     assert factorized < len(trail) == len(hist) - 1  # measured 6 LUs in 12 iterations
-    pattern = (A.shape, A.indices.tobytes(), A.indptr.tobytes(), pde._SPLU_OPTIONS)
-    assert all(entry == pattern for entry in seen)
+    assert seen[0] == (A.shape, A.indices.tobytes(), A.indptr.tobytes(), pde._SPLU_OPTIONS)
+    natural = {**pde._SPLU_OPTIONS, "permc_spec": "NATURAL"}
+    assert all(entry == (A.shape, Aq.indices.tobytes(), Aq.indptr.tobytes(), natural)
+               for entry in seen[1:])
     assert any(moved for _, _, moved, _ in trail)
 
 
@@ -408,9 +415,10 @@ def test_bordered_lu_matches_the_assembled_matrix(grid_m, profile_p3n2):
     # applies without assembling, built here with sp.bmat
     P, signs = np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, -1.0])
     U, Z = pde._ansatz_and_modes(grid_m, profile_p3n2, 0.1, P, signs)
-    A = grid_m.operator(0.1).A
+    op = grid_m.operator(0.1)
+    A = op.A
     J = (A + sp.diags(NL.fprime(U))).tocsc()
-    K = pde._BorderedLU(J, Z)
+    K = pde._BorderedLU(op, NL.fprime(U), Z)
     Zs = sp.csr_matrix(Z)
     M = sp.bmat([[J, Zs], [Zs.T, None]], format="csr")
     norm_m = float(np.max(np.abs(M).sum(axis=1)))
@@ -425,13 +433,59 @@ def test_bordered_lu_matches_the_assembled_matrix(grid_m, profile_p3n2):
     assert sup(b - M @ x) <= 1e-12 * (norm_m * sup(x) + sup(b))
 
 
+def test_operator_lu_solves_as_splu_bit_for_bit(disk, profile_p3n2, monkeypatch):
+    # oracle: _splu on (A + sp.diags(f')).tocsc(), which orders every
+    # Jacobian afresh. At each Newton iterate the operator's Jacobian
+    # has its values and pattern, and its LU (the first ordered by
+    # minimum degree, the rest in that order) solves a vector and the
+    # (n, 2k) translation modes to the same bits, in the same layout
+    grid = pde.discretize(disk, 0.025)
+    op = grid.operator(0.1)
+    fps = []
+    jacobian = op.jacobian
+
+    def recording(fp):
+        fps.append(fp.copy())
+        return jacobian(fp)
+
+    monkeypatch.setattr(op, "jacobian", recording)
+    P, signs = np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, -1.0])
+    pde.newton_solve(grid, NL, 0.1, profile_p3n2, SimpleNamespace(points=P, signs=signs))
+    assert len(fps) >= 3  # measured 6
+    _, Z = pde._ansatz_and_modes(grid, profile_p3n2, 0.1, P, signs)
+    b = np.random.default_rng(5).standard_normal(grid.n_nodes)
+    for fp in fps:
+        want = (op.A + sp.diags(fp)).tocsc()
+        got = jacobian(fp)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+        lu_want, lu_got = pde._splu(want), op.factorize(got)
+        for rhs in (b, Z):
+            x_want, x_got = lu_want.solve(rhs), lu_got.solve(rhs)
+            assert np.array_equal(x_got, x_want)
+            assert x_got.strides == x_want.strides
+    assert np.array_equal(op.solve(b), pde._refine_solve(
+        pde._splu(op.A.tocsc()).solve, op.A.dot, op.norm_a, b, 1e-11, "oracle"))
+
+
+def test_lu_order_depends_on_the_pattern_alone(grid_m, profile_p3n2):
+    # minimum degree reads the pattern of M' + M, not its values, so A
+    # and every Jacobian A + diag(f') are factorized in one column order
+    A = grid_m.operator(0.1).A.tocsc()
+    q = np.argsort(pde._splu(A).perm_c)
+    U, _ = pde._ansatz_and_modes(grid_m, profile_p3n2, 0.1, np.array([[0.5, 0.0]]), [1.0])
+    for scale in (1.0, 0.5, -2.0):
+        J = grid_m.operator(0.1).jacobian(NL.fprime(scale * U))
+        assert np.array_equal(np.argsort(pde._splu(J).perm_c), q)
+
+
 def test_bordered_lu_with_a_singular_schur_complement_raises(grid_m, profile_p3n2):
     # a zero translation mode makes S = Z'J^{-1}Z singular; the solve
     # fails as a toolkit error, never as numpy's LinAlgError
     P, signs = np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, -1.0])
     U, Z = pde._ansatz_and_modes(grid_m, profile_p3n2, 0.1, P, signs)
     Z[:, 1] = 0.0
-    K = pde._BorderedLU((grid_m.operator(0.1).A + sp.diags(NL.fprime(U))).tocsc(), Z)
+    K = pde._BorderedLU(grid_m.operator(0.1), NL.fprime(U), Z)
     with pytest.raises(LinearSolveError, match="Schur complement"):
         K.solve(np.ones(grid_m.n_nodes + Z.shape[1]))
 
@@ -553,7 +607,7 @@ def test_coarse_crown_newton_converges(disk, profile_p3n2):
     model = red.ReducedEnergyModel(disk, profile_p3n2, eps, ds, ds / 10.0)
     cfg = red.minimize_energy(model, crown)[0]
     g = pde.discretize(disk, eps / 4.0)
-    sol, hist, trail, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
+    sol, hist, trail, _, _ = pde.newton_solve(g, NL, eps, profile_p3n2, cfg)
     assert hist[-1] < 1e-10  # measured 4.6e-14 in 22 iterations, 9 LUs
     assert any(moved for _, _, moved, _ in trail)
     peaks = pde.extract_peaks(g, sol, expected=6)

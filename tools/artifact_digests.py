@@ -59,6 +59,8 @@ CASES = [
     ("solve-disk", "solve", {"domain": DISK, "k": 4, "eps_fractions": [6]}, []),
     ("solve-disk-continuation", "solve", {"domain": DISK, "k": 4, "eps_fractions": [6, 7]},
      ["--continuation"]),
+    # a Newton solve without the disk's symmetry
+    ("solve-ellipse", "solve", {"domain": ELLIPSE, "k": 4, "eps_fractions": [6]}, []),
     ("config-error-seed", "ground-state", {"seed": None}, []),
     ("config-error-p", "ground-state", {"p": None}, []),
     ("config-error-no-scales", "reduce", {"domain": DISK, "k": 4}, []),
